@@ -42,7 +42,7 @@ from .probes import (
     sample,
     standard_probes,
 )
-from .statespace import PDI, basis_ket, inner, projector_from_labels
+from .statespace import PDI, basis_ket, inner, projector_from_labels, slice_pdi
 from .weak import presence_table
 
 
@@ -62,17 +62,18 @@ class RunConfig:
     format: str = "text"
 
 
-def _parse_float(key: str, raw: str, lo: float, hi: float, lo_open: bool, hi_open: bool) -> float:
+#: The configuration keys that can also be given as command-line flags.
+_FLAG_KEYS = ("alpha2", "epsilon", "probes", "tolerance", "seed", "samples", "format")
+
+#: Keys whose range is the one their model object enforces.
+_MODEL_CHECKED = {"alpha2": BeamSplitterParams, "epsilon": ProbeStrength}
+
+
+def _parse_float(key: str, raw: str) -> float:
     try:
-        val = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"{key}: {raw!r} is not a number") from None
-    lo_ok = val > lo if lo_open else val >= lo
-    hi_ok = val < hi if hi_open else val <= hi
-    if not (lo_ok and hi_ok):
-        lob, hib = "(" if lo_open else "[", ")" if hi_open else "]"
-        raise ConfigError(f"{key} must lie in {lob}{lo}, {hi}{hib}, got {raw}")
-    return val
 
 
 def _parse_int(key: str, raw: str, minimum: int) -> int:
@@ -85,21 +86,25 @@ def _parse_int(key: str, raw: str, minimum: int) -> int:
     return val
 
 
+def _family_id(raw: str) -> NamedFamilyId:
+    try:
+        return NamedFamilyId[raw.upper()]
+    except KeyError:
+        raise ConfigError(
+            f"family: unknown id {raw!r}; choose from "
+            f"{','.join(f.name for f in NamedFamilyId)}"
+        ) from None
+
+
 def _parse_key(cfg: dict, key: str, raw: str) -> None:
     raw = raw.strip()
-    if key == "alpha2":
+    if key in _MODEL_CHECKED:
+        val = _parse_float(key, raw)
         try:
-            val = float(raw)
-        except ValueError:
-            raise ConfigError(f"alpha2: {raw!r} is not a number") from None
-        if not 0.0 < val < 1.0:
-            raise ConfigError(
-                f"alpha2 must satisfy 0 < alpha2 < 1 (both splitter "
-                f"amplitudes strictly between 0 and 1), got {raw}"
-            )
+            _MODEL_CHECKED[key](val)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         cfg[key] = val
-    elif key == "epsilon":
-        cfg[key] = _parse_float(key, raw, 0.0, 1.0, False, True)
     elif key == "probes":
         ids = [tok.strip() for tok in raw.split(",") if tok.strip()]
         unknown = sorted(set(ids) - set(BUILTIN_ORDER))
@@ -109,15 +114,12 @@ def _parse_key(cfg: dict, key: str, raw: str) -> None:
             )
         cfg[key] = tuple(i for i in BUILTIN_ORDER if i in set(ids))
     elif key == "family":
-        names = {f.name.lower(): f.name for f in NamedFamilyId}
-        if raw.lower() not in names:
-            raise ConfigError(
-                f"family: unknown id {raw!r}; choose from "
-                f"{','.join(f.name for f in NamedFamilyId)}"
-            )
-        cfg[key] = names[raw.lower()]
+        cfg[key] = _family_id(raw).name
     elif key == "tolerance":
-        cfg[key] = _parse_float(key, raw, 0.0, 1.0, False, True)
+        val = _parse_float(key, raw)
+        if not 0.0 <= val < 1.0:
+            raise ConfigError(f"tolerance must lie in [0.0, 1.0), got {raw}")
+        cfg[key] = val
     elif key == "seed":
         cfg[key] = _parse_int(key, raw, 0)
     elif key == "samples":
@@ -199,15 +201,9 @@ def render(rows: list[Row], fmt: str) -> str:
 # commands
 
 def _family(cfg: RunConfig, name: str | None) -> tuple[str, Dynamics, Family]:
-    fam_name = (name or cfg.family).upper()
-    fid = NamedFamilyId[fam_name] if fam_name in NamedFamilyId.__members__ else None
-    if fid is None:
-        raise ConfigError(
-            f"family: unknown id {name!r}; choose from "
-            f"{','.join(f.name for f in NamedFamilyId)}"
-        )
+    fid = _family_id(name or cfg.family)
     dyn, fam = named_family(fid, BeamSplitterParams(cfg.alpha2))
-    return fam_name, dyn, fam
+    return fid.name, dyn, fam
 
 
 def _cond(cfg: RunConfig, **extra) -> str:
@@ -254,10 +250,7 @@ def _parse_time(token: str) -> int:
 
 
 def _parse_channels(dyn: Dynamics, t: int, text: str) -> set[str]:
-    try:
-        slc = dyn.slice_at(t)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    slc = dyn.slices[t]
     labels = set()
     for tok in text.split("+"):
         tok = tok.strip()
@@ -272,8 +265,10 @@ def _parse_channels(dyn: Dynamics, t: int, text: str) -> set[str]:
 def cmd_infer(cfg: RunConfig, time_token: str, channels: str, given: str) -> tuple[int, list[Row]]:
     dyn = build_nested_mzi(BeamSplitterParams(cfg.alpha2))
     t = _parse_time(time_token)
-    query = projector_from_labels(dyn.slice_at(t), _parse_channels(dyn, t, channels))
     t_final = dyn.final_index
+    if not 0 < t < t_final:
+        raise ConfigError(f"query time t{t} must lie strictly between t0 and t{t_final}")
+    query = projector_from_labels(dyn.slices[t], _parse_channels(dyn, t, channels))
     final = projector_from_labels(
         dyn.slices[t_final], _parse_channels(dyn, t_final, given)
     )
@@ -319,11 +314,6 @@ def _joint_state(cfg: RunConfig):
     return dyn, js
 
 
-def _detector_pdi(dyn: Dynamics) -> PDI:
-    slc = dyn.slices[dyn.final_index]
-    return PDI(slc, tuple(projector_from_labels(slc, {lab}) for lab in slc.basis))
-
-
 def _kappa_sort_key():
     order = {pid: i for i, pid in enumerate(BUILTIN_ORDER)}
 
@@ -350,7 +340,7 @@ def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
     dyn, js = _joint_state(cfg)
-    dist = outcome_distribution(js, _detector_pdi(dyn))
+    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
     support = coincidence_support(dist, cfg.tolerance)
     key = _kappa_sort_key()
     cond = _cond(cfg, eps=_fmt_real(cfg.epsilon), probes="".join(cfg.probes))
@@ -365,7 +355,7 @@ def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
     dyn, js = _joint_state(cfg)
-    dist = outcome_distribution(js, _detector_pdi(dyn))
+    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
     counts = sample(dist, cfg.samples, cfg.seed)
     cond = _cond(
         cfg,
@@ -517,7 +507,7 @@ def _suite_block_probes(cfg: RunConfig, rows, mismatches):
         return js
 
     js = compare_branches(("a", "d", "e", "w"), eps, "eq30")
-    dist = outcome_distribution(js, _detector_pdi(dyn))
+    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
     condition = _cond(cfg, eps=_fmt_real(eps), probes="adew")
     check("Pr(F4,a)", dist.p("F4", "a"), eps * a2 * a2, "eq32", condition)
     check("Pr(F4,o)", dist.p("F4", "o"), (1 - eps) * a2 * a2, "eq32", condition)
@@ -618,7 +608,7 @@ def run_report(cfg: RunConfig, command: str, options: dict | None = None) -> tup
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file ('#' comments)")
-    for key in ("alpha2", "epsilon", "probes", "tolerance", "seed", "samples", "format"):
+    for key in _FLAG_KEYS:
         common.add_argument(f"--{key}")
 
     parser = argparse.ArgumentParser(
@@ -645,11 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        overrides = {
-            key: getattr(args, key)
-            for key in ("alpha2", "epsilon", "probes", "tolerance", "seed", "samples", "format")
-            if getattr(args, key, None) is not None
-        }
+        overrides = {key: getattr(args, key) for key in _FLAG_KEYS}
         cfg = parse_config(source, overrides)
         options = {
             key: getattr(args, key)

@@ -72,10 +72,6 @@ class Dynamics:
                 raise ValueError(f"step {j} does not join slices {j} and {j + 1}")
 
     @property
-    def n_times(self) -> int:
-        return len(self.slices)
-
-    @property
     def final_index(self) -> int:
         return len(self.slices) - 1
 
@@ -95,14 +91,19 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     if k.slice != dyn.slice_at(start):
         raise ValueError(f"ket slice {k.slice} does not belong to this dynamics")
     dyn.slice_at(target_index)
-    v = k.amplitudes
+    return Ket(dyn.slices[target_index], _carry(dyn, k.amplitudes, start, target_index))
+
+
+def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:
+    """The step loop of :func:`transport` on raw amplitudes; both indices
+    must already be valid for `dyn`."""
     if target_index >= start:
         for j in range(start, target_index):
             v = dyn.steps[j].matrix @ v
     else:
         for j in range(start - 1, target_index - 1, -1):
             v = dyn.steps[j].matrix.conj().T @ v
-    return Ket(dyn.slices[target_index], v)
+    return v
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics, transport
-from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, inner
+from .dynamics import Dynamics, _carry, transport
+from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +93,6 @@ class Family:
                     f"(residual {res:.3g})"
                 )
 
-    def event_times(self) -> tuple[int, ...]:
-        return tuple(sorted({t for h in self.histories for t in h.times}))
-
 
 def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
     slices: dict[int, TimeSlice] = {}
@@ -131,24 +128,28 @@ def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
     """
     if initial.slice != dyn.slice_at(initial.slice.time_index):
         raise ValueError("initial ket does not live on this dynamics")
-    k = initial
+    if not h.events:
+        return initial
+    start, v = initial.slice.time_index, initial.amplitudes
     for t, p in h.events:
-        k = transport(dyn, k, t)
-        if p.slice != k.slice:
+        slc = dyn.slice_at(t)
+        if p.slice != slc:
             raise ValueError(
-                f"event projector at time {t} lives on {p.slice}, not {k.slice}"
+                f"event projector at time {t} lives on {p.slice}, not {slc}"
             )
-        k = p.apply(k)
-    return k
+        v = p.matrix @ _carry(dyn, v, start, t)
+        start = t
+    return Ket(slc, v)
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Pairwise chain-ket overlaps of a family.
 
-    `max_overlap` is the largest |<c_i|c_j>| normalized by
-    max(1, |c_i| |c_j|); `offending_pairs` holds the raw inner products of
-    the pairs exceeding tolerance.
+    `max_overlap` is the largest |<c_i|c_j>| / max(1, |c_i| |c_j|), an
+    absolute measure for a normalized initial state (see consistency_check);
+    `offending_pairs` holds the raw inner products of the pairs exceeding
+    tolerance, in row-major (i < j) order.
     """
 
     consistent: bool
@@ -171,13 +172,26 @@ class InexpressibleEventError(ValueError):
     """An event is not a union of the family's own sample-space cells."""
 
 
-def _chain_kets_at_common_time(dyn: Dynamics, fam: Family) -> list[Ket]:
+def _decoherence(
+    dyn: Dynamics, fam: Family, tol: float
+) -> tuple[ConsistencyReport, list[float], np.ndarray]:
+    """The consistency report, the Born weights and the decoherence
+    functional D = C* C^T, where row i of C is the chain ket of history i
+    carried to the family's latest event time.  The weights are the squared
+    norms of the un-carried chain kets; D's diagonal differs in the last bit.
+    """
     chains = [chain_ket(dyn, fam.initial, h) for h in fam.histories]
-    t_max = max(
-        (h.times[-1] for h in fam.histories if h.events),
-        default=fam.initial.slice.time_index,
-    )
-    return [transport(dyn, c, t_max) for c in chains]
+    t_max = max(k.slice.time_index for k in chains)
+    c = np.array([transport(dyn, k, t_max).amplitudes for k in chains])
+    d = c.conj() @ c.T
+    norms = np.array([np.linalg.norm(row) for row in c])
+    i, j = np.triu_indices(len(chains), 1)
+    overlaps = np.abs(d[i, j]) / np.maximum(1.0, norms[i] * norms[j])
+    max_overlap = float(overlaps.max(initial=0.0))
+    bad = overlaps > tol
+    offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
+    report = ConsistencyReport(max_overlap <= tol, max_overlap, offending)
+    return report, [k.norm() ** 2 for k in chains], d
 
 
 def consistency_check(
@@ -185,22 +199,12 @@ def consistency_check(
 ) -> ConsistencyReport:
     """Pairwise-orthogonality test of the family's chain kets.
 
-    Overlaps are normalized scale-free: |<c_i|c_j>| / max(1, |c_i| |c_j|),
-    so near-zero chain kets cannot produce spurious verdicts.  An overlap
+    Each overlap |<c_i|c_j>| is divided by max(1, |c_i| |c_j|), which is 1
+    for a normalized initial state: the criterion is absolute, not relative
+    to the weights of the two histories (ROADMAP item 4).  An overlap
     exactly at tolerance counts as consistent.
     """
-    chains = _chain_kets_at_common_time(dyn, fam)
-    max_overlap = 0.0
-    offending: list[tuple[int, int, complex]] = []
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            ip = inner(chains[i], chains[j])
-            scale = max(1.0, chains[i].norm() * chains[j].norm())
-            val = abs(ip) / scale
-            max_overlap = max(max_overlap, val)
-            if val > tol:
-                offending.append((i, j, ip))
-    return ConsistencyReport(max_overlap <= tol, max_overlap, tuple(offending))
+    return _decoherence(dyn, fam, tol)[0]
 
 
 def born_probabilities(
@@ -209,12 +213,10 @@ def born_probabilities(
     """Extended Born rule: history -> squared chain-ket norm, conditioned on
     the initial state.  Rejects inconsistent families.
     """
-    report = consistency_check(dyn, fam, tol)
+    report, weights, _ = _decoherence(dyn, fam, tol)
     if not report.consistent:
         raise InconsistentFamilyError(report)
-    return {
-        h: chain_ket(dyn, fam.initial, h).norm() ** 2 for h in fam.histories
-    }
+    return dict(zip(fam.histories, weights))
 
 
 def _match(h: History, events: Iterable[tuple[int, Projector]], tol: float) -> bool:
@@ -346,12 +348,6 @@ def infer(
         raise ValueError(
             f"final event lives on {final_event.slice}, not the final slice"
         )
-    evolved = transport(dyn, initial, t_final)
-    p_final = final_event.apply(evolved).norm() ** 2
-    if p_final <= tol:
-        raise ValueError(
-            f"final event has vanishing forward probability ({p_final:.3g})"
-        )
     t = query.slice.time_index
     fam = Family(
         initial,
@@ -360,8 +356,14 @@ def infer(
             History(((t, query.complement()), (t_final, final_event))),
         ),
     )
-    report = consistency_check(dyn, fam, tol)
+    report, weights, d = _decoherence(dyn, fam, tol)
+    # The two chain kets sum to the final event applied to the evolved
+    # initial state, so the sum of D is its forward probability.
+    p_final = float(d.sum().real)
+    if p_final <= tol:
+        raise ValueError(
+            f"final event has vanishing forward probability ({p_final:.3g})"
+        )
     if not report.consistent:
         return Incommensurate(report)
-    weights = [chain_ket(dyn, initial, h).norm() ** 2 for h in fam.histories]
     return Defined(weights[0] / (weights[0] + weights[1]))

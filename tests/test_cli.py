@@ -240,6 +240,17 @@ class TestMain:
         code = main(["probs", "F_A", "--config", "/nonexistent/path.cfg"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "time, channels", [("t0", "S"), ("t4", "F"), ("t5", "A"), ("t-1", "A")]
+    )
+    def test_infer_query_time_outside_interior_exits_2(self, capsys, time, channels):
+        code = main(["infer", time, channels, "--given", "F"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: query time")
+        assert "Traceback" not in captured.err
+
     def test_meaningless_request_exits_4(self, capsys):
         code = main(["probs", "F_B"])
         assert code == 4

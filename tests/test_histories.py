@@ -112,6 +112,76 @@ class TestConsistency:
         assert report.max_overlap == pytest.approx(0.046875, abs=1e-12)
 
 
+def dense_chain_rows(dyn, initial, histories):
+    """Oracle: every chain ket as an explicit product of step and event
+    matrices, carried on to the latest event time of the family."""
+    t0 = initial.slice.time_index
+    t_max = max((h.times[-1] for h in histories if h.events), default=t0)
+    rows = []
+    for h in histories:
+        events = dict(h.events)
+        v = initial.amplitudes
+        for t in range(t0 + 1, t_max + 1):
+            v = dyn.steps[t - 1].matrix @ v
+            if t in events:
+                v = events[t].matrix @ v
+        rows.append(v)
+    return np.array(rows)
+
+
+#: Families whose histories end at different times:
+#: (event lists per history, complete, consistent for every ratio).
+COMMON_TIME_FAMILIES = {
+    "A|BC-F|BC-GH": (
+        [[(2, "A")], [(2, "BC"), (4, "F")], [(2, "BC"), (4, "GH")]], True, True
+    ),
+    "B|AC-F|AC-GH": (
+        [[(2, "B")], [(2, "AC"), (4, "F")], [(2, "AC"), (4, "GH")]], True, False
+    ),
+    "none|A": ([[], [(2, "A")]], False, False),
+    "none": ([[]], False, True),
+}
+
+
+class TestCommonTime:
+    """Chain kets that end at different times are compared at the latest
+    event time of the family."""
+
+    @pytest.mark.parametrize("alpha2", [0.3, 0.62])
+    @pytest.mark.parametrize("name", sorted(COMMON_TIME_FAMILIES))
+    def test_overlaps_and_weights_match_dense_oracle(self, name, alpha2):
+        dyn, s0 = model(alpha2)
+        events, complete, consistent = COMMON_TIME_FAMILIES[name]
+        histories = tuple(
+            History(tuple((t, proj(dyn, t, set(labels))) for t, labels in h))
+            for h in events
+        )
+        fam = Family(s0, histories, complete)
+        rows = dense_chain_rows(dyn, s0, histories)
+        d = rows.conj() @ rows.T
+        i, j = np.triu_indices(len(rows), 1)
+
+        report = consistency_check(dyn, fam)
+        assert report.consistent is consistent
+        assert report.max_overlap == pytest.approx(
+            np.max(np.abs(d[i, j]), initial=0.0), abs=1e-12
+        )
+        expected = [(a, b) for a, b in zip(i, j) if abs(d[a, b]) > 1e-10]
+        assert [(a, b) for a, b, _ in report.offending_pairs] == expected
+        for a, b, ip in report.offending_pairs:
+            assert ip == pytest.approx(d[a, b], abs=1e-12)
+
+        if not consistent:
+            with pytest.raises(InconsistentFamilyError):
+                born_probabilities(dyn, fam)
+            return
+        weights = born_probabilities(dyn, fam)
+        assert list(weights) == list(histories)
+        np.testing.assert_allclose(
+            list(weights.values()), np.sum(np.abs(rows) ** 2, axis=1), atol=1e-12
+        )
+
+
 class TestBornProbabilities:
     def test_full_family_weights(self):
         alpha2 = 1 / 3
