@@ -35,6 +35,7 @@ from .mzi import (
 from .probes import (
     BUILTIN_ORDER,
     ProbeStrength,
+    _kappa_sort_key,
     branch_components,
     coincidence_support,
     evolve_with_probes,
@@ -212,6 +213,10 @@ def _cond(cfg: RunConfig, **extra) -> str:
     return ",".join(parts)
 
 
+def _probe_cond(cfg: RunConfig, epsilon: float, probe_ids: tuple[str, ...], **extra) -> str:
+    return _cond(cfg, eps=_fmt_real(epsilon), probes="".join(probe_ids), **extra)
+
+
 def cmd_consistency(cfg: RunConfig, family: str | None) -> tuple[int, list[Row]]:
     fam_name, dyn, fam = _family(cfg, family)
     rep = consistency_check(dyn, fam, cfg.tolerance)
@@ -314,20 +319,9 @@ def _joint_state(cfg: RunConfig):
     return dyn, js
 
 
-def _kappa_sort_key():
-    order = {pid: i for i, pid in enumerate(BUILTIN_ORDER)}
-
-    def key(kappa: str):
-        if kappa == "o":
-            return (0, ())
-        return (len(kappa), tuple(order[c] for c in kappa))
-
-    return key
-
-
 def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
     _, js = _joint_state(cfg)
-    cond = _cond(cfg, eps=_fmt_real(cfg.epsilon), probes="".join(cfg.probes))
+    cond = _probe_cond(cfg, cfg.epsilon, cfg.probes)
     rows = []
     for branch in branch_components(js, cfg.tolerance):
         rows.append(Row(f"norm2[{branch.kappa}]", cond, branch.phi.norm() ** 2))
@@ -342,13 +336,12 @@ def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
     dyn, js = _joint_state(cfg)
     dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
     support = coincidence_support(dist, cfg.tolerance)
-    key = _kappa_sort_key()
-    cond = _cond(cfg, eps=_fmt_real(cfg.epsilon), probes="".join(cfg.probes))
+    cond = _probe_cond(cfg, cfg.epsilon, cfg.probes)
     rows = []
     for det in dist.detectors():
-        kappas = sorted(support[det], key=key)
+        kappas = sorted(support[det], key=_kappa_sort_key)
         rows.append(Row(f"support({det})", f"{cond}:{','.join(kappas)}", len(kappas)))
-    fg = sorted(support["F4"] | support["G4"], key=key)
+    fg = sorted(support["F4"] | support["G4"], key=_kappa_sort_key)
     rows.append(Row("support(F4+G4)", f"{cond}:{','.join(fg)}", len(fg)))
     return 0, rows
 
@@ -357,19 +350,10 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
     dyn, js = _joint_state(cfg)
     dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
     counts = sample(dist, cfg.samples, cfg.seed)
-    cond = _cond(
-        cfg,
-        eps=_fmt_real(cfg.epsilon),
-        probes="".join(cfg.probes),
-        n=cfg.samples,
-        seed=cfg.seed,
-    )
-    key = _kappa_sort_key()
+    cond = _probe_cond(cfg, cfg.epsilon, cfg.probes, n=cfg.samples, seed=cfg.seed)
     rows = [
         Row(f"count({det},{kappa})", cond, float(counts[(det, kappa)]))
-        for det, kappa in sorted(
-            counts, key=lambda dk: (dk[0], key(dk[1]))
-        )
+        for det, kappa in sorted(counts, key=lambda dk: (dk[0], _kappa_sort_key(dk[1])))
     ]
     return 0, rows
 
@@ -377,60 +361,47 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
 # ---------------------------------------------------------------------------
 # the built-in closed-form reference suite
 
-def _suite_block_families(cfg: RunConfig, rows, mismatches):
+def _suite_families(cfg: RunConfig):
     p = BeamSplitterParams(cfg.alpha2)
     a2, b2 = p.alpha2, p.beta2
     cond = _cond(cfg)
 
-    def check(quantity, value, ref, tag, condition=cond):
-        rows.append(Row(quantity, condition, value, tag))
-        if abs(complex(value) - complex(ref)) > cfg.tolerance:
-            mismatches.append(quantity)
-
     dyn, fam = named_family(NamedFamilyId.EQ8_FULL, p)
     weights = born_probabilities(dyn, fam, cfg.tolerance)
     hists = fam.histories
-    refs = (a2 * a2, 0.0, b2 + a2 * b2)
-    for h, ref in zip(hists, refs):
-        check(f"Pr({h.label()}|S0)", weights[h], ref, "eq10")
+    for h, ref in zip(hists, (a2 * a2, 0.0, b2 + a2 * b2)):
+        yield f"Pr({h.label()}|S0)", cond, weights[h], ref, "eq10"
 
     f4 = projector_from_labels(dyn.slices[4], {"F"})
     a2_proj = projector_from_labels(dyn.slices[2], {"A"})
-    pr_f4 = weights[hists[0]] + weights[hists[1]]
-    check("Pr(F4|S0)", pr_f4, a2 * a2, "eq11")
-    pr_a2 = conditional_probability(
-        dyn, fam, [(4, f4)], [(2, a2_proj)], cfg.tolerance
-    )
-    check("Pr(A2|S0,F4)", pr_a2, 1.0, "eq11")
+    yield "Pr(F4|S0)", cond, weights[hists[0]] + weights[hists[1]], a2 * a2, "eq11"
+    pr_a2 = conditional_probability(dyn, fam, [(4, f4)], [(2, a2_proj)], cfg.tolerance)
+    yield "Pr(A2|S0,F4)", cond, pr_a2, 1.0, "eq11"
 
     dyn, fam = named_family(NamedFamilyId.F_A_PRIME, p)
-    check("histories(F_A_PRIME)", float(len(fam.histories)), 18.0, "eq16")
-    query = [
-        (t, projector_from_labels(dyn.slices[t], {"A"})) for t in (1, 2, 3)
-    ]
+    yield "histories(F_A_PRIME)", cond, float(len(fam.histories)), 18.0, "eq16"
+    query = [(t, projector_from_labels(dyn.slices[t], {"A"})) for t in (1, 2, 3)]
     pr_path = conditional_probability(dyn, fam, [(4, f4)], query, cfg.tolerance)
-    check("Pr(A1,A2,A3|S0,F4)", pr_path, 1.0, "eq16")
+    yield "Pr(A1,A2,A3|S0,F4)", cond, pr_path, 1.0, "eq16"
 
     f4_ket = basis_ket(dyn.slices[4], "F")
-    dyn, fam = named_family(NamedFamilyId.F_B, p)
-    coeffs = [inner(f4_ket, chain_ket(dyn, fam.initial, h)) for h in fam.histories]
-    check("<F4|chain(B2,F4)>", coeffs[0], -b2 / 2, "eq18")
-    check("<F4|chain(A2+C2,F4)>", coeffs[1], a2 + b2 / 2, "eq18")
+    for fid, labels, refs, tag in (
+        (NamedFamilyId.F_B, ("B2", "A2+C2"), (-b2 / 2, a2 + b2 / 2), "eq18"),
+        (NamedFamilyId.F_C, ("C2", "A2+B2"), (b2 / 2, a2 - b2 / 2), "eq21"),
+    ):
+        dyn, fam = named_family(fid, p)
+        for h, label, ref in zip(fam.histories, labels, refs):
+            coeff = inner(f4_ket, chain_ket(dyn, fam.initial, h))
+            yield f"<F4|chain({label},F4)>", cond, coeff, ref, tag
 
-    dyn, fam = named_family(NamedFamilyId.F_C, p)
-    coeffs = [inner(f4_ket, chain_ket(dyn, fam.initial, h)) for h in fam.histories]
-    check("<F4|chain(C2,F4)>", coeffs[0], b2 / 2, "eq21")
-    check("<F4|chain(A2+B2,F4)>", coeffs[1], a2 - b2 / 2, "eq21")
-
-    p3 = BeamSplitterParams(1.0 / 3.0)
     cond3 = "alpha2=1/3"
-    dyn, fam = named_family(NamedFamilyId.F_C, p3)
+    dyn, fam = named_family(NamedFamilyId.F_C, BeamSplitterParams(1.0 / 3.0))
     weights = born_probabilities(dyn, fam, cfg.tolerance)
-    check("Pr(F4|S0)", sum(weights.values()), 1.0 / 9.0, "eq23", cond3)
-    check("Pr(C2,F4|S0)", weights[fam.histories[0]], 1.0 / 9.0, "eq23", cond3)
+    yield "Pr(F4|S0)", cond3, sum(weights.values()), 1.0 / 9.0, "eq23"
+    yield "Pr(C2,F4|S0)", cond3, weights[fam.histories[0]], 1.0 / 9.0, "eq23"
     c2 = projector_from_labels(dyn.slices[2], {"C"})
     pr_c2 = conditional_probability(dyn, fam, [(4, f4)], [(2, c2)], cfg.tolerance)
-    check("Pr(C2|S0,F4)", pr_c2, 1.0, "eq23", cond3)
+    yield "Pr(C2|S0,F4)", cond3, pr_c2, 1.0, "eq23"
 
 
 def _expected_branches(cfg: RunConfig, probe_ids: tuple[str, ...], epsilon: float):
@@ -478,130 +449,111 @@ def _expected_branches(cfg: RunConfig, probe_ids: tuple[str, ...], epsilon: floa
     raise ValueError(f"no closed forms for probe set {probe_ids}")
 
 
-def _suite_block_probes(cfg: RunConfig, rows, mismatches):
+def _suite_probes(cfg: RunConfig):
     p = BeamSplitterParams(cfg.alpha2)
     a2 = p.alpha2
     eps = cfg.epsilon
     dyn = build_nested_mzi(p)
     s0 = source_ket(dyn)
 
-    def check(quantity, value, ref, tag, condition):
-        rows.append(Row(quantity, condition, value, tag))
-        if abs(complex(value) - complex(ref)) > cfg.tolerance:
-            mismatches.append(quantity)
-
-    def compare_branches(ids: tuple[str, ...], epsilon: float, tag: str):
-        condition = _cond(cfg, eps=_fmt_real(epsilon), probes="".join(ids))
-        js = evolve_with_probes(
-            dyn, standard_probes(ids), ProbeStrength(epsilon), s0
-        )
-        expected = _expected_branches(cfg, ids, epsilon)
+    for ids, tag in ((("a", "d", "e", "w"), "eq30"), (("a", "d", "b", "c", "e"), "eq33")):
+        cond = _probe_cond(cfg, eps, ids)
+        js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps), s0)
+        expected = _expected_branches(cfg, ids, eps)
         branches = {br.kappa: br.phi for br in branch_components(js, cfg.tolerance)}
-        flag = 1.0 if set(branches) == set(expected) else 0.0
-        check(f"branch-set({','.join(ids)})", flag, 1.0, tag, condition)
-        for kappa in expected:
+        same = float(set(branches) == set(expected))
+        yield f"branch-set({','.join(ids)})", cond, same, 1.0, tag
+        for kappa, amps in expected.items():
             got = branches.get(kappa)
-            for lab, ref in expected[kappa].items():
+            for lab, ref in amps.items():
                 value = got.amplitude(lab) if got is not None else 0.0
-                check(f"amp[{kappa}].{lab}", value, ref, tag, condition)
-        return js
-
-    js = compare_branches(("a", "d", "e", "w"), eps, "eq30")
-    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
-    condition = _cond(cfg, eps=_fmt_real(eps), probes="adew")
-    check("Pr(F4,a)", dist.p("F4", "a"), eps * a2 * a2, "eq32", condition)
-    check("Pr(F4,o)", dist.p("F4", "o"), (1 - eps) * a2 * a2, "eq32", condition)
-    check("Pr(F4)", dist.detector_marginal("F4"), a2 * a2, "eq32", condition)
-    check("Pr(a|F4)", dist.given_detector("F4")["a"], eps, "eq32", condition)
-
-    compare_branches(("a", "d", "b", "c", "e"), eps, "eq33")
+                yield f"amp[{kappa}].{lab}", cond, value, ref, tag
+        if tag == "eq30":
+            dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
+            yield "Pr(F4,a)", cond, dist.p("F4", "a"), eps * a2 * a2, "eq32"
+            yield "Pr(F4,o)", cond, dist.p("F4", "o"), (1 - eps) * a2 * a2, "eq32"
+            yield "Pr(F4)", cond, dist.detector_marginal("F4"), a2 * a2, "eq32"
+            yield "Pr(a|F4)", cond, dist.given_detector("F4")["a"], eps, "eq32"
 
     # The support lists need every multi-probe pattern to sit above the
     # support threshold, so they are pinned at a resolvable strength.
     eps35 = 1e-2
-    condition = _cond(cfg, eps=_fmt_real(eps35), probes="adbce")
-    js = evolve_with_probes(
-        dyn, standard_probes(("a", "d", "b", "c", "e")), ProbeStrength(eps35), s0
-    )
+    ids = ("a", "d", "b", "c", "e")
+    cond = _probe_cond(cfg, eps35, ids)
+    js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps35), s0)
     slc = dyn.slices[4]
     fg_pdi = PDI(
         slc,
-        (
-            projector_from_labels(slc, {"F", "G"}),
-            projector_from_labels(slc, {"H"}),
-        ),
+        (projector_from_labels(slc, {"F", "G"}), projector_from_labels(slc, {"H"})),
     )
-    support = coincidence_support(
-        outcome_distribution(js, fg_pdi), cfg.tolerance
-    )
-    expected_h = {"o", "d", "b", "c", "db", "dc"}
-    expected_fg = {"o", "a", "b", "c", "db", "dc", "be", "ce", "dbe", "dce"}
-    check(
-        "support(H4)",
-        1.0 if support["H4"] == expected_h else 0.0,
-        1.0,
-        "eq35",
-        condition,
-    )
-    check(
-        "support(F4+G4)",
-        1.0 if support["F4+G4"] == expected_fg else 0.0,
-        1.0,
-        "eq35",
-        condition,
-    )
+    support = coincidence_support(outcome_distribution(js, fg_pdi), cfg.tolerance)
+    for det, kappas in (
+        ("H4", {"o", "d", "b", "c", "db", "dc"}),
+        ("F4+G4", {"o", "a", "b", "c", "db", "dc", "be", "ce", "dbe", "dce"}),
+    ):
+        yield f"support({det})", cond, float(support[det] == kappas), 1.0, "eq35"
 
 
-def _suite_block_weak(cfg: RunConfig, rows, mismatches):
+def _suite_weak(cfg: RunConfig):
     p = BeamSplitterParams(cfg.alpha2)
     a2, b2 = p.alpha2, p.beta2
     dyn = build_nested_mzi(p)
     s0 = source_ket(dyn)
     f4 = basis_ket(dyn.slices[4], "F")
-    channels = [
-        projector_from_labels(dyn.slices[2], {lab}) for lab in ("A", "B", "C")
-    ]
+    channels = [projector_from_labels(dyn.slices[2], {lab}) for lab in ("A", "B", "C")]
     refs = (1.0, -b2 / (2 * a2), b2 / (2 * a2))
     cond = _cond(cfg)
     for entry, ref in zip(presence_table(dyn, s0, f4, channels, cfg.tolerance), refs):
-        rows.append(Row(f"wv({entry.name})", cond, entry.weak_value, "eq38"))
-        if abs(entry.weak_value - ref) > cfg.tolerance:
-            mismatches.append(f"wv({entry.name})")
+        yield f"wv({entry.name})", cond, entry.weak_value, ref, "eq38"
 
 
 def cmd_paper_suite(cfg: RunConfig) -> tuple[int, list[Row]]:
     """Recompute the built-in table of closed-form results and compare each
-    number to its reference formula; nonzero exit on any deviation."""
+    number to its reference formula; nonzero exit on any deviation.
+
+    Each block yields (quantity, condition, value, reference, tag) entries.
+    """
     rows: list[Row] = []
     mismatches: list[str] = []
-    _suite_block_families(cfg, rows, mismatches)
-    _suite_block_probes(cfg, rows, mismatches)
-    _suite_block_weak(cfg, rows, mismatches)
+    for block in (_suite_families, _suite_probes, _suite_weak):
+        for quantity, condition, value, ref, tag in block(cfg):
+            rows.append(Row(quantity, condition, value, tag))
+            if abs(complex(value) - complex(ref)) > cfg.tolerance:
+                mismatches.append(quantity)
     rows.append(Row("suite-mismatches", ";".join(mismatches), float(len(mismatches))))
     return (3 if mismatches else 0), rows
 
 
+_FAMILY_ARG = {"family": dict(nargs="?", help="named family id (default from config)")}
+_INFER_ARGS = {
+    "time": dict(help="time index, e.g. t2"),
+    "channels": dict(help="channel labels joined by '+', e.g. C or B+C"),
+    "--given": dict(required=True, help="final channel, e.g. F"),
+}
+
+#: Every command: its handler, called with the config and the parsed
+#: options, and its own arguments.  A handler ignores options it does not
+#: take, and looks its `cmd_*` function up when it runs.
+_COMMANDS = {
+    "consistency": (lambda cfg, o: cmd_consistency(cfg, o.get("family")), _FAMILY_ARG),
+    "probs": (lambda cfg, o: cmd_probs(cfg, o.get("family")), _FAMILY_ARG),
+    "infer": (
+        lambda cfg, o: cmd_infer(cfg, o["time"], o["channels"], o["given"]),
+        _INFER_ARGS,
+    ),
+    "weak-values": (lambda cfg, o: cmd_weak_values(cfg), {}),
+    "probes": (lambda cfg, o: cmd_probes(cfg), {}),
+    "coincidences": (lambda cfg, o: cmd_coincidences(cfg), {}),
+    "sample": (lambda cfg, o: cmd_sample(cfg), {}),
+    "paper-suite": (lambda cfg, o: cmd_paper_suite(cfg), {}),
+}
+
+
 def run_report(cfg: RunConfig, command: str, options: dict | None = None) -> tuple[int, str]:
     """Execute one command and render its report; returns (exit code, text)."""
-    opts = options or {}
-    if command == "consistency":
-        code, rows = cmd_consistency(cfg, opts.get("family"))
-    elif command == "probs":
-        code, rows = cmd_probs(cfg, opts.get("family"))
-    elif command == "infer":
-        code, rows = cmd_infer(cfg, opts["time"], opts["channels"], opts["given"])
-    elif command == "weak-values":
-        code, rows = cmd_weak_values(cfg)
-    elif command == "probes":
-        code, rows = cmd_probes(cfg)
-    elif command == "coincidences":
-        code, rows = cmd_coincidences(cfg)
-    elif command == "sample":
-        code, rows = cmd_sample(cfg)
-    elif command == "paper-suite":
-        code, rows = cmd_paper_suite(cfg)
-    else:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    code, rows = _COMMANDS[command][0](cfg, options or {})
     return code, render(rows, cfg.format)
 
 
@@ -616,15 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="History-family analysis of the built-in nested interferometer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("consistency", "probs"):
+    for name, (_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        p.add_argument("family", nargs="?", help="named family id (default from config)")
-    p = sub.add_parser("infer", parents=[common])
-    p.add_argument("time", help="time index, e.g. t2")
-    p.add_argument("channels", help="channel labels joined by '+', e.g. C or B+C")
-    p.add_argument("--given", required=True, help="final channel, e.g. F")
-    for name in ("weak-values", "probes", "coincidences", "sample", "paper-suite"):
-        sub.add_parser(name, parents=[common])
+        for arg, kwargs in arguments.items():
+            p.add_argument(arg, **kwargs)
     return parser
 
 
@@ -635,14 +582,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 source = fh.read()
-        overrides = {key: getattr(args, key) for key in _FLAG_KEYS}
-        cfg = parse_config(source, overrides)
-        options = {
-            key: getattr(args, key)
-            for key in ("family", "time", "channels", "given")
-            if hasattr(args, key)
-        }
-        code, body = run_report(cfg, args.command, options)
+        cfg = parse_config(source, {key: getattr(args, key) for key in _FLAG_KEYS})
+        code, body = run_report(cfg, args.command, vars(args))
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -113,7 +113,7 @@ def _coverage_residual(histories: Sequence[History]) -> float:
         for t in times:
             p = h.event_at(t)
             mats.append(np.eye(slices[t].dim) if p is None else p.matrix)
-        op = reduce(np.kron, mats)
+        op = reduce(np.kron, mats, np.ones((1, 1)))
         total = op if total is None else total + op
     dim = int(np.prod([slices[t].dim for t in times]))
     return float(np.max(np.abs(total - np.eye(dim))))

@@ -81,21 +81,32 @@ def _step(
     return StepUnitary(frm, to, m)
 
 
-def build_nested_mzi(p: BeamSplitterParams) -> Dynamics:
-    """The full model: four splitter steps over the five slices."""
+def _build(p: BeamSplitterParams, to_t3: dict, to_t4: dict) -> Dynamics:
+    """The source splitter and the inner-loop entry, then the given steps
+    into slices 3 and 4 (columns as in `_step`)."""
     a, b = p.alpha, p.beta
     t0, t1, t2, t3, t4 = time_slices()
     steps = (
         _step(t0, t1, {"S": {"A": a, "D": b}, "R": {"A": -b, "D": a}, "Q": {"Q": 1}}),
         _step(t1, t2, {"A": {"A": 1}, "D": {"B": R, "C": R}, "Q": {"B": R, "C": -R}}),
-        _step(t2, t3, {"A": {"A": 1}, "B": {"E": -R, "H": R}, "C": {"E": R, "H": R}}),
-        _step(t3, t4, {"A": {"F": a, "G": b}, "E": {"F": b, "G": -a}, "H": {"H": 1}}),
+        _step(t2, t3, to_t3),
+        _step(t3, t4, to_t4),
     )
     dyn = Dynamics((t0, t1, t2, t3, t4), steps)
     report = step_validate(dyn)
     if not report.ok:
         raise AssertionError(f"construction produced a non-unitary step: {report}")
     return dyn
+
+
+def build_nested_mzi(p: BeamSplitterParams) -> Dynamics:
+    """The full model: four splitter steps over the five slices."""
+    a, b = p.alpha, p.beta
+    return _build(
+        p,
+        {"A": {"A": 1}, "B": {"E": -R, "H": R}, "C": {"E": R, "H": R}},
+        {"A": {"F": a, "G": b}, "E": {"F": b, "G": -a}, "H": {"H": 1}},
+    )
 
 
 def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
@@ -103,19 +114,11 @@ def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
     through their crossing points (B->H, C->E, then A->G, E->F), following
     the layout geometry.  The first two steps are unchanged.
     """
-    a, b = p.alpha, p.beta
-    t0, t1, t2, t3, t4 = time_slices()
-    steps = (
-        _step(t0, t1, {"S": {"A": a, "D": b}, "R": {"A": -b, "D": a}, "Q": {"Q": 1}}),
-        _step(t1, t2, {"A": {"A": 1}, "D": {"B": R, "C": R}, "Q": {"B": R, "C": -R}}),
-        _step(t2, t3, {"A": {"A": 1}, "B": {"H": 1}, "C": {"E": 1}}),
-        _step(t3, t4, {"A": {"G": 1}, "E": {"F": 1}, "H": {"H": 1}}),
+    return _build(
+        p,
+        {"A": {"A": 1}, "B": {"H": 1}, "C": {"E": 1}},
+        {"A": {"G": 1}, "E": {"F": 1}, "H": {"H": 1}},
     )
-    dyn = Dynamics((t0, t1, t2, t3, t4), steps)
-    report = step_validate(dyn)
-    if not report.ok:
-        raise AssertionError(f"construction produced a non-unitary step: {report}")
-    return dyn
 
 
 def source_ket(dyn: Dynamics) -> Ket:

@@ -95,6 +95,25 @@ def _kappa_order(n_probes: int) -> list[int]:
     return sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m))
 
 
+_BUILTIN_POSITION = {pid: i for i, pid in enumerate(BUILTIN_ORDER)}
+
+
+def _kappa_sort_key(kappa: str) -> tuple[int, tuple[int, ...]]:
+    """Sort key for labels of built-in probes: "o" first, then by excitation
+    count, then lexicographically by canonical probe position.
+
+    This is not `_kappa_order` on labels.  Among patterns with the same
+    excitation count, masks compare from the highest bit (the last probe)
+    down, labels from the first probe up.  The two agree for up to three
+    probes and part from four on: with probes a,d,b,e the masks give
+    ad, ab, db, ae and the labels ad, ab, ae, db.  Branch listings follow
+    the mask order, support lists and sample counts this one.
+    """
+    if kappa == "o":
+        return (0, ())
+    return (len(kappa), tuple(_BUILTIN_POSITION[c] for c in kappa))
+
+
 @dataclass(frozen=True, eq=False)
 class JointState:
     """Particle-plus-probes amplitudes at one slice.

@@ -350,6 +350,16 @@ class TestFamilyValidation:
         )
         Family(s0, histories, complete=False)
 
+    def test_one_event_free_history_is_a_complete_family(self):
+        dyn, s0 = model(0.3)
+        fam = Family(s0, (History(()),), complete=True)
+        assert born_probabilities(dyn, fam)[fam.histories[0]] == pytest.approx(1.0)
+
+    def test_two_event_free_histories_do_not_cover_the_identity(self):
+        _, s0 = model(0.3)
+        with pytest.raises(ValueError, match=r"cover the identity \(residual 1\)"):
+            Family(s0, (History(()), History(())), complete=True)
+
     def test_events_must_start_after_initial_time(self):
         dyn, s0 = model(0.3)
         h = History(((0, proj(dyn, 0, {"S"})),))
