@@ -31,6 +31,7 @@ from .histories import (
     InconsistentFamilyError,
     InexpressibleEventError,
     InferenceVerdict,
+    VanishingProbabilityError,
     born_probabilities,
     chain_ket,
     conditional_probability,

@@ -2,8 +2,8 @@
 deterministic text/CSV reports.
 
 Exit codes: 0 success, 2 configuration error, 3 reference-suite mismatch,
-4 requested quantity meaningless (inconsistent family) -- a domain verdict,
-not a crash.
+4 requested quantity meaningless (inconsistent family, or a condition or
+post-selection of vanishing probability) -- a domain verdict, not a crash.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .histories import (
     Defined,
     Family,
     InconsistentFamilyError,
+    VanishingProbabilityError,
     born_probabilities,
     chain_ket,
     conditional_probability,
@@ -553,7 +554,11 @@ def run_report(cfg: RunConfig, command: str, options: dict | None = None) -> tup
     """Execute one command and render its report; returns (exit code, text)."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-    code, rows = _COMMANDS[command][0](cfg, options or {})
+    try:
+        code, rows = _COMMANDS[command][0](cfg, options or {})
+    except VanishingProbabilityError as err:
+        verdict = "meaningless-vanishing-probability"
+        code, rows = 4, [Row(command, _cond(cfg, verdict=verdict), err.probability)]
     return code, render(rows, cfg.format)
 
 

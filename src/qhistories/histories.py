@@ -172,6 +172,15 @@ class InexpressibleEventError(ValueError):
     """An event is not a union of the family's own sample-space cells."""
 
 
+class VanishingProbabilityError(ValueError):
+    """A condition or post-selection has vanishing probability, so the
+    quantity conditioned on it is meaningless; `probability` is its value."""
+
+    def __init__(self, message: str, probability: float):
+        super().__init__(message)
+        self.probability = probability
+
+
 def _decoherence(
     dyn: Dynamics, fam: Family, tol: float
 ) -> tuple[ConsistencyReport, list[float], np.ndarray]:
@@ -257,8 +266,8 @@ def conditional_probability(
     selected = [h for h in fam.histories if _match(h, condition, tol)]
     cond_mass = sum(weights[h] for h in selected)
     if cond_mass <= tol:
-        raise ValueError(
-            f"condition has vanishing probability ({cond_mass:.3g})"
+        raise VanishingProbabilityError(
+            f"condition has vanishing probability ({cond_mass:.3g})", cond_mass
         )
     joint_mass = sum(weights[h] for h in selected if _match(h, query, tol))
     return joint_mass / cond_mass
@@ -361,8 +370,8 @@ def infer(
     # initial state, so the sum of D is its forward probability.
     p_final = float(d.sum().real)
     if p_final <= tol:
-        raise ValueError(
-            f"final event has vanishing forward probability ({p_final:.3g})"
+        raise VanishingProbabilityError(
+            f"final event has vanishing forward probability ({p_final:.3g})", p_final
         )
     if not report.consistent:
         return Incommensurate(report)

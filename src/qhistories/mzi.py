@@ -9,13 +9,14 @@ through instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import Dynamics, StepUnitary, step_validate, transport
+from .dynamics import Dynamics, StepUnitary, step_validate
 from .histories import Family, History, refine
 from .statespace import (
     Ket,
@@ -23,7 +24,9 @@ from .statespace import (
     basis_ket,
     projector_from_labels,
     projector_from_ket,
+    slice_pdi,
 )
+from .weak import backward_state
 
 #: Balanced-splitter amplitude for the inner loop.
 R = 1.0 / math.sqrt(2.0)
@@ -140,78 +143,49 @@ class NamedFamilyId(Enum):
     EQ26_NO_BS34 = "EQ26_NO_BS34"
 
 
+#: Each family's histories in report order, one row of (time, channels)
+#: events per history.  An event projects onto the listed channels of its
+#: slice; every channel label is one letter.
+_EVENTS = {
+    NamedFamilyId.EQ8_FULL: (
+        ((2, "A"), (4, "F")), ((2, "BC"), (4, "F")), ((4, "GH"),),
+    ),
+    NamedFamilyId.EQ12_DETECTORS: (((4, "F"),), ((4, "G"),), ((4, "H"),)),
+    NamedFamilyId.F_A: (((2, "A"), (4, "F")), ((2, "BC"), (4, "F"))),
+    NamedFamilyId.F_B: (((2, "B"), (4, "F")), ((2, "AC"), (4, "F"))),
+    NamedFamilyId.F_ABC: tuple(((2, ch), (4, "F")) for ch in "ABC"),
+    NamedFamilyId.F_C: (((2, "C"), (4, "F")), ((2, "AB"), (4, "F"))),
+    NamedFamilyId.EQ26_NO_BS34: tuple(((2, m), (4, o)) for m in "ABC" for o in "FGH"),
+}
+#: F_A' is F_A refined into single channels at t1 and t3 (see named_family).
+_EVENTS[NamedFamilyId.F_A_PRIME] = _EVENTS[NamedFamilyId.F_A]
+
+_COMPLETE = {
+    NamedFamilyId.EQ8_FULL, NamedFamilyId.EQ12_DETECTORS, NamedFamilyId.EQ26_NO_BS34
+}
+
+
 def named_family(fid: NamedFamilyId, p: BeamSplitterParams) -> tuple[Dynamics, Family]:
     """Construct one of the built-in families together with its dynamics.
 
     EQ8_FULL, EQ12_DETECTORS and EQ26_NO_BS34 are complete; the rest are
     subfamilies conditioned on arrival in F.
     """
+    if not isinstance(fid, NamedFamilyId):
+        raise ValueError(f"unknown family id {fid!r}")
     dyn = build_no_bs34(p) if fid is NamedFamilyId.EQ26_NO_BS34 else build_nested_mzi(p)
-    s0 = source_ket(dyn)
-    proj = lambda t, labels: projector_from_labels(dyn.slices[t], labels)
-    f4 = proj(4, {"F"})
-
-    if fid is NamedFamilyId.EQ8_FULL:
-        histories = (
-            History(((2, proj(2, {"A"})), (4, f4))),
-            History(((2, proj(2, {"B", "C"})), (4, f4))),
-            History(((4, f4.complement()),)),
-        )
-        return dyn, Family(s0, histories, complete=True)
-
-    if fid is NamedFamilyId.EQ12_DETECTORS:
-        histories = tuple(History(((4, proj(4, {lab})),)) for lab in ("F", "G", "H"))
-        return dyn, Family(s0, histories, complete=True)
-
-    if fid is NamedFamilyId.F_A:
-        histories = (
-            History(((2, proj(2, {"A"})), (4, f4))),
-            History(((2, proj(2, {"B", "C"})), (4, f4))),
-        )
-        return dyn, Family(s0, histories)
-
-    if fid is NamedFamilyId.F_A_PRIME:
-        _, fam = named_family(NamedFamilyId.F_A, p)
-        fam = refine(fam, 1, tuple(proj(1, {lab}) for lab in ("A", "D", "Q")))
-        fam = refine(fam, 3, tuple(proj(3, {lab}) for lab in ("A", "E", "H")))
-        return dyn, fam
-
-    if fid is NamedFamilyId.F_B:
-        histories = (
-            History(((2, proj(2, {"B"})), (4, f4))),
-            History(((2, proj(2, {"A", "C"})), (4, f4))),
-        )
-        return dyn, Family(s0, histories)
-
-    if fid is NamedFamilyId.F_ABC:
-        histories = tuple(
-            History(((2, proj(2, {lab})), (4, f4))) for lab in ("A", "B", "C")
-        )
-        return dyn, Family(s0, histories)
-
-    if fid is NamedFamilyId.F_C:
-        histories = (
-            History(((2, proj(2, {"C"})), (4, f4))),
-            History(((2, proj(2, {"A", "B"})), (4, f4))),
-        )
-        return dyn, Family(s0, histories)
-
     if fid is NamedFamilyId.EQ25_BACKWARD:
-        back = transport(dyn, basis_ket(dyn.slices[4], "F"), 2)
-        back = Ket(back.slice, back.amplitudes, name="F4@t2")
-        p_back = projector_from_ket(back)
-        histories = (
-            History(((2, p_back), (4, f4))),
-            History(((2, p_back.complement()), (4, f4))),
-        )
-        return dyn, Family(s0, histories)
-
-    if fid is NamedFamilyId.EQ26_NO_BS34:
+        # The ray at t2 that evolves into F4, and its complement.
+        f4 = projector_from_labels(dyn.slices[4], "F")
+        back = projector_from_ket(backward_state(dyn, basis_ket(dyn.slices[4], "F"), 2))
+        histories = tuple(History(((2, e), (4, f4))) for e in (back, back.complement()))
+    else:
+        proj = functools.cache(lambda t, ch: projector_from_labels(dyn.slices[t], ch))
         histories = tuple(
-            History(((2, proj(2, {mid})), (4, proj(4, {out}))))
-            for mid in ("A", "B", "C")
-            for out in ("F", "G", "H")
+            History(tuple((t, proj(t, ch)) for t, ch in row)) for row in _EVENTS[fid]
         )
-        return dyn, Family(s0, histories, complete=True)
-
-    raise ValueError(f"unknown family id {fid!r}")
+    fam = Family(source_ket(dyn), histories, complete=fid in _COMPLETE)
+    if fid is NamedFamilyId.F_A_PRIME:
+        for t in (1, 3):
+            fam = refine(fam, t, slice_pdi(dyn.slices[t]).parts)
+    return dyn, fam

@@ -153,19 +153,25 @@ class BranchComponent:
     phi: Ket
 
 
-def _couplings_by_time(probes: Sequence[ProbeSpec]) -> dict[int, list[tuple[int, str]]]:
-    """time -> [(probe position, channel label)], ordered by probe id then
-    channel so that same-time applications are deterministic.  The maps
-    commute (disjoint control channels or distinct probe factors), so the
-    order is immaterial to the result.
+def _couplings_by_time(
+    dyn: Dynamics, probes: Sequence[ProbeSpec]
+) -> dict[int, list[tuple[int, int]]]:
+    """time -> [(probe position, channel axis)], ordered by probe id then
+    channel label so that same-time applications are deterministic.  The
+    maps commute (disjoint control channels or distinct probe factors), so
+    the order is immaterial to the result.  Rejects couplings at times or
+    channels foreign to `dyn`.
     """
     by_time: dict[int, list[tuple[int, str]]] = {}
     for pos, spec in enumerate(probes):
         for t, label in spec.couplings:
             by_time.setdefault(t, []).append((pos, label))
-    for t in by_time:
-        by_time[t].sort(key=lambda pc: (probes[pc[0]].probe_id, pc[1]))
-    return by_time
+    resolved = {}
+    for t, pcs in by_time.items():
+        slc = dyn.slice_at(t)
+        pcs.sort(key=lambda pc: (probes[pc[0]].probe_id, pc[1]))
+        resolved[t] = [(pos, slc.axis(label)) for pos, label in pcs]
+    return resolved
 
 
 def _apply_coupling(
@@ -209,11 +215,7 @@ def evolve_with_probes(
     probes = tuple(probes)
     if len(set(p.probe_id for p in probes)) != len(probes):
         raise ValueError("probe ids must be distinct")
-    by_time = _couplings_by_time(probes)
-    for t, pcs in by_time.items():
-        slc = dyn.slice_at(t)
-        for _, label in pcs:
-            slc.axis(label)
+    by_time = _couplings_by_time(dyn, probes)
     if initial.slice != dyn.slices[initial.slice.time_index]:
         raise ValueError("initial ket does not live on this dynamics")
     if initial.slice.time_index != 0:
@@ -224,14 +226,11 @@ def evolve_with_probes(
     n = len(probes)
     amps = np.zeros((initial.slice.dim, 1 << n), dtype=complex)
     amps[:, 0] = initial.amplitudes
-    for pos, label in by_time.get(0, []):
-        _apply_coupling(amps, dyn.slices[0].axis(label), pos, strength, completion_phase)
-    for j in range(stop):
-        amps = dyn.steps[j].matrix @ amps
-        for pos, label in by_time.get(j + 1, []):
-            _apply_coupling(
-                amps, dyn.slices[j + 1].axis(label), pos, strength, completion_phase
-            )
+    for t in range(stop + 1):
+        for pos, axis in by_time.get(t, []):
+            _apply_coupling(amps, axis, pos, strength, completion_phase)
+        if t < stop:
+            amps = dyn.steps[t].matrix @ amps
     return JointState(dyn.slices[stop], probes, amps)
 
 

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Sequence
 
 from .dynamics import Dynamics, transport
-from .histories import History, chain_ket
+from .histories import History, VanishingProbabilityError, chain_ket
 from .statespace import DEFAULT_TOL, Ket, Projector, inner, projector_from_ket
 
 
@@ -38,14 +38,17 @@ class TwoStateVector:
         return inner(self.backward, self.forward)
 
     def weak_value(self, q: Projector, tol: float = DEFAULT_TOL) -> complex:
-        """<backward|Q|forward> / <backward|forward>."""
+        """<backward|Q|forward> / <backward|forward>.  Raises
+        VanishingProbabilityError, carrying |<backward|forward>|^2, when the
+        post-selection is incompatible with the pre-selection."""
         if q.slice != self.forward.slice:
             raise ValueError(f"projector lives on {q.slice}, not this slice")
         denom = self.overlap()
         if abs(denom) <= tol:
-            raise ValueError(
+            raise VanishingProbabilityError(
                 "post-selection is incompatible with pre-selection: "
-                f"|<backward|forward>| = {abs(denom):.3g}"
+                f"|<backward|forward>| = {abs(denom):.3g}",
+                abs(denom) ** 2,
             )
         return inner(self.backward, q.apply(self.forward)) / denom
 

@@ -1,9 +1,14 @@
+import contextlib
 import csv
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhistories.cli import ConfigError, RunConfig, main, parse_config, run_report
+from qhistories.mzi import NamedFamilyId
+from qhistories.probes import BUILTIN_ORDER
 
 
 class TestParseConfig:
@@ -251,9 +256,26 @@ class TestMain:
         assert captured.err.startswith("error: query time")
         assert "Traceback" not in captured.err
 
-    def test_meaningless_request_exits_4(self, capsys):
-        code = main(["probs", "F_B"])
+    @pytest.mark.parametrize(
+        "argv, verdict",
+        [
+            (["probs", "F_B"], "meaningless-inconsistent-family"),
+            (["paper-suite", "--alpha2", "1e-6"], "meaningless-vanishing-probability"),
+            (["weak-values", "--alpha2", "1e-12"], "meaningless-vanishing-probability"),
+            (
+                ["infer", "t2", "C", "--given", "F", "--alpha2", "1e-12"],
+                "meaningless-vanishing-probability",
+            ),
+        ],
+        ids=["probs-F_B", "paper-suite", "weak-values", "infer"],
+    )
+    def test_meaningless_request_exits_4(self, capsys, argv, verdict):
+        code = main(argv)
+        captured = capsys.readouterr()
         assert code == 4
+        assert f"verdict={verdict}" in captured.out
+        assert len(captured.out.splitlines()) == 1
+        assert captured.err == ""
 
     def test_suite_runs_clean(self, capsys):
         code = main(["paper-suite"])
@@ -261,3 +283,53 @@ class TestMain:
         assert code == 0
         last = out.rstrip().splitlines()[-1]
         assert last.startswith("suite-mismatches") and last.endswith("= 0")
+
+
+_ALPHA2 = (
+    "0", "1", "5e-324", "1e-16", "0.9999999999999999", "0.99999999999999995",
+    "1e-12", "1e-6", "0.3333333333333333", "0.5", "nan", "inf", "-0.5", "x", "",
+)
+_EPSILON = (
+    "0", "1", "5e-324", "1e-16", "0.9999999999999999", "0.0001", "0.01", "nan", "x",
+)
+_TOLERANCE = ("0", "1e-14", "1e-6", "0.5")
+_CHANNELS = {1: "ADQ", 2: "ABC", 3: "AEH"}
+_COMMAND_NAMES = (
+    "consistency", "probs", "infer", "weak-values", "probes", "coincidences",
+    "sample", "paper-suite",
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(_COMMAND_NAMES))
+    argv = [command]
+    if command in ("consistency", "probs"):
+        argv.append(draw(st.sampled_from([f.name for f in NamedFamilyId])))
+    elif command == "infer":
+        t = draw(st.integers(1, 3))
+        argv += [f"t{t}", draw(st.sampled_from(_CHANNELS[t])), "--given"]
+        argv.append(draw(st.sampled_from("FGH")))
+    for key, values in (
+        ("alpha2", _ALPHA2),
+        ("epsilon", _EPSILON),
+        ("tolerance", _TOLERANCE),
+        ("format", ("text", "csv")),
+    ):
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv.append(f"--{key}={value}")
+    probes = draw(st.none() | st.lists(st.sampled_from(BUILTIN_ORDER), unique=True))
+    if probes is not None:
+        argv.append("--probes=" + ",".join(probes))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_argv())
+def test_every_cli_input_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error: ") if code == 2 else not err.getvalue()

@@ -109,11 +109,43 @@ class TestNoBS34:
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+FAMILY_LABELS = {
+    "EQ8_FULL": (True, ["A2,F4", "B2+C2,F4", "G4+H4"]),
+    "EQ12_DETECTORS": (True, ["F4", "G4", "H4"]),
+    "F_A": (False, ["A2,F4", "B2+C2,F4"]),
+    "F_A_PRIME": (
+        False,
+        [
+            "A1,A2,A3,F4", "A1,A2,E3,F4", "A1,A2,H3,F4",
+            "D1,A2,A3,F4", "D1,A2,E3,F4", "D1,A2,H3,F4",
+            "Q1,A2,A3,F4", "Q1,A2,E3,F4", "Q1,A2,H3,F4",
+            "A1,B2+C2,A3,F4", "A1,B2+C2,E3,F4", "A1,B2+C2,H3,F4",
+            "D1,B2+C2,A3,F4", "D1,B2+C2,E3,F4", "D1,B2+C2,H3,F4",
+            "Q1,B2+C2,A3,F4", "Q1,B2+C2,E3,F4", "Q1,B2+C2,H3,F4",
+        ],
+    ),
+    "F_B": (False, ["B2,F4", "A2+C2,F4"]),
+    "F_ABC": (False, ["A2,F4", "B2,F4", "C2,F4"]),
+    "F_C": (False, ["C2,F4", "A2+B2,F4"]),
+    "EQ25_BACKWARD": (False, ["[F4@t2],F4", "~[F4@t2],F4"]),
+    "EQ26_NO_BS34": (
+        True,
+        ["A2,F4", "A2,G4", "A2,H4", "B2,F4", "B2,G4", "B2,H4", "C2,F4", "C2,G4", "C2,H4"],
+    ),
+}
+
+
 class TestNamedFamilies:
-    def test_straight_arm_family_structure(self):
-        dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.4))
-        assert [h.label() for h in fam.histories] == ["A2,F4", "B2+C2,F4"]
-        assert not fam.complete
+    @pytest.mark.parametrize("fid", list(NamedFamilyId), ids=lambda f: f.name)
+    def test_straight_arm_family_structure(self, fid):
+        complete, labels = FAMILY_LABELS[fid.name]
+        dyn, fam = named_family(fid, BeamSplitterParams(0.4))
+        assert [h.label() for h in fam.histories] == labels
+        assert fam.complete is complete
+
+    def test_unknown_family_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown family id"):
+            named_family("F_A", BeamSplitterParams(0.4))
 
     def test_detector_family_weights(self):
         alpha2 = 0.4
