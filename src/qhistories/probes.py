@@ -3,7 +3,10 @@
 Each probe is a two-level ancilla starting in |0>.  When the particle
 crosses a coupled channel, the probe rotates by a small angle: |0> picks up
 amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
-tiny (3 channels x 2^n probe patterns), so everything is dense.
+small (d channels x 2^n probe patterns), so everything is dense.  Readout
+works on the whole amplitude array at once: the outcome distribution costs
+one matrix product per detector part over all 2^n patterns, and the branch
+decomposition one column-norm call.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -11,6 +14,7 @@ in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -18,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dynamics import Dynamics
+from .histories import VanishingProbabilityError
 from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice
 
 
@@ -90,9 +95,21 @@ def _kappa_label(mask: int, probes: Sequence[ProbeSpec]) -> str:
     return "".join(p.probe_id for i, p in enumerate(probes) if mask >> i & 1)
 
 
-def _kappa_order(n_probes: int) -> list[int]:
-    """Masks sorted by excitation count, then by probe position."""
-    return sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m))
+def _kappa_labels(probes: Sequence[ProbeSpec]) -> list[str]:
+    """`_kappa_label` of every mask, indexed by mask.  Mask m + 2^k with
+    m < 2^k is the label of m followed by probe k's id."""
+    labels = [""]
+    for p in probes:
+        labels += [lab + p.probe_id for lab in labels]
+    labels[0] = "o"
+    return labels
+
+
+@functools.cache
+def _kappa_order(n_probes: int) -> tuple[int, ...]:
+    """Masks sorted by excitation count, then by probe position; built once
+    per probe count."""
+    return tuple(sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m)))
 
 
 _BUILTIN_POSITION = {pid: i for i, pid in enumerate(BUILTIN_ORDER)}
@@ -189,14 +206,10 @@ def _apply_coupling(
     """
     z, e = strength.zeta, strength.eta
     phase = np.exp(1j * completion_phase)
-    row = amps[channel_axis]
-    idx = np.arange(row.shape[0])
-    m0 = idx[(idx >> bit) & 1 == 0]
-    m1 = m0 + (1 << bit)
-    a0 = row[m0].copy()
-    a1 = row[m1].copy()
-    row[m0] = z * a0 - e * phase * a1
-    row[m1] = e * a0 + z * phase * a1
+    # A view of the (C-contiguous) row: [high bits, probe bit, low bits].
+    row = amps[channel_axis].reshape(-1, 2, 1 << bit)
+    a0, a1 = row[:, 0], row[:, 1]
+    row[:, 0], row[:, 1] = z * a0 - e * phase * a1, e * a0 + z * phase * a1
 
 
 def evolve_with_probes(
@@ -237,15 +250,15 @@ def evolve_with_probes(
 def branch_components(
     js: JointState, tol: float = DEFAULT_TOL
 ) -> tuple[BranchComponent, ...]:
-    """Decompose by probe pattern, dropping branches of negligible norm.
+    """Decompose by probe pattern, dropping branches of norm at most tol.
     Ordered by excitation count, then probe position."""
-    out = []
-    for mask in _kappa_order(len(js.probes)):
-        phi = js.amplitudes[:, mask]
-        if float(np.linalg.norm(phi)) <= tol:
-            continue
-        out.append(BranchComponent(js.kappa_label(mask), Ket(js.slice, phi)))
-    return tuple(out)
+    norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
+    labels = _kappa_labels(js.probes)
+    return tuple(
+        BranchComponent(labels[mask], Ket(js.slice, js.amplitudes[:, mask]))
+        for mask in _kappa_order(len(js.probes))
+        if norms[mask] > tol
+    )
 
 
 @dataclass(frozen=True)
@@ -270,7 +283,9 @@ class OutcomeDistribution:
     def given_detector(self, detector: str) -> dict[str, float]:
         mass = self.detector_marginal(detector)
         if mass <= 0.0:
-            raise ValueError(f"detector {detector!r} has zero probability")
+            raise VanishingProbabilityError(
+                f"detector {detector!r} has zero probability", mass
+            )
         return {
             k: v / mass for (d, k), v in self.probs.items() if d == detector
         }
@@ -287,19 +302,27 @@ class OutcomeDistribution:
 
 def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistribution:
     """Pr(detector, kappa) = squared norm of the detector projector applied
-    to that branch component.  Totals 1 for a normalized joint state."""
+    to that branch component.  Totals 1 for a normalized joint state.
+
+    Keys run detector by detector, each over the patterns in `_kappa_order`.
+    """
     if detector_pdi.slice != js.slice:
         raise ValueError(
             f"detector decomposition lives on {detector_pdi.slice}, "
             f"joint state on {js.slice}"
         )
-    probs: dict[tuple[str, str], float] = {}
     order = _kappa_order(len(js.probes))
+    by_mask = _kappa_labels(js.probes)
+    labels = [by_mask[mask] for mask in order]
+    # One column vector per pattern, in `order`.  A stack of matrix-vector
+    # products, each summed over contiguous memory, gives every cell the
+    # value that pattern's own product and sum give, bit for bit.
+    cols = js.amplitudes.T[list(order), :, None]
+    probs: dict[tuple[str, str], float] = {}
     for i, part in enumerate(detector_pdi.parts):
         det = part.name or f"part{i}"
-        for mask in order:
-            v = part.matrix @ js.amplitudes[:, mask]
-            probs[(det, js.kappa_label(mask))] = float(np.sum(np.abs(v) ** 2))
+        p = np.sum(np.abs(np.matmul(part.matrix, cols)) ** 2, axis=(1, 2))
+        probs.update(zip([(det, lab) for lab in labels], p.tolist()))
     return OutcomeDistribution(probs)
 
 

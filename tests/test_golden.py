@@ -28,7 +28,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 ALPHA2 = ("0.001", "0.25", "0.3333333333333333", "0.5", "0.999", "0.99999999999")
 FORMATS = ("text", "csv")
 INFER_CHANNELS = ("A", "B", "C", "D", "E", "H", "B+C")
-PROBE_SETS = ((), ("--probes", "a,d,b,e,w"))
+PROBE_SETS = (
+    (),
+    ("--probes", "a,d,b,e,w"),
+    ("--probes", "a,d,b,c,e,w"),
+    ("--probes", "d,w"),
+)
 
 
 def cases() -> list[list[str]]:
@@ -40,8 +45,12 @@ def cases() -> list[list[str]]:
         for t in (1, 2, 3)
         for ch in INFER_CHANNELS
     ]
-    heads += [["weak-values"], ["probes"], ["paper-suite"]]
-    heads += [[cmd, *probes] for cmd in ("coincidences", "sample") for probes in PROBE_SETS]
+    heads += [["weak-values"], ["paper-suite"]]
+    heads += [
+        [cmd, *probes]
+        for cmd in ("probes", "coincidences", "sample")
+        for probes in PROBE_SETS
+    ]
     return [
         [*head, "--alpha2", a2, "--format", fmt]
         for head in heads

@@ -7,11 +7,17 @@ from _closedforms import (
     expected_split_watcher_branches,
 )
 
+from qhistories.histories import VanishingProbabilityError
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.probes import (
     BUILTIN_ORDER,
+    JointState,
+    OutcomeDistribution,
     ProbeSpec,
     ProbeStrength,
+    _kappa_label,
+    _kappa_labels,
+    _kappa_order,
     branch_components,
     coincidence_support,
     evolve_with_probes,
@@ -19,7 +25,13 @@ from qhistories.probes import (
     sample,
     standard_probes,
 )
-from qhistories.statespace import PDI, projector_from_labels
+from qhistories.statespace import (
+    PDI,
+    Ket,
+    TimeSlice,
+    projector_from_ket,
+    projector_from_labels,
+)
 
 
 def model(alpha2=1 / 3):
@@ -272,6 +284,124 @@ class TestOutcomeStatistics:
             assert len(values) == 3
             assert values[-1] > 0
             assert abs(values[-1] / values[-2] - 1.0) <= 0.01
+
+
+def fourier_pdi(dyn):
+    """Rank-one projectors onto the discrete Fourier basis of the final
+    slice: every part mixes every channel."""
+    slc = dyn.slices[4]
+    omega = np.exp(2j * np.pi / 3)
+    basis = [np.array([1, omega**k, omega ** (2 * k)]) / math.sqrt(3) for k in range(3)]
+    parts = tuple(projector_from_ket(Ket(slc, f), f"f{k}") for k, f in enumerate(basis))
+    return PDI(slc, parts), np.column_stack(basis)
+
+
+def mask_label(mask, probes):
+    return "".join(p.probe_id for i, p in enumerate(probes) if mask >> i & 1) or "o"
+
+
+class TestDenseReference:
+    """`outcome_distribution` on a non-diagonal detector PDI against
+    |<f_k|phi_m>|^2, the squared overlap of each rank-one detector ray with
+    each probe pattern's particle column."""
+
+    @pytest.mark.parametrize("ids", ["adbe", "adbce", "adbcew"])
+    def test_every_cell_matches_dense_overlaps(self, ids):
+        dyn, s0 = model(0.42)
+        probes = standard_probes(ids)
+        js = evolve_with_probes(dyn, probes, ProbeStrength(0.2), s0)
+        pdi, basis = fourier_pdi(dyn)
+        dist = outcome_distribution(js, pdi)
+        n = len(probes)
+        masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+        keys = [(f"f{k}", mask_label(m, probes)) for k in range(3) for m in masks]
+        assert list(dist.probs) == keys
+        ref = np.abs(basis.conj().T @ js.amplitudes) ** 2
+        got = np.array([[dist.probs[(f"f{k}", mask_label(m, probes))] for m in range(1 << n)]
+                        for k in range(3)])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+        assert dist.total() == pytest.approx(1.0, abs=1e-12)
+
+    def test_key_order_is_detector_major_then_mask_order(self):
+        dyn, s0 = model(0.42)
+        js = evolve_with_probes(dyn, standard_probes("adbe"), ProbeStrength(0.2), s0)
+        dist = outcome_distribution(js, fourier_pdi(dyn)[0])
+        labels = ["o", "a", "d", "b", "e", "ad", "ab", "db", "ae", "de", "be",
+                  "adb", "ade", "abe", "dbe", "adbe"]
+        assert list(dist.probs) == [(det, k) for det in ("f0", "f1", "f2") for k in labels]
+
+    def test_fixed_seed_sample_counts(self):
+        # the multinomial draws the cells in key order, so these literals
+        # pin the key order as well as every cell's value
+        dyn, s0 = model(0.42)
+        js = evolve_with_probes(dyn, standard_probes("adbe"), ProbeStrength(0.2), s0)
+        counts = sample(outcome_distribution(js, fourier_pdi(dyn)[0]), 1000, seed=11)
+        assert counts == PINNED_COUNTS
+        assert list(counts) == list(PINNED_COUNTS)
+
+
+PINNED_COUNTS = {
+    ("f0", "o"): 725, ("f0", "a"): 51, ("f0", "d"): 30, ("f0", "b"): 3, ("f0", "db"): 4,
+    ("f1", "o"): 20, ("f1", "a"): 12, ("f1", "d"): 32, ("f1", "b"): 20, ("f1", "db"): 6,
+    ("f1", "be"): 6,
+    ("f2", "o"): 19, ("f2", "a"): 14, ("f2", "d"): 35, ("f2", "b"): 16, ("f2", "db"): 3,
+    ("f2", "be"): 4,
+}
+
+
+def joint(amps, ids="pqrs"):
+    slc = TimeSlice(0, ("X", "Y"))
+    probes = tuple(ProbeSpec(i, frozenset({(0, "X")})) for i in ids[: int(np.log2(amps.shape[1]))])
+    return JointState(slc, probes, amps)
+
+
+class TestBranchComponents:
+    def test_branch_at_tol_dropped_and_just_above_kept(self):
+        amps = np.zeros((2, 4), dtype=complex)
+        amps[0, 0] = 1.0
+        amps[1, 3] = 0.5
+        js = joint(amps)
+        assert [br.kappa for br in branch_components(js, tol=0.5)] == ["o"]
+        kept = branch_components(js, tol=float(np.nextafter(0.5, 0.0)))
+        assert [br.kappa for br in kept] == ["o", "pq"]
+        assert kept[1].phi.norm() == 0.5
+
+    def test_branches_in_mask_order_with_dense_norms(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+        amps[:, [5, 10]] = 0.0
+        js = joint(amps)
+        branches = branch_components(js)
+        masks = [m for m in sorted(range(16), key=lambda m: (bin(m).count("1"), m))
+                 if m not in (5, 10)]
+        assert [br.kappa for br in branches] == [mask_label(m, js.probes) for m in masks]
+        # mask order, not label order: qr (mask 6) precedes ps (mask 9)
+        assert [br.kappa for br in branches][5:9] == ["pq", "qr", "ps", "rs"]
+        norms = np.linalg.norm(amps, axis=0)
+        for br, m in zip(branches, masks):
+            np.testing.assert_array_equal(br.phi.amplitudes, amps[:, m])
+            assert br.phi.norm() == pytest.approx(norms[m], rel=1e-15)
+
+    def test_labels_by_mask_match_single_labels(self):
+        probes = standard_probes("adbcew")
+        assert _kappa_labels(probes) == [_kappa_label(m, probes) for m in range(64)]
+
+    def test_kappa_order_cannot_be_mutated(self):
+        order = _kappa_order(3)
+        assert order == (0, 1, 2, 4, 3, 5, 6, 7)
+        with pytest.raises(TypeError):
+            order[0] = 7
+        assert _kappa_order(3) == (0, 1, 2, 4, 3, 5, 6, 7)
+
+
+class TestGivenDetector:
+    def test_zero_mass_detector_is_a_vanishing_probability(self):
+        dist = OutcomeDistribution({("F4", "o"): 0.0, ("F4", "a"): 0.0, ("H4", "o"): 1.0})
+        with pytest.raises(VanishingProbabilityError, match="zero probability") as err:
+            dist.given_detector("F4")
+        assert isinstance(err.value, ValueError)
+        assert err.value.probability == 0.0
+        assert dist.given_detector("H4") == {"o": 1.0}
 
 
 class TestSampling:
