@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics, _carry, transport
+from .dynamics import Dynamics, _carry
 from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice
 
 
@@ -52,13 +52,6 @@ class History:
 
     def label(self) -> str:
         return ",".join(p.name or f"E@t{t}" for t, p in self.events)
-
-    def replacing(self, t: int, part: Projector) -> History:
-        """Copy of this history with `part` as the event at time t."""
-        events = [(et, p) for et, p in self.events if et != t]
-        events.append((t, part))
-        events.sort(key=lambda ev: ev[0])
-        return History(tuple(events))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,41 +98,75 @@ def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
 
 
 def _coverage_residual(histories: Sequence[History]) -> float:
+    """Max-norm distance from the identity of the histories' summed event
+    structures: Kronecker products over the union of event times, with the
+    identity where a history has no event.
+
+    When every event matrix is exactly diagonal, so is every product, and
+    the same products are formed in the same order on the diagonals alone
+    (a vector of length d^T): the residual is bit-identical to the dense one.
+    """
     slices = _slices_by_time(histories)
     times = sorted(slices)
+    rows = [[h.event_at(t) for t in times] for h in histories]
+    events = {p for row in rows for p in row if p is not None}
+    if all(np.array_equal(p.matrix, np.diag(np.diagonal(p.matrix))) for p in events):
+        identity, factor, unit = np.ones, np.diagonal, np.ones(1)
+    else:
+        identity, factor, unit = np.eye, np.asarray, np.ones((1, 1))
     total = None
-    for h in histories:
-        mats = []
-        for t in times:
-            p = h.event_at(t)
-            mats.append(np.eye(slices[t].dim) if p is None else p.matrix)
-        op = reduce(np.kron, mats, np.ones((1, 1)))
+    for row in rows:
+        mats = [
+            identity(slices[t].dim) if p is None else factor(p.matrix)
+            for t, p in zip(times, row)
+        ]
+        op = reduce(np.kron, mats, unit)
         total = op if total is None else total + op
     dim = int(np.prod([slices[t].dim for t in times]))
-    return float(np.max(np.abs(total - np.eye(dim))))
+    return float(np.max(np.abs(total - identity(dim))))
+
+
+def _chains(
+    dyn: Dynamics, initial: Ket, histories: Sequence[History]
+) -> list[tuple[int, np.ndarray]]:
+    """(time, amplitudes) of each history's chain ket, in history order.
+
+    The histories are walked as a prefix tree keyed by (time, projector):
+    each distinct event prefix is carried and projected once, and every
+    history below it reuses that vector.  A node applies the same matvecs
+    as an independent chain would, so every vector is bit-identical to one.
+    """
+    if initial.slice != dyn.slice_at(initial.slice.time_index):
+        raise ValueError("initial ket does not live on this dynamics")
+    # a node is (time, vector, children keyed by the next (time, projector))
+    root = (initial.slice.time_index, initial.amplitudes, {})
+    out = []
+    for h in histories:
+        start, v, children = root
+        for t, p in h.events:
+            node = children.get((t, p))
+            if node is None:
+                slc = dyn.slice_at(t)
+                if p.slice != slc:
+                    raise ValueError(
+                        f"event projector at time {t} lives on {p.slice}, not {slc}"
+                    )
+                node = children[t, p] = (t, p.matrix @ _carry(dyn, v, start, t), {})
+            start, v, children = node
+        out.append((start, v))
+    return out
 
 
 def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
     """Alternate unitary transport and event projection along a history.
 
-    The result lives on the slice of the last event (or on the initial slice
-    for an event-free history) and is in general sub-normalized; its squared
-    norm is the history's extended Born weight.
+    The result lives on the slice of the last event and is in general
+    sub-normalized; its squared norm is the history's extended Born weight.
+    An event-free history returns `initial` itself.  This is the one-history
+    case of the prefix-tree walk that serves whole families (`_chains`).
     """
-    if initial.slice != dyn.slice_at(initial.slice.time_index):
-        raise ValueError("initial ket does not live on this dynamics")
-    if not h.events:
-        return initial
-    start, v = initial.slice.time_index, initial.amplitudes
-    for t, p in h.events:
-        slc = dyn.slice_at(t)
-        if p.slice != slc:
-            raise ValueError(
-                f"event projector at time {t} lives on {p.slice}, not {slc}"
-            )
-        v = p.matrix @ _carry(dyn, v, start, t)
-        start = t
-    return Ket(slc, v)
+    ((t, v),) = _chains(dyn, initial, (h,))
+    return Ket(dyn.slices[t], v) if h.events else initial
 
 
 @dataclass(frozen=True)
@@ -186,12 +213,15 @@ def _decoherence(
 ) -> tuple[ConsistencyReport, list[float], np.ndarray]:
     """The consistency report, the Born weights and the decoherence
     functional D = C* C^T, where row i of C is the chain ket of history i
-    carried to the family's latest event time.  The weights are the squared
-    norms of the un-carried chain kets; D's diagonal differs in the last bit.
+    carried to the family's latest event time.  The chain kets come from one
+    prefix-tree walk (`_chains`), so a family pays one projection per
+    distinct event prefix, not one chain per history.  The weights are the
+    squared norms of the un-carried chain kets; D's diagonal differs in the
+    last bit.
     """
-    chains = [chain_ket(dyn, fam.initial, h) for h in fam.histories]
-    t_max = max(k.slice.time_index for k in chains)
-    c = np.array([transport(dyn, k, t_max).amplitudes for k in chains])
+    chains = _chains(dyn, fam.initial, fam.histories)
+    t_max = max(t for t, _ in chains)
+    c = np.array([_carry(dyn, v, t, t_max) for t, v in chains])
     d = c.conj() @ c.T
     norms = np.array([np.linalg.norm(row) for row in c])
     i, j = np.triu_indices(len(chains), 1)
@@ -200,7 +230,7 @@ def _decoherence(
     bad = overlaps > tol
     offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
     report = ConsistencyReport(max_overlap <= tol, max_overlap, offending)
-    return report, [k.norm() ** 2 for k in chains], d
+    return report, [float(np.linalg.norm(v)) ** 2 for _, v in chains], d
 
 
 def consistency_check(
@@ -228,22 +258,33 @@ def born_probabilities(
     return dict(zip(fam.histories, weights))
 
 
-def _match(h: History, events: Iterable[tuple[int, Projector]], tol: float) -> bool:
+def _match(
+    h: History,
+    events: Iterable[tuple[int, Projector]],
+    tol: float,
+    memo: dict[tuple[int, Projector | None, Projector], bool],
+) -> bool:
     """True if the history's event at each given time equals the given
     projector; False if orthogonal to it; anything else violates the single
-    framework rule.
+    framework rule.  `memo` keeps each (time, event, projector) verdict for
+    the rest of the caller's call, so each distinct triple is compared once.
     """
     for t, p in events:
         e = h.event_at(t)
-        e_mat = np.eye(p.slice.dim) if e is None else e.matrix
-        if float(np.max(np.abs(e_mat - p.matrix))) <= tol:
-            continue
-        if float(np.max(np.abs(e_mat @ p.matrix))) <= tol:
+        key = (t, e, p)
+        if key not in memo:
+            e_mat = np.eye(p.slice.dim) if e is None else e.matrix
+            if float(np.max(np.abs(e_mat - p.matrix))) <= tol:
+                memo[key] = True
+            elif float(np.max(np.abs(e_mat @ p.matrix))) <= tol:
+                memo[key] = False
+            else:
+                raise InexpressibleEventError(
+                    f"event {p.name or 'projector'} at time {t} is not expressible "
+                    "in this family (single framework rule)"
+                )
+        if not memo[key]:
             return False
-        raise InexpressibleEventError(
-            f"event {p.name or 'projector'} at time {t} is not expressible "
-            "in this family (single framework rule)"
-        )
     return True
 
 
@@ -263,13 +304,14 @@ def conditional_probability(
     weights = born_probabilities(dyn, fam, tol)
     condition = tuple(condition)
     query = tuple(query)
-    selected = [h for h in fam.histories if _match(h, condition, tol)]
+    memo: dict = {}
+    selected = [h for h in fam.histories if _match(h, condition, tol, memo)]
     cond_mass = sum(weights[h] for h in selected)
     if cond_mass <= tol:
         raise VanishingProbabilityError(
             f"condition has vanishing probability ({cond_mass:.3g})", cond_mass
         )
-    joint_mass = sum(weights[h] for h in selected if _match(h, query, tol))
+    joint_mass = sum(weights[h] for h in selected if _match(h, query, tol, memo))
     return joint_mass / cond_mass
 
 
@@ -304,16 +346,21 @@ def refine(
     total = sum(p.matrix for p in parts)
 
     new_histories: list[History] = []
-    split_any = False
+    splits: dict[Projector | None, bool] = {}
     for h in fam.histories:
         e = h.event_at(time_index)
-        e_mat = np.eye(slc.dim) if e is None else e.matrix
-        if float(np.max(np.abs(e_mat - total))) <= tol:
-            split_any = True
-            new_histories.extend(h.replacing(time_index, p) for p in parts)
+        if e not in splits:
+            e_mat = np.eye(slc.dim) if e is None else e.matrix
+            splits[e] = float(np.max(np.abs(e_mat - total))) <= tol
+        if splits[e]:
+            before = tuple(ev for ev in h.events if ev[0] < time_index)
+            after = tuple(ev for ev in h.events if ev[0] > time_index)
+            new_histories.extend(
+                History((*before, (time_index, p), *after)) for p in parts
+            )
         else:
             new_histories.append(h)
-    if not split_any:
+    if not any(splits.values()):
         raise ValueError(
             f"no history event at time {time_index} equals the sum of the "
             "replacement parts"

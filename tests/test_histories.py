@@ -1,14 +1,19 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from qhistories.dynamics import transport
 from qhistories.histories import (
+    ConsistencyReport,
     Defined,
     Family,
     History,
     Incommensurate,
     InconsistentFamilyError,
     InexpressibleEventError,
+    _coverage_residual,
+    _decoherence,
     born_probabilities,
     chain_ket,
     conditional_probability,
@@ -24,9 +29,13 @@ from qhistories.mzi import (
     source_ket,
 )
 from qhistories.statespace import (
+    Ket,
+    Projector,
+    TimeSlice,
     basis_ket,
     identity_projector,
     inner,
+    projector_from_ket,
     projector_from_labels,
 )
 
@@ -87,6 +96,22 @@ class TestChainKets:
         with pytest.raises(ValueError, match="strictly increase|slice"):
             History(((2, proj(dyn, 3, {"A"})),))
 
+    def test_event_free_history_returns_the_initial_ket(self):
+        dyn, s0 = model(0.4)
+        assert chain_ket(dyn, s0, History(())) is s0
+
+    def test_family_walk_rejects_kets_and_events_foreign_to_the_dynamics(self):
+        dyn, s0 = model(0.4)
+        foreign = TimeSlice(2, ("X", "Y", "Z"))
+        a2 = proj(dyn, 2, {"A"})
+        x2 = projector_from_labels(foreign, {"X"})
+        fam = Family(s0, (History(((2, a2),)), History(((2, x2),))))
+        with pytest.raises(ValueError, match="event projector at time 2 lives on"):
+            consistency_check(dyn, fam)
+        stray = Ket(TimeSlice(0, ("X", "Y", "Z")), [1, 0, 0])
+        with pytest.raises(ValueError, match="initial ket does not live"):
+            consistency_check(dyn, Family(stray, (History(((2, a2),)),)))
+
 
 class TestConsistency:
     @pytest.mark.parametrize("alpha2", GRID)
@@ -129,14 +154,90 @@ def dense_chain_rows(dyn, initial, histories):
     return np.array(rows)
 
 
-#: Families whose histories end at different times:
-#: (event lists per history, complete, consistent for every ratio).
+def rank_one(slc, spec):
+    """Rank-one projector onto |X> + |Y> or |X> - |Y> for a spec "(X+Y)" or
+    "(X-Y)": a non-diagonal event."""
+    v = np.zeros(slc.dim, dtype=complex)
+    v[slc.axis(spec[1])] = 1.0
+    v[slc.axis(spec[3])] = 1.0 if spec[2] == "+" else -1.0
+    return projector_from_ket(Ket(slc, v), spec)
+
+
+def build_histories(dyn, events):
+    """Histories from lists of (time, spec).  A spec names channels ("BC"),
+    or a rank-one event in parentheses (see rank_one).  Equal specs at one
+    time give one shared Projector, so histories share event prefixes; "BC"
+    and "CB" give two distinct Projectors with equal matrices."""
+    made = {}
+
+    def event(t, spec):
+        if (t, spec) not in made:
+            slc = dyn.slices[t]
+            made[t, spec] = (
+                rank_one(slc, spec) if spec[0] == "(" else projector_from_labels(slc, set(spec))
+            )
+        return made[t, spec]
+
+    return tuple(History(tuple((t, event(t, spec)) for t, spec in h)) for h in events)
+
+
+def per_history_decoherence(dyn, fam, tol=1e-10):
+    """Oracle for `_decoherence`: each history's chain built on its own by
+    transport and projection, carried on to the latest event time by
+    `transport`; the report then read from D as the engine reads it."""
+    kets = []
+    for h in fam.histories:
+        k = fam.initial
+        for t, p in h.events:
+            k = Ket(p.slice, p.matrix @ transport(dyn, k, t).amplitudes)
+        kets.append(k)
+    t_max = max(k.slice.time_index for k in kets)
+    c = np.array([transport(dyn, k, t_max).amplitudes for k in kets])
+    d = c.conj() @ c.T
+    norms = np.array([np.linalg.norm(row) for row in c])
+    i, j = np.triu_indices(len(kets), 1)
+    overlaps = np.abs(d[i, j]) / np.maximum(1.0, norms[i] * norms[j])
+    worst = float(overlaps.max(initial=0.0))
+    bad = overlaps > tol
+    offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
+    return ConsistencyReport(worst <= tol, worst, offending), [k.norm() ** 2 for k in kets], d
+
+
+def dense_coverage_residual(histories):
+    """Oracle: the dense Kronecker products of each history's events (the
+    identity where it has none), summed and compared with the identity."""
+    slices = {t: p.slice for h in histories for t, p in h.events}
+    times = sorted(slices)
+    total = None
+    for h in histories:
+        mats = [
+            np.eye(slices[t].dim) if h.event_at(t) is None else h.event_at(t).matrix
+            for t in times
+        ]
+        op = reduce(np.kron, mats, np.ones((1, 1)))
+        total = op if total is None else total + op
+    dim = int(np.prod([slices[t].dim for t in times]))
+    return float(np.max(np.abs(total - np.eye(dim))))
+
+
+#: Families whose histories end at different times, in the spec syntax of
+#: build_histories: (event lists per history, complete, consistent for every
+#: ratio).
 COMMON_TIME_FAMILIES = {
     "A|BC-F|BC-GH": (
         [[(2, "A")], [(2, "BC"), (4, "F")], [(2, "BC"), (4, "GH")]], True, True
     ),
+    "A|BC-F|CB-GH": (
+        [[(2, "A")], [(2, "BC"), (4, "F")], [(2, "CB"), (4, "GH")]], True, True
+    ),
     "B|AC-F|AC-GH": (
         [[(2, "B")], [(2, "AC"), (4, "F")], [(2, "AC"), (4, "GH")]], True, False
+    ),
+    "(A+B)|(A-B)|C": ([[(2, "(A+B)")], [(2, "(A-B)")], [(2, "C")]], True, True),
+    "(A+B)-F|(A+B)-GH|(A-B)|C": (
+        [[(2, "(A+B)"), (4, "F")], [(2, "(A+B)"), (4, "GH")], [(2, "(A-B)")], [(2, "C")]],
+        True,
+        False,
     ),
     "none|A": ([[], [(2, "A")]], False, False),
     "none": ([[]], False, True),
@@ -152,10 +253,7 @@ class TestCommonTime:
     def test_overlaps_and_weights_match_dense_oracle(self, name, alpha2):
         dyn, s0 = model(alpha2)
         events, complete, consistent = COMMON_TIME_FAMILIES[name]
-        histories = tuple(
-            History(tuple((t, proj(dyn, t, set(labels))) for t, labels in h))
-            for h in events
-        )
+        histories = build_histories(dyn, events)
         fam = Family(s0, histories, complete)
         rows = dense_chain_rows(dyn, s0, histories)
         d = rows.conj() @ rows.T
@@ -180,6 +278,18 @@ class TestCommonTime:
         np.testing.assert_allclose(
             list(weights.values()), np.sum(np.abs(rows) ** 2, axis=1), atol=1e-12
         )
+
+    @pytest.mark.parametrize("alpha2", [0.3, 0.62])
+    @pytest.mark.parametrize("name", sorted(COMMON_TIME_FAMILIES))
+    def test_tree_walk_matches_per_history_chains_bit_for_bit(self, name, alpha2):
+        dyn, s0 = model(alpha2)
+        events, complete, _ = COMMON_TIME_FAMILIES[name]
+        fam = Family(s0, build_histories(dyn, events), complete)
+        report, weights, d = _decoherence(dyn, fam, 1e-10)
+        ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+        assert d.tobytes() == ref_d.tobytes()
+        assert weights == ref_weights
+        assert report == ref_report
 
 
 class TestBornProbabilities:
@@ -243,6 +353,29 @@ class TestConditionalProbability:
                 dyn, fam, [(4, proj(dyn, 4, {"F"}))], [(2, proj(dyn, 2, {"B"}))]
             )
 
+    def test_single_framework_rule_checks_the_condition_on_every_history(self):
+        # B2 is orthogonal to the first two histories' shared A2 and meets
+        # the third history's B2+C2 only in part
+        dyn, s0 = model(0.37)
+        histories = build_histories(
+            dyn, [[(2, "A"), (4, "F")], [(2, "A"), (4, "GH")], [(2, "BC"), (4, "F")]]
+        )
+        fam = Family(s0, histories)
+        with pytest.raises(InexpressibleEventError, match="B2 at time 2"):
+            conditional_probability(
+                dyn, fam, [(2, proj(dyn, 2, {"B"}))], [(4, proj(dyn, 4, {"F"}))]
+            )
+
+    def test_condition_and_query_at_one_time_keep_their_own_verdicts(self):
+        # both compare with the same history events at t2: Pr(A2 | B2+C2) is
+        # 0 only if the query does not reuse the condition's verdicts
+        dyn, s0 = model(0.37)
+        fam = Family(s0, build_histories(dyn, [[(2, "A")], [(2, "BC")]]))
+        pr = conditional_probability(
+            dyn, fam, [(2, proj(dyn, 2, {"B", "C"}))], [(2, proj(dyn, 2, {"A"}))]
+        )
+        assert pr == 0.0
+
     def test_zero_probability_condition_rejected(self):
         dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.37))
         # conditioning on the empty loop-pair event has zero mass
@@ -271,6 +404,13 @@ class TestRefine:
         e3 = proj(dyn, 3, {"E"})
         fam = refine(fam, 3, [e3, e3.complement()])
         assert not consistency_check(dyn, fam).consistent
+
+    def test_splits_distinct_events_with_equal_matrices(self):
+        dyn, s0 = model(0.3)
+        fam = Family(s0, build_histories(dyn, [[(2, "A")], [(2, "BC")], [(2, "CB")]]))
+        b2, c2 = proj(dyn, 2, {"B"}), proj(dyn, 2, {"C"})
+        fam = refine(fam, 2, [b2, c2])
+        assert [h.events[0][1] for h in fam.histories[1:]] == [b2, c2, b2, c2]
 
     def test_parts_must_sum_to_a_replaced_event(self):
         dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.3))
@@ -359,6 +499,60 @@ class TestFamilyValidation:
         _, s0 = model(0.3)
         with pytest.raises(ValueError, match=r"cover the identity \(residual 1\)"):
             Family(s0, (History(()), History(())), complete=True)
+
+    @pytest.mark.parametrize("covers", [True, False])
+    def test_rank_one_events_take_the_dense_coverage_path(self, covers):
+        # a Fourier rank-one PDI at t2 and at t3: every event mixes every
+        # channel and every diagonal entry is 1/3, so the diagonals alone
+        # cannot tell the complete family from one that repeats f1 for f0
+        dyn, s0 = model(0.3)
+        omega = np.exp(2j * np.pi / 3)
+        pdis = [
+            [
+                projector_from_ket(Ket(dyn.slices[t], [1, omega**k, omega ** (2 * k)]))
+                for k in range(3)
+            ]
+            for t in (2, 3)
+        ]
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        if not covers:
+            pairs[0] = (1, 0)
+        histories = tuple(History(((2, pdis[0][a]), (3, pdis[1][b]))) for a, b in pairs)
+        residual = dense_coverage_residual(histories)
+        if covers:
+            fam = Family(s0, histories, complete=True)
+            assert _coverage_residual(fam.histories) == residual <= 1e-10
+            return
+        assert residual > 0.1
+        with pytest.raises(ValueError, match=rf"cover the identity \(residual {residual:.3g}\)"):
+            Family(s0, histories, complete=True)
+
+    @pytest.mark.parametrize("drop", [None, 3])
+    def test_diagonal_coverage_equals_the_dense_value(self, drop):
+        # d = 8 over three times, two parts per time; each part has one
+        # diagonal entry 1 - 3e-13 or 1 - 7e-13 (still valid projectors),
+        # so the products are not all exact 0s and 1s
+        rng = np.random.default_rng(8)
+        levels = []
+        for t in (1, 2, 3):
+            slc = TimeSlice(t, tuple(f"c{i}" for i in range(8)))
+            mask = np.zeros(8)
+            mask[rng.permutation(8)[:4]] = 1.0
+            parts = []
+            for m, eps in ((mask, 3e-13), (1.0 - mask, 7e-13)):
+                diag = m.astype(complex)
+                diag[int(np.argmax(m))] -= eps
+                parts.append(Projector(slc, np.diag(diag)))
+            levels.append((t, parts))
+        histories = tuple(
+            History(tuple((t, parts[k >> i & 1]) for i, (t, parts) in enumerate(levels)))
+            for k in range(8)
+        )
+        if drop is not None:
+            histories = histories[:drop] + histories[drop + 1:]
+        residual = _coverage_residual(histories)
+        assert residual == dense_coverage_residual(histories)
+        assert residual > 0.0
 
     def test_events_must_start_after_initial_time(self):
         dyn, s0 = model(0.3)
