@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics, _carry
+from .dynamics import Dynamics, _carry, transport
 from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice
 
 
@@ -126,34 +126,35 @@ def _coverage_residual(histories: Sequence[History]) -> float:
     return float(np.max(np.abs(total - identity(dim))))
 
 
-def _chains(
-    dyn: Dynamics, initial: Ket, histories: Sequence[History]
-) -> list[tuple[int, np.ndarray]]:
-    """(time, amplitudes) of each history's chain ket, in history order.
+def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
+    """Carry `k` to time `t` and apply the event `p` there."""
+    slc = dyn.slice_at(t)
+    if p.slice != slc:
+        raise ValueError(f"event projector at time {t} lives on {p.slice}, not {slc}")
+    return Ket(slc, p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t))
+
+
+def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> list[Ket]:
+    """The chain ket of each history's events but its last, in history order
+    (`initial` itself for a history of at most one event).
 
     The histories are walked as a prefix tree keyed by (time, projector):
-    each distinct event prefix is carried and projected once, and every
-    history below it reuses that vector.  A node applies the same matvecs
-    as an independent chain would, so every vector is bit-identical to one.
+    each distinct proper prefix is carried and projected once, and every
+    history below it reuses that ket.  A node applies the same matvecs as an
+    independent chain would, so every ket is bit-identical to one.
     """
     if initial.slice != dyn.slice_at(initial.slice.time_index):
         raise ValueError("initial ket does not live on this dynamics")
-    # a node is (time, vector, children keyed by the next (time, projector))
-    root = (initial.slice.time_index, initial.amplitudes, {})
+    root = (initial, {})  # a node is (ket, children keyed by (time, projector))
     out = []
     for h in histories:
-        start, v, children = root
-        for t, p in h.events:
+        k, children = root
+        for t, p in h.events[:-1]:
             node = children.get((t, p))
             if node is None:
-                slc = dyn.slice_at(t)
-                if p.slice != slc:
-                    raise ValueError(
-                        f"event projector at time {t} lives on {p.slice}, not {slc}"
-                    )
-                node = children[t, p] = (t, p.matrix @ _carry(dyn, v, start, t), {})
-            start, v, children = node
-        out.append((start, v))
+                node = children[t, p] = (_project(dyn, k, t, p), {})
+            k, children = node
+        out.append(k)
     return out
 
 
@@ -163,10 +164,10 @@ def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
     An event-free history returns `initial` itself.  This is the one-history
-    case of the prefix-tree walk that serves whole families (`_chains`).
+    case of the prefix-tree walk that serves whole families (`_prefix_kets`).
     """
-    ((t, v),) = _chains(dyn, initial, (h,))
-    return Ket(dyn.slices[t], v) if h.events else initial
+    (k,) = _prefix_kets(dyn, initial, (h,))
+    return _project(dyn, k, *h.events[-1]) if h.events else initial
 
 
 @dataclass(frozen=True)
@@ -213,15 +214,25 @@ def _decoherence(
 ) -> tuple[ConsistencyReport, list[float], np.ndarray]:
     """The consistency report, the Born weights and the decoherence
     functional D = C* C^T, where row i of C is the chain ket of history i
-    carried to the family's latest event time.  The chain kets come from one
-    prefix-tree walk (`_chains`), so a family pays one projection per
-    distinct event prefix, not one chain per history.  The weights are the
+    carried to the family's latest event time.
+
+    The histories' proper prefixes come from one prefix-tree walk
+    (`_prefix_kets`), so a family pays one projection per distinct event
+    prefix, not one chain per history.  Each history then takes its own last
+    event with `chain_ket`, one call per history.  Only chain kets that end
+    before the latest event time are transported.  The weights are the
     squared norms of the un-carried chain kets; D's diagonal differs in the
     last bit.
     """
-    chains = _chains(dyn, fam.initial, fam.histories)
-    t_max = max(t for t, _ in chains)
-    c = np.array([_carry(dyn, v, t, t_max) for t, v in chains])
+    chains = [
+        chain_ket(dyn, k, History(h.events[-1:]))
+        for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories)
+    ]
+    t_max = max(k.slice.time_index for k in chains)
+    c = np.array([
+        k.amplitudes if k.slice.time_index == t_max else transport(dyn, k, t_max).amplitudes
+        for k in chains
+    ])
     d = c.conj() @ c.T
     norms = np.array([np.linalg.norm(row) for row in c])
     i, j = np.triu_indices(len(chains), 1)
@@ -230,7 +241,7 @@ def _decoherence(
     bad = overlaps > tol
     offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
     report = ConsistencyReport(max_overlap <= tol, max_overlap, offending)
-    return report, [float(np.linalg.norm(v)) ** 2 for _, v in chains], d
+    return report, [k.norm() ** 2 for k in chains], d
 
 
 def consistency_check(

@@ -269,6 +269,13 @@ class TestCommonTime:
         for a, b, ip in report.offending_pairs:
             assert ip == pytest.approx(d[a, b], abs=1e-12)
 
+        # the prefix-tree walk is bit-identical to independent chains
+        got_report, got_weights, got_d = _decoherence(dyn, fam, 1e-10)
+        ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+        assert got_d.tobytes() == ref_d.tobytes()
+        assert got_weights == ref_weights
+        assert got_report == ref_report == report
+
         if not consistent:
             with pytest.raises(InconsistentFamilyError):
                 born_probabilities(dyn, fam)
@@ -278,18 +285,6 @@ class TestCommonTime:
         np.testing.assert_allclose(
             list(weights.values()), np.sum(np.abs(rows) ** 2, axis=1), atol=1e-12
         )
-
-    @pytest.mark.parametrize("alpha2", [0.3, 0.62])
-    @pytest.mark.parametrize("name", sorted(COMMON_TIME_FAMILIES))
-    def test_tree_walk_matches_per_history_chains_bit_for_bit(self, name, alpha2):
-        dyn, s0 = model(alpha2)
-        events, complete, _ = COMMON_TIME_FAMILIES[name]
-        fam = Family(s0, build_histories(dyn, events), complete)
-        report, weights, d = _decoherence(dyn, fam, 1e-10)
-        ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
-        assert d.tobytes() == ref_d.tobytes()
-        assert weights == ref_weights
-        assert report == ref_report
 
 
 class TestBornProbabilities:
