@@ -219,10 +219,11 @@ def _decoherence(
     The histories' proper prefixes come from one prefix-tree walk
     (`_prefix_kets`), so a family pays one projection per distinct event
     prefix, not one chain per history.  Each history then takes its own last
-    event with `chain_ket`, one call per history.  Only chain kets that end
-    before the latest event time are transported.  The weights are the
-    squared norms of the un-carried chain kets; D's diagonal differs in the
-    last bit.
+    event with `chain_ket`, one call per history, so a tracer of the public
+    functions (perfbench's `histories.chain_ket_*` metrics) sees one chain
+    ket per history.  Only chain kets that end before the latest event time
+    are transported.  The weights are the squared norms of the un-carried
+    chain kets; D's diagonal differs in the last bit.
     """
     chains = [
         chain_ket(dyn, k, History(h.events[-1:]))
