@@ -8,7 +8,6 @@ interferometer as the built-in reference model.
 from .statespace import (
     DEFAULT_TOL,
     Ket,
-    Operator,
     PDI,
     PDIReport,
     Projector,

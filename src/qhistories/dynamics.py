@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import DEFAULT_TOL, Ket, TimeSlice, _frozen_array
+from .statespace import DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +91,8 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     if k.slice != dyn.slice_at(start):
         raise ValueError(f"ket slice {k.slice} does not belong to this dynamics")
     dyn.slice_at(target_index)
-    return Ket(dyn.slices[target_index], _carry(dyn, k.amplitudes, start, target_index))
+    amps = _carry(dyn, k.amplitudes, start, target_index)
+    return _computed_ket(dyn.slices[target_index], amps)
 
 
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:

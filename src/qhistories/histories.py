@@ -10,6 +10,7 @@ probabilities raises, with the offending overlaps attached.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Dynamics, _carry, transport
-from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice
+from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +98,12 @@ def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
     return slices
 
 
+#: Largest array, in entries, that the coverage check of a complete family
+#: may form: 2^22 complex entries are 64 MiB.  The built-in and benchmark
+#: families need at most 512.
+_MAX_COVERAGE_ENTRIES = 1 << 22
+
+
 def _coverage_residual(histories: Sequence[History]) -> float:
     """Max-norm distance from the identity of the histories' summed event
     structures: Kronecker products over the union of event times, with the
@@ -105,15 +112,24 @@ def _coverage_residual(histories: Sequence[History]) -> float:
     When every event matrix is exactly diagonal, so is every product, and
     the same products are formed in the same order on the diagonals alone
     (a vector of length d^T): the residual is bit-identical to the dense one.
+    Raises ValueError, before allocating, when the array the chosen path
+    forms would exceed `_MAX_COVERAGE_ENTRIES`.
     """
     slices = _slices_by_time(histories)
     times = sorted(slices)
     rows = [[h.event_at(t) for t in times] for h in histories]
     events = {p for row in rows for p in row if p is not None}
+    dim = math.prod(slices[t].dim for t in times)
     if all(np.array_equal(p.matrix, np.diag(np.diagonal(p.matrix))) for p in events):
-        identity, factor, unit = np.ones, np.diagonal, np.ones(1)
+        identity, factor, unit, entries = np.ones, np.diagonal, np.ones(1), dim
     else:
-        identity, factor, unit = np.eye, np.asarray, np.ones((1, 1))
+        identity, factor, unit, entries = np.eye, np.asarray, np.ones((1, 1)), dim * dim
+    if entries > _MAX_COVERAGE_ENTRIES:
+        raise ValueError(
+            f"coverage check of this complete family needs an array of {entries} "
+            f"entries (history-space dimension {dim}), above the limit of "
+            f"{_MAX_COVERAGE_ENTRIES}"
+        )
     total = None
     for row in rows:
         mats = [
@@ -122,7 +138,6 @@ def _coverage_residual(histories: Sequence[History]) -> float:
         ]
         op = reduce(np.kron, mats, unit)
         total = op if total is None else total + op
-    dim = int(np.prod([slices[t].dim for t in times]))
     return float(np.max(np.abs(total - identity(dim))))
 
 
@@ -131,7 +146,8 @@ def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
     slc = dyn.slice_at(t)
     if p.slice != slc:
         raise ValueError(f"event projector at time {t} lives on {p.slice}, not {slc}")
-    return Ket(slc, p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t))
+    amps = p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t)
+    return _computed_ket(slc, amps)
 
 
 def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> list[Ket]:

@@ -174,6 +174,12 @@ def named_family(fid: NamedFamilyId, p: BeamSplitterParams) -> tuple[Dynamics, F
     if not isinstance(fid, NamedFamilyId):
         raise ValueError(f"unknown family id {fid!r}")
     dyn = build_no_bs34(p) if fid is NamedFamilyId.EQ26_NO_BS34 else build_nested_mzi(p)
+    return dyn, _family(dyn, fid)
+
+
+def _family(dyn: Dynamics, fid: NamedFamilyId) -> Family:
+    """The family `fid` over a model already built for it (`build_no_bs34`
+    for EQ26_NO_BS34, `build_nested_mzi` for the rest)."""
     if fid is NamedFamilyId.EQ25_BACKWARD:
         # The ray at t2 that evolves into F4, and its complement.
         f4 = projector_from_labels(dyn.slices[4], "F")
@@ -188,4 +194,4 @@ def named_family(fid: NamedFamilyId, p: BeamSplitterParams) -> tuple[Dynamics, F
     if fid is NamedFamilyId.F_A_PRIME:
         for t in (1, 3):
             fam = refine(fam, t, slice_pdi(dyn.slices[t]).parts)
-    return dyn, fam
+    return fam

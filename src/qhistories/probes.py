@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .histories import VanishingProbabilityError
-from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice
+from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _computed_ket, _trusted
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,6 @@ class JointState:
     def total_norm2(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def kappa_label(self, mask: int) -> str:
-        return _kappa_label(mask, self.probes)
-
 
 @dataclass(frozen=True, eq=False)
 class BranchComponent:
@@ -254,8 +251,10 @@ def branch_components(
     Ordered by excitation count, then probe position."""
     norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = _kappa_labels(js.probes)
+    # One contiguous row per pattern, laid out as a copy of each column.
+    rows = js.amplitudes.T.copy()
     return tuple(
-        BranchComponent(labels[mask], Ket(js.slice, js.amplitudes[:, mask]))
+        BranchComponent(labels[mask], _computed_ket(js.slice, rows[mask]))
         for mask in _kappa_order(len(js.probes))
         if norms[mask] > tol
     )
@@ -266,13 +265,16 @@ class OutcomeDistribution:
     """Joint probabilities over (detector label, probe pattern).
 
     Covers every pair, including zero-probability ones; helpers marginalize
-    or condition on a detector.
+    or condition on a detector.  The detector labels, in first-seen key
+    order, are derived once at construction.
     """
 
     probs: Mapping[tuple[str, str], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
+        probs = dict(self.probs)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_detectors", tuple(dict.fromkeys(d for d, _ in probs)))
 
     def p(self, detector: str, kappa: str) -> float:
         return self.probs[(detector, kappa)]
@@ -294,10 +296,7 @@ class OutcomeDistribution:
         return sum(self.probs.values())
 
     def detectors(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for d, _ in self.probs:
-            seen.setdefault(d)
-        return tuple(seen)
+        return self._detectors
 
 
 def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistribution:
@@ -319,11 +318,12 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     # value that pattern's own product and sum give, bit for bit.
     cols = js.amplitudes.T[list(order), :, None]
     probs: dict[tuple[str, str], float] = {}
-    for i, part in enumerate(detector_pdi.parts):
-        det = part.name or f"part{i}"
+    dets = [part.name or f"part{i}" for i, part in enumerate(detector_pdi.parts)]
+    for det, part in zip(dets, detector_pdi.parts):
         p = np.sum(np.abs(np.matmul(part.matrix, cols)) ** 2, axis=(1, 2))
         probs.update(zip([(det, lab) for lab in labels], p.tolist()))
-    return OutcomeDistribution(probs)
+    # The keys are fresh and run detector by detector: nothing to copy or walk.
+    return _trusted(OutcomeDistribution, probs=probs, _detectors=tuple(dict.fromkeys(dets)))
 
 
 def coincidence_support(

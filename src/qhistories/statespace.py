@@ -1,9 +1,18 @@
 """Labeled finite-dimensional state spaces.
 
 A system is described at each discrete time by a small orthonormal basis of
-channel labels (a :class:`TimeSlice`).  Kets, operators, projectors and
-projective decompositions of the identity (PDIs) all live on a single slice.
+channel labels (a :class:`TimeSlice`).  Kets, projectors and projective
+decompositions of the identity (PDIs) all live on a single slice.
 Everything is an immutable value; the arrays inside are read-only.
+
+Inputs are validated where they enter: the public constructors copy and
+check every array (shape, finiteness, Hermiticity, idempotence, PDI sums).
+Values the library builds from parts it already holds skip that second
+pass (`_trusted`): basis kets, label and identity projectors and
+`slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
+library is already checked.  Kets computed with caller-supplied step
+matrices (chain kets, transport results, probe branches) keep the one check
+those products do not imply, the finiteness scan (`_computed_ket`).
 """
 
 from __future__ import annotations
@@ -23,10 +32,36 @@ def _frozen_array(data, shape_kind: str) -> np.ndarray:
         raise ValueError(f"expected a 1-d amplitude vector, got shape {arr.shape}")
     if shape_kind == "matrix" and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("amplitudes must be finite")
+    _require_finite(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr.view(float))):
+        raise ValueError("amplitudes must be finite")
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen value class `cls` with `fields` set as
+    given: no copy, no check, no `__post_init__`.  Only for values whose
+    invariants the library's own arithmetic already implies; array fields
+    are made read-only in place.
+    """
+    obj = object.__new__(cls)
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, key, value)
+    return obj
+
+
+def _computed_ket(slc: TimeSlice, amps: np.ndarray, name: str = "") -> Ket:
+    """A ket of complex amplitudes computed by the library on `slc`, so of
+    the right length and dtype.  Keeps only the finiteness scan: a product
+    with a non-unitary step matrix can overflow."""
+    _require_finite(amps)
+    return _trusted(Ket, slice=slc, amplitudes=amps, name=name)
 
 
 @dataclass(frozen=True)
@@ -96,7 +131,8 @@ def basis_ket(slc: TimeSlice, label: str, name: str | None = None) -> Ket:
     """Unit ket concentrated in a single channel."""
     amps = np.zeros(slc.dim, dtype=complex)
     amps[slc.axis(label)] = 1.0
-    return Ket(slc, amps, name if name is not None else f"{label}{slc.time_index}")
+    name = name if name is not None else f"{label}{slc.time_index}"
+    return _trusted(Ket, slice=slc, amplitudes=amps, name=name)
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -107,19 +143,32 @@ def inner(a: Ket, b: Ket) -> complex:
 
 
 @dataclass(frozen=True, eq=False)
-class Operator:
-    """A square complex matrix over one slice's basis."""
+class Projector:
+    """A Hermitian idempotent square matrix over one slice's basis; the raw
+    matrix is kept so that non-diagonal projectors (e.g. onto an evolved
+    pure state) are first-class.
+
+    `name` is display metadata only and never enters any computation.
+    """
 
     slice: TimeSlice
     matrix: np.ndarray
+    name: str = ""
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
-        arr = _frozen_array(self.matrix, "matrix")
-        if arr.shape[0] != self.slice.dim:
+    def __post_init__(self, tol: float = DEFAULT_TOL):
+        m = _frozen_array(self.matrix, "matrix")
+        if m.shape[0] != self.slice.dim:
             raise ValueError(
-                f"matrix dimension {arr.shape[0]} does not match slice {self.slice}"
+                f"matrix dimension {m.shape[0]} does not match slice {self.slice}"
             )
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", m)
+        herm = float(np.max(np.abs(m - m.conj().T)))
+        if herm > tol:
+            raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
+        idem = float(np.max(np.abs(m @ m - m)))
+        if idem > tol:
+            raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
 
     def apply(self, k: Ket) -> Ket:
         if k.slice != self.slice:
@@ -128,33 +177,12 @@ class Operator:
             )
         return Ket(self.slice, self.matrix @ k.amplitudes)
 
-
-@dataclass(frozen=True, eq=False)
-class Projector(Operator):
-    """A Hermitian idempotent operator; the raw matrix is kept so that
-    non-diagonal projectors (e.g. onto an evolved pure state) are first-class.
-
-    `name` is display metadata only and never enters any computation.
-    """
-
-    name: str = ""
-    tol: InitVar[float] = DEFAULT_TOL
-
-    def __post_init__(self, tol: float = DEFAULT_TOL):
-        super().__post_init__()
-        m = self.matrix
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > tol:
-            raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
-        idem = float(np.max(np.abs(m @ m - m)))
-        if idem > tol:
-            raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
     def complement(self, name: str | None = None) -> Projector:
-        """The projector I - P onto the orthogonal complement."""
+        """The projector I - P onto the orthogonal complement.  Fully
+        validated: P may have been accepted with a looser `tol`."""
         ident = np.eye(self.slice.dim, dtype=complex)
         if name is None:
             name = _complement_name(self)
@@ -177,7 +205,8 @@ def _complement_name(p: Projector) -> str:
 
 
 def identity_projector(slc: TimeSlice) -> Projector:
-    return Projector(slc, np.eye(slc.dim, dtype=complex), f"I{slc.time_index}")
+    m = np.eye(slc.dim, dtype=complex)
+    return _trusted(Projector, slice=slc, matrix=m, name=f"I{slc.time_index}")
 
 
 def projector_from_labels(
@@ -192,7 +221,7 @@ def projector_from_labels(
         m[ax, ax] = 1.0
     if name is None:
         name = "+".join(f"{slc.basis[ax]}{slc.time_index}" for ax in axes)
-    return Projector(slc, m, name)
+    return _trusted(Projector, slice=slc, matrix=m, name=name)
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
@@ -274,4 +303,5 @@ class PDI:
 
 def slice_pdi(slc: TimeSlice) -> PDI:
     """The finest diagonal decomposition: one projector per channel."""
-    return PDI(slc, tuple(projector_from_labels(slc, {lab}) for lab in slc.basis))
+    parts = tuple(projector_from_labels(slc, {lab}) for lab in slc.basis)
+    return _trusted(PDI, slice=slc, parts=parts)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .dynamics import Dynamics, transport
 from .histories import History, VanishingProbabilityError, chain_ket
-from .statespace import DEFAULT_TOL, Ket, Projector, inner, projector_from_ket
+from .statespace import DEFAULT_TOL, Ket, Projector, _trusted, inner, projector_from_ket
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +59,7 @@ def backward_state(dyn: Dynamics, final: Ket, t: int) -> Ket:
         raise ValueError(f"final ket lives on {final.slice}, not the final slice")
     k = transport(dyn, final, t)
     name = f"{final.name}@t{t}" if final.name else ""
-    return Ket(k.slice, k.amplitudes, name=name)
+    return _trusted(Ket, slice=k.slice, amplitudes=k.amplitudes, name=name)
 
 
 def two_state_vector(dyn: Dynamics, initial: Ket, final: Ket, t: int) -> TwoStateVector:

@@ -215,6 +215,22 @@ class TestSuite:
         assert code == 0, body
         assert "suite-mismatches" in body
 
+    def test_builds_the_model_twice(self, monkeypatch):
+        # once at the configured ratio for every block, once for eq23 at 1/3
+        import qhistories.cli as cli
+
+        calls = []
+        real = cli.build_nested_mzi
+
+        def counting(p):
+            calls.append(p.alpha2)
+            return real(p)
+
+        monkeypatch.setattr(cli, "build_nested_mzi", counting)
+        code, _ = run_report(parse_config("", {"alpha2": "0.42"}), "paper-suite", {})
+        assert code == 0
+        assert calls == [0.42, 1.0 / 3.0]
+
     def test_zero_tolerance_trips_mismatch_exit(self):
         cfg = parse_config("tolerance = 0")
         code, body = run_report(cfg, "paper-suite", {})

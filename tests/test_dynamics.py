@@ -4,8 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
+from qhistories.histories import History, chain_ket
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, time_slices
-from qhistories.statespace import Ket, basis_ket
+from qhistories.statespace import Ket, TimeSlice, basis_ket, projector_from_labels
 
 ALPHA2 = 1 / 3
 
@@ -117,3 +118,59 @@ def test_composition_associativity(alpha2, start, mid, end):
     via = transport(dyn, transport(dyn, ket, mid), end)
     direct = transport(dyn, ket, end)
     assert np.max(np.abs(via.amplitudes - direct.amplitudes)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "matrix, match",
+    [
+        (np.full((3, 3), np.nan), "amplitudes must be finite"),
+        (np.diag([1.0, np.inf, 1.0]), "amplitudes must be finite"),
+        (np.eye(2), "does not map"),
+        (np.ones((3, 3, 1)), "square matrix"),
+    ],
+)
+def test_step_unitary_rejects_invalid_matrices(matrix, match):
+    slices = time_slices()
+    with pytest.raises(ValueError, match=match):
+        StepUnitary(slices[0], slices[1], matrix)
+
+
+def overflowing_dynamics():
+    """Two non-unitary steps with 1e200 entries: each product is finite
+    after one step and overflows to inf after the second."""
+    slices = tuple(TimeSlice(t, ("x", "y")) for t in range(3))
+    big = np.full((2, 2), 1e200)
+    steps = tuple(StepUnitary(a, b, big) for a, b in zip(slices, slices[1:]))
+    return Dynamics(slices, steps)
+
+
+def test_overflowing_transport_raises():
+    dyn = overflowing_dynamics()
+    k = Ket(dyn.slices[0], [1.0, 1.0])
+    assert np.all(np.isfinite(transport(dyn, k, 1).amplitudes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            transport(dyn, k, 2)
+
+
+def test_overflowing_chain_ket_raises():
+    dyn = overflowing_dynamics()
+    k = Ket(dyn.slices[0], [1.0, 1.0])
+    for events in (
+        ((2, projector_from_labels(dyn.slices[2], {"x"})),),
+        ((1, projector_from_labels(dyn.slices[1], {"x", "y"})),
+         (2, projector_from_labels(dyn.slices[2], {"y"}))),
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                chain_ket(dyn, k, History(events))
+
+
+def test_transport_and_chain_kets_are_read_only(dyn):
+    s0 = basis_ket(dyn.slices[0], "S")
+    h = History(((2, projector_from_labels(dyn.slices[2], {"A"})),
+                 (4, projector_from_labels(dyn.slices[4], {"F"}))))
+    for k in (transport(dyn, s0, 3), transport(dyn, s0, 0), chain_ket(dyn, s0, h)):
+        assert k.amplitudes.flags.writeable is False
+        with pytest.raises(ValueError):
+            k.amplitudes[0] = 0.5

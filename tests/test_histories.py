@@ -549,6 +549,28 @@ class TestFamilyValidation:
         assert residual == dense_coverage_residual(histories)
         assert residual > 0.0
 
+    @pytest.mark.parametrize("dim, times", [(64, 4), (8, 8), (128, 2)])
+    def test_oversized_coverage_check_raises_before_allocating(self, dim, times):
+        # d = 64 over four times is a 16.7M-entry diagonal; d = 128 over two
+        # has a 16k-entry diagonal, but one event is not diagonal, so the
+        # dense path would need (d^T)^2 = 268M entries
+        slices = [TimeSlice(t, tuple(f"c{i}" for i in range(dim))) for t in range(times + 1)]
+        events = [(t, identity_projector(slices[t])) for t in range(1, times + 1)]
+        if dim == 128:
+            v = np.zeros(dim, dtype=complex)
+            v[:2] = 1.0
+            ray = projector_from_ket(Ket(slices[1], v))
+            histories = (History(((1, ray),) + tuple(events[1:])),
+                         History(((1, ray.complement()),) + tuple(events[1:])))
+            want = dim**4
+        else:
+            histories = (History(tuple(events)),)
+            want = dim**times
+        initial = basis_ket(slices[0], "c0")
+        with pytest.raises(ValueError, match=rf"array of {want} entries"):
+            Family(initial, histories, complete=True)
+        Family(initial, histories)
+
     def test_events_must_start_after_initial_time(self):
         dyn, s0 = model(0.3)
         h = History(((0, proj(dyn, 0, {"S"})),))

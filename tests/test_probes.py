@@ -382,6 +382,24 @@ class TestBranchComponents:
             np.testing.assert_array_equal(br.phi.amplitudes, amps[:, m])
             assert br.phi.norm() == pytest.approx(norms[m], rel=1e-15)
 
+    def test_branch_kets_are_read_only_copies_with_the_column_norms(self):
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        js = joint(amps)
+        for br, m in zip(branch_components(js), _kappa_order(3)):
+            assert br.phi.amplitudes.flags.writeable is False
+            column = np.array(js.amplitudes[:, m])
+            assert br.phi.norm() == Ket(js.slice, column).norm()
+        assert js.amplitudes.flags.writeable is False
+
+    def test_non_finite_branch_is_rejected(self):
+        amps = np.zeros((2, 4), dtype=complex)
+        amps[0, 0] = 1.0
+        amps[1, 2] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                branch_components(joint(amps))
+
     def test_labels_by_mask_match_single_labels(self):
         probes = standard_probes("adbcew")
         assert _kappa_labels(probes) == [_kappa_label(m, probes) for m in range(64)]
@@ -392,6 +410,24 @@ class TestBranchComponents:
         with pytest.raises(TypeError):
             order[0] = 7
         assert _kappa_order(3) == (0, 1, 2, 4, 3, 5, 6, 7)
+
+
+class TestDetectors:
+    def test_detectors_in_first_seen_key_order(self):
+        dist = OutcomeDistribution({("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25})
+        assert dist.detectors() == ("H4", "F4")
+        assert OutcomeDistribution({}).detectors() == ()
+
+    def test_readout_detectors_follow_the_decomposition(self):
+        dyn, s0 = model()
+        js = evolve_with_probes(dyn, standard_probes("adew"), ProbeStrength(0.01), s0)
+        slc = dyn.slices[4]
+        pdi = PDI(slc, (projector_from_labels(slc, {"H"}),
+                        projector_from_labels(slc, {"F", "G"}, name="")))
+        dist = outcome_distribution(js, pdi)
+        assert dist.detectors() == ("H4", "part1")
+        assert dist.detectors() == tuple(dict.fromkeys(d for d, _ in dist.probs))
+        assert dist == OutcomeDistribution(dist.probs)
 
 
 class TestGivenDetector:

@@ -197,3 +197,98 @@ def test_identity_projector_name_and_matrix():
     ident = identity_projector(T2)
     assert ident.name == "I2"
     np.testing.assert_array_equal(ident.matrix, np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# every check stays on the public constructors; library-built values are
+# read-only without a second check
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_ket_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Ket(T2, [1.0, bad, 0.0])
+
+
+def test_ket_rejects_a_matrix_of_amplitudes():
+    with pytest.raises(ValueError, match="1-d amplitude vector"):
+        Ket(T2, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projector_rejects_non_finite_entries(bad):
+    m = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    m[2, 2] = bad
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        Projector(T2, m)
+
+
+@pytest.mark.parametrize(
+    "matrix, match",
+    [
+        (np.ones((3, 2)), "square matrix"),
+        (np.ones(3), "square matrix"),
+        (np.eye(2), "does not match slice"),
+        (np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
+        (np.diag([2.0, 0.0, 0.0]), "not idempotent"),
+    ],
+)
+def test_projector_rejects_each_invalid_matrix(matrix, match):
+    with pytest.raises(ValueError, match=match):
+        Projector(T2, matrix)
+
+
+def test_projector_from_ket_rejects_an_overflowing_ray():
+    # |k|^2 overflows to inf, so k k^dagger / |k|^2 holds NaN
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        projector_from_ket(Ket(T2, [1e200, 1e200, 0.0]))
+
+
+def test_pdi_rejects_parts_on_another_slice():
+    other = TimeSlice(3, ("A", "E", "H"))
+    with pytest.raises(ValueError, match="PDI's slice"):
+        PDI(T2, (projector_from_labels(other, {"A"}), projector_from_labels(other, {"E", "H"})))
+
+
+def test_pdi_rejects_overlapping_parts():
+    a = projector_from_labels(T2, {"A"})
+    ab = projector_from_labels(T2, {"A", "B"})
+    with pytest.raises(ValueError, match="not orthogonal"):
+        PDI(T2, (a, ab, projector_from_labels(T2, {"C"})))
+
+
+def test_complement_of_a_loosely_accepted_projector_is_validated():
+    # accepted at tol 1e-3 (idempotence residual 5e-4), but I - P has the
+    # same residual and is checked at the default tolerance
+    p = Projector(T2, np.diag([1 + 5e-4, 0.0, 0.0]), "P", tol=1e-3)
+    with pytest.raises(ValueError, match="not idempotent"):
+        p.complement()
+
+
+def test_library_built_values_are_read_only():
+    arrays = [
+        basis_ket(T2, "B").amplitudes,
+        projector_from_labels(T2, {"A", "C"}).matrix,
+        identity_projector(T2).matrix,
+        *(p.matrix for p in slice_pdi(T2).parts),
+    ]
+    for arr in arrays:
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_library_built_values_match_the_validated_constructors():
+    # the same objects the public constructors accept, field for field
+    k = basis_ket(T2, "B", "b")
+    ref = Ket(T2, [0, 1, 0], "b")
+    assert (k.slice, k.name) == (ref.slice, ref.name)
+    np.testing.assert_array_equal(k.amplitudes, ref.amplitudes)
+    assert k.amplitudes.dtype == complex
+    p = projector_from_labels(T2, {"A", "C"})
+    q = Projector(T2, np.diag([1, 0, 1]), "A2+C2")
+    assert (p.slice, p.name) == (q.slice, q.name)
+    np.testing.assert_array_equal(p.matrix, q.matrix)
+    pdi = slice_pdi(T2)
+    assert pdi.slice == T2 and isinstance(pdi.parts, tuple) and len(pdi) == 3
+    assert pdi_validate(pdi.parts).ok
