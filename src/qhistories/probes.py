@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .histories import VanishingProbabilityError
-from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _computed_ket, _trusted
+from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _computed_ket
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,9 @@ def branch_components(
     norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = _kappa_labels(js.probes)
     # One contiguous row per pattern, laid out as a copy of each column.
+    # The branch kets are views into it, so the whole buffer is read-only.
     rows = js.amplitudes.T.copy()
+    rows.setflags(write=False)
     return tuple(
         BranchComponent(labels[mask], _computed_ket(js.slice, rows[mask]))
         for mask in _kappa_order(len(js.probes))
@@ -322,8 +324,7 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     for det, part in zip(dets, detector_pdi.parts):
         p = np.sum(np.abs(np.matmul(part.matrix, cols)) ** 2, axis=(1, 2))
         probs.update(zip([(det, lab) for lab in labels], p.tolist()))
-    # The keys are fresh and run detector by detector: nothing to copy or walk.
-    return _trusted(OutcomeDistribution, probs=probs, _detectors=tuple(dict.fromkeys(dets)))
+    return OutcomeDistribution(probs)
 
 
 def coincidence_support(

@@ -56,12 +56,12 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _computed_ket(slc: TimeSlice, amps: np.ndarray, name: str = "") -> Ket:
+def _computed_ket(slc: TimeSlice, amps: np.ndarray) -> Ket:
     """A ket of complex amplitudes computed by the library on `slc`, so of
     the right length and dtype.  Keeps only the finiteness scan: a product
     with a non-unitary step matrix can overflow."""
     _require_finite(amps)
-    return _trusted(Ket, slice=slc, amplitudes=amps, name=name)
+    return _trusted(Ket, slice=slc, amplitudes=amps, name="")
 
 
 @dataclass(frozen=True)

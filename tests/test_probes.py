@@ -388,6 +388,8 @@ class TestBranchComponents:
         js = joint(amps)
         for br, m in zip(branch_components(js), _kappa_order(3)):
             assert br.phi.amplitudes.flags.writeable is False
+            base = br.phi.amplitudes.base
+            assert base is None or base.flags.writeable is False
             column = np.array(js.amplitudes[:, m])
             assert br.phi.norm() == Ket(js.slice, column).norm()
         assert js.amplitudes.flags.writeable is False
