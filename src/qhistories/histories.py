@@ -268,7 +268,7 @@ def consistency_check(
 
     Each overlap |<c_i|c_j>| is divided by max(1, |c_i| |c_j|), which is 1
     for a normalized initial state: the criterion is absolute, not relative
-    to the weights of the two histories (ROADMAP item 4).  An overlap
+    to the weights of the two histories (ROADMAP item 1).  An overlap
     exactly at tolerance counts as consistent.
     """
     return _decoherence(dyn, fam, tol)[0]

@@ -17,15 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import Dynamics, StepUnitary, step_validate
-from .histories import Family, History, refine
-from .statespace import (
-    Ket,
-    TimeSlice,
-    basis_ket,
-    projector_from_labels,
-    projector_from_ket,
-    slice_pdi,
-)
+from .histories import Family, History
+from .statespace import Ket, TimeSlice, basis_ket, projector_from_labels, projector_from_ket
 from .weak import backward_state
 
 #: Balanced-splitter amplitude for the inner loop.
@@ -152,13 +145,15 @@ _EVENTS = {
     ),
     NamedFamilyId.EQ12_DETECTORS: (((4, "F"),), ((4, "G"),), ((4, "H"),)),
     NamedFamilyId.F_A: (((2, "A"), (4, "F")), ((2, "BC"), (4, "F"))),
+    # F_A refined into single channels at t1 and t3, in `refine` order.
+    NamedFamilyId.F_A_PRIME: tuple(
+        ((1, x), (2, m), (3, y), (4, "F")) for m in ("A", "BC") for x in "ADQ" for y in "AEH"
+    ),
     NamedFamilyId.F_B: (((2, "B"), (4, "F")), ((2, "AC"), (4, "F"))),
     NamedFamilyId.F_ABC: tuple(((2, ch), (4, "F")) for ch in "ABC"),
     NamedFamilyId.F_C: (((2, "C"), (4, "F")), ((2, "AB"), (4, "F"))),
     NamedFamilyId.EQ26_NO_BS34: tuple(((2, m), (4, o)) for m in "ABC" for o in "FGH"),
 }
-#: F_A' is F_A refined into single channels at t1 and t3 (see named_family).
-_EVENTS[NamedFamilyId.F_A_PRIME] = _EVENTS[NamedFamilyId.F_A]
 
 _COMPLETE = {
     NamedFamilyId.EQ8_FULL, NamedFamilyId.EQ12_DETECTORS, NamedFamilyId.EQ26_NO_BS34
@@ -190,8 +185,4 @@ def _family(dyn: Dynamics, fid: NamedFamilyId) -> Family:
         histories = tuple(
             History(tuple((t, proj(t, ch)) for t, ch in row)) for row in _EVENTS[fid]
         )
-    fam = Family(source_ket(dyn), histories, complete=fid in _COMPLETE)
-    if fid is NamedFamilyId.F_A_PRIME:
-        for t in (1, 3):
-            fam = refine(fam, t, slice_pdi(dyn.slices[t]).parts)
-    return fam
+    return Family(source_ket(dyn), histories, complete=fid in _COMPLETE)

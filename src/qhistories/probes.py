@@ -226,7 +226,7 @@ def evolve_with_probes(
     if len(set(p.probe_id for p in probes)) != len(probes):
         raise ValueError("probe ids must be distinct")
     by_time = _couplings_by_time(dyn, probes)
-    if initial.slice != dyn.slices[initial.slice.time_index]:
+    if initial.slice != dyn.slice_at(initial.slice.time_index):
         raise ValueError("initial ket does not live on this dynamics")
     if initial.slice.time_index != 0:
         raise ValueError("probe evolution starts at time 0")

@@ -225,11 +225,16 @@ def projector_from_labels(
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
-    """Rank-one projector k k^dagger / |k|^2 onto the ray of a nonzero ket."""
-    n2 = float(np.vdot(k.amplitudes, k.amplitudes).real)
+    """Rank-one projector k k^dagger / |k|^2 onto the ray of a nonzero ket.
+    A ket whose |k|^2 overflows is first scaled by its largest component."""
+    amps = k.amplitudes
+    n2 = float(np.vdot(amps, amps).real)
+    if np.isinf(n2):
+        amps = amps / np.abs(amps.view(float)).max()
+        n2 = float(np.vdot(amps, amps).real)
     if n2 <= DEFAULT_TOL**2:
         raise ValueError("cannot project onto a zero ket")
-    m = np.outer(k.amplitudes, k.amplitudes.conj()) / n2
+    m = np.outer(amps, amps.conj()) / n2
     if name is None:
         name = f"[{k.name}]" if k.name else ""
     return Projector(k.slice, m, name)

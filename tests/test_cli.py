@@ -1,10 +1,15 @@
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import cases, run
 
 from qhistories.cli import ConfigError, RunConfig, main, parse_config, run_report
 from qhistories.mzi import NamedFamilyId
@@ -236,6 +241,39 @@ class TestSuite:
         code, body = run_report(cfg, "paper-suite", {})
         assert code == 3
 
+    @pytest.mark.parametrize("tolerance", ["1e-6", "0.5"])
+    def test_loose_tolerance_only_loosens_the_comparison(self, tolerance):
+        # the branch sets, supports and vanishing-mass checks keep the
+        # library's cut-off, so a looser comparison cannot add a mismatch
+        cfg = parse_config("", {"tolerance": tolerance})
+        code, body = run_report(cfg, "paper-suite", {})
+        assert code == 0, body
+        last = body.rstrip().splitlines()[-1]
+        assert last.startswith("suite-mismatches ") and last.endswith("= 0")
+
+
+#: The golden command lines of every command but `paper-suite`, at two ratios.
+_VERDICT_CASES = [
+    argv
+    for argv in cases()
+    if argv[0] != "paper-suite"
+    and argv[argv.index("--alpha2") + 1] in ("0.25", "0.3333333333333333")
+]
+
+
+@pytest.mark.parametrize("command", sorted({argv[0] for argv in _VERDICT_CASES}))
+def test_tolerance_changes_no_report_but_the_suite(command):
+    changed = []
+    for argv in _VERDICT_CASES:
+        if argv[0] != command:
+            continue
+        want = run(argv)
+        for tolerance in _TOLERANCE:
+            got = run([*argv, "--tolerance", tolerance])
+            if (got["exit"], got["stdout"]) != (want["exit"], want["stdout"]):
+                changed.append(" ".join(got["argv"]))
+    assert not changed, f"{len(changed)} reports changed, first: {changed[0]}"
+
 
 class TestMain:
     def test_config_file_and_override(self, tmp_path, capsys):
@@ -299,6 +337,19 @@ class TestMain:
         assert code == 0
         last = out.rstrip().splitlines()[-1]
         assert last.startswith("suite-mismatches") and last.endswith("= 0")
+
+    def test_module_entry_point_matches_main(self, capsys):
+        argv = ["paper-suite", "--format", "csv"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhistories.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=False,
+        )
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 _ALPHA2 = (

@@ -146,6 +146,12 @@ class TestEvolution:
         with pytest.raises(ValueError, match="unknown channel"):
             evolve_with_probes(dyn, (bad,), ProbeStrength(0.01), s0)
 
+    def test_initial_ket_past_the_last_slice_rejected(self):
+        dyn, _ = model()
+        far = Ket(TimeSlice(7, ("S", "R", "Q")), [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="outside range 0..4"):
+            evolve_with_probes(dyn, standard_probes("a"), ProbeStrength(0.01), far)
+
     def test_same_time_probe_order_is_immaterial(self):
         dyn, s0 = model(0.42)
         eps = ProbeStrength(0.09)

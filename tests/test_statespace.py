@@ -250,6 +250,19 @@ def test_projector_from_ket_never_returns_non_finite_entries():
             assert np.all(np.isfinite(p.matrix))
 
 
+@pytest.mark.parametrize("scale", [1e200, -1e300j, 1e155])
+def test_projector_from_ket_with_overflowing_norm_is_the_ray_projector(scale):
+    p = projector_from_ket(Ket(T2, [scale, scale, 0.0]))
+    half = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+    np.testing.assert_allclose(p.matrix, half, rtol=0, atol=1e-15)
+
+
+def test_projector_from_ket_keeps_its_bits_when_the_norm_is_finite():
+    amps = np.array([0.3 + 0.1j, -0.7, 1e-9j])
+    m = np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real)
+    np.testing.assert_array_equal(projector_from_ket(Ket(T2, amps)).matrix, m)
+
+
 def test_pdi_rejects_parts_on_another_slice():
     other = TimeSlice(3, ("A", "E", "H"))
     with pytest.raises(ValueError, match="PDI's slice"):
