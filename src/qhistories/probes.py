@@ -3,10 +3,12 @@
 Each probe is a two-level ancilla starting in |0>.  When the particle
 crosses a coupled channel, the probe rotates by a small angle: |0> picks up
 amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
-small (d channels x 2^n probe patterns), so everything is dense.  Readout
-works on the whole amplitude array at once: the outcome distribution costs
-one matrix product per detector part over all 2^n patterns, and the branch
-decomposition one column-norm call.
+small (d channels x 2^n probe patterns), so everything is dense.  The joint
+state is checked for finite amplitudes once, when it is built, and readout
+works on the whole amplitude array at once: the outcome distribution is one
+broadcast matrix product of all detector parts over all 2^n patterns, the
+branch decomposition one column-norm call, and support and sampling read
+the distribution's cell array.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -15,15 +17,17 @@ in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dynamics import Dynamics
 from .histories import VanishingProbabilityError
-from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _computed_ket
+from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _require_finite, _trusted
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,9 @@ class JointState:
     """Particle-plus-probes amplitudes at one slice.
 
     `amplitudes[i, m]` is the amplitude for the particle in channel i of the
-    slice with probe pattern mask m (bit k of m = probe k excited).
+    slice with probe pattern mask m (bit k of m = probe k excited).  Every
+    amplitude must be finite: a non-unitary step can overflow, and a NaN
+    column would otherwise read as a branch of no weight.
     """
 
     slice: TimeSlice
@@ -151,6 +157,7 @@ class JointState:
             raise ValueError(
                 f"amplitude array shape {arr.shape}, expected {expected}"
             )
+        _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -252,11 +259,14 @@ def branch_components(
     norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = _kappa_labels(js.probes)
     # One contiguous row per pattern, laid out as a copy of each column.
-    # The branch kets are views into it, so the whole buffer is read-only.
+    # The branch kets are views into it, so the whole buffer is read-only;
+    # the joint state checked every entry, so the kets need no check.
     rows = js.amplitudes.T.copy()
     rows.setflags(write=False)
     return tuple(
-        BranchComponent(labels[mask], _computed_ket(js.slice, rows[mask]))
+        BranchComponent(
+            labels[mask], _trusted(Ket, slice=js.slice, amplitudes=rows[mask], name="")
+        )
         for mask in _kappa_order(len(js.probes))
         if norms[mask] > tol
     )
@@ -267,21 +277,35 @@ class OutcomeDistribution:
     """Joint probabilities over (detector label, probe pattern).
 
     Covers every pair, including zero-probability ones; helpers marginalize
-    or condition on a detector.  The detector labels, in first-seen key
-    order, are derived once at construction.
+    or condition on a detector.  Besides the `probs` mapping it holds the
+    same cells as a read-only float64 array in key order, with the tuple of
+    keys; `outcome_distribution` passes both in, and for a caller-built
+    mapping they are derived at construction.  So are the detector labels,
+    in first-seen key order.
     """
 
     probs: Mapping[tuple[str, str], float]
+    _keys: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
+    _cells: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        probs = dict(self.probs)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_detectors", tuple(dict.fromkeys(d for d, _ in probs)))
+        if self._cells is None:
+            probs = dict(self.probs)
+            object.__setattr__(self, "probs", probs)
+            object.__setattr__(self, "_keys", tuple(probs))
+            object.__setattr__(self, "_cells", np.array(list(probs.values()), dtype=float))
+        self._cells.setflags(write=False)
+        detectors = dict.fromkeys(map(operator.itemgetter(0), self._keys))
+        object.__setattr__(self, "_detectors", tuple(detectors))
 
     def p(self, detector: str, kappa: str) -> float:
         return self.probs[(detector, kappa)]
 
     def detector_marginal(self, detector: str) -> float:
+        if detector not in self._detectors:
+            raise ValueError(
+                f"unknown detector {detector!r}; detectors are {list(self._detectors)}"
+            )
         return sum(v for (d, _), v in self.probs.items() if d == detector)
 
     def given_detector(self, detector: str) -> dict[str, float]:
@@ -306,25 +330,28 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     to that branch component.  Totals 1 for a normalized joint state.
 
     Keys run detector by detector, each over the patterns in `_kappa_order`.
+    Unnamed parts are called "part<i>"; two parts may not share a name.
     """
     if detector_pdi.slice != js.slice:
         raise ValueError(
             f"detector decomposition lives on {detector_pdi.slice}, "
             f"joint state on {js.slice}"
         )
+    dets = [part.name or f"part{i}" for i, part in enumerate(detector_pdi.parts)]
+    for i, det in enumerate(dets):
+        if det in dets[:i]:
+            raise ValueError(f"detector name {det!r} is given to more than one part")
     order = _kappa_order(len(js.probes))
     by_mask = _kappa_labels(js.probes)
-    labels = [by_mask[mask] for mask in order]
-    # One column vector per pattern, in `order`.  A stack of matrix-vector
-    # products, each summed over contiguous memory, gives every cell the
-    # value that pattern's own product and sum give, bit for bit.
+    # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1),
+    # in `order`.  Each cell is still its own matrix-vector product, summed
+    # over contiguous memory, so it has the value that part's and pattern's
+    # own product and sum give, bit for bit.
+    mats = np.stack([part.matrix for part in detector_pdi.parts])[:, None]
     cols = js.amplitudes.T[list(order), :, None]
-    probs: dict[tuple[str, str], float] = {}
-    dets = [part.name or f"part{i}" for i, part in enumerate(detector_pdi.parts)]
-    for det, part in zip(dets, detector_pdi.parts):
-        p = np.sum(np.abs(np.matmul(part.matrix, cols)) ** 2, axis=(1, 2))
-        probs.update(zip([(det, lab) for lab in labels], p.tolist()))
-    return OutcomeDistribution(probs)
+    cells = np.sum(np.abs(np.matmul(mats, cols[None])) ** 2, axis=(2, 3)).ravel()
+    keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
+    return OutcomeDistribution(dict(zip(keys, cells.tolist())), keys, cells)
 
 
 def coincidence_support(
@@ -332,9 +359,10 @@ def coincidence_support(
 ) -> dict[str, set[str]]:
     """Per detector, the set of probe patterns with probability above tol."""
     support: dict[str, set[str]] = {d: set() for d in dist.detectors()}
-    for (d, k), v in dist.probs.items():
-        if v > tol:
-            support[d].add(k)
+    keys = dist._keys
+    for i in np.flatnonzero(dist._cells > tol).tolist():
+        d, k = keys[i]
+        support[d].add(k)
     return support
 
 
@@ -342,14 +370,15 @@ def sample(
     dist: OutcomeDistribution, n: int, seed: int
 ) -> dict[tuple[str, str], int]:
     """Aggregate counts of n independent draws; deterministic given seed.
-    Zero-count cells are omitted."""
+    Zero-count cells are omitted; the rest follow key order."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    keys = list(dist.probs)
-    p = np.array([dist.probs[k] for k in keys], dtype=float)
+    p = dist._cells
     total = p.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
         raise ValueError(f"distribution mass {total} is not 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p / total)
-    return {k: int(c) for k, c in zip(keys, counts) if c > 0}
+    drawn = np.flatnonzero(counts)
+    keys = dist._keys
+    return dict(zip([keys[i] for i in drawn.tolist()], counts[drawn].tolist()))

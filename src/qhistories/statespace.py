@@ -11,8 +11,9 @@ Values the library builds from parts it already holds skip that second
 pass (`_trusted`): basis kets, label and identity projectors and
 `slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
 library is already checked.  Kets computed with caller-supplied step
-matrices (chain kets, transport results, probe branches) keep the one check
-those products do not imply, the finiteness scan (`_computed_ket`).
+matrices (chain kets, transport results) keep the one check those products
+do not imply, the finiteness scan (`_computed_ket`).  Probe branch kets are
+rows of a joint state that ran that scan once, over all its amplitudes.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from _closedforms import (
     expected_split_watcher_branches,
 )
 
+from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.histories import VanishingProbabilityError
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.probes import (
@@ -26,11 +27,13 @@ from qhistories.probes import (
     standard_probes,
 )
 from qhistories.statespace import (
+    DEFAULT_TOL,
     PDI,
     Ket,
     TimeSlice,
     projector_from_ket,
     projector_from_labels,
+    slice_pdi,
 )
 
 
@@ -151,6 +154,15 @@ class TestEvolution:
         far = Ket(TimeSlice(7, ("S", "R", "Q")), [1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="outside range 0..4"):
             evolve_with_probes(dyn, standard_probes("a"), ProbeStrength(0.01), far)
+
+    def test_overflowing_evolution_is_rejected(self):
+        slices = tuple(TimeSlice(t, ("X", "Y")) for t in range(3))
+        big = [[1e200, 1e200], [1e200, -1e200]]
+        dyn = Dynamics(slices, tuple(StepUnitary(a, b, big) for a, b in zip(slices, slices[1:])))
+        probe = ProbeSpec("p", frozenset({(0, "X")}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                evolve_with_probes(dyn, (probe,), ProbeStrength(0.01), Ket(slices[0], [1.0, 0.0]))
 
     def test_same_time_probe_order_is_immaterial(self):
         dyn, s0 = model(0.42)
@@ -408,6 +420,13 @@ class TestBranchComponents:
             with pytest.raises(ValueError, match="amplitudes must be finite"):
                 branch_components(joint(amps))
 
+    def test_nan_column_is_rejected_with_the_joint_state(self):
+        amps = np.zeros((2, 4), dtype=complex)
+        amps[0, 0] = 1.0
+        amps[1, 2] = np.nan
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            joint(amps)
+
     def test_labels_by_mask_match_single_labels(self):
         probes = standard_probes("adbcew")
         assert _kappa_labels(probes) == [_kappa_label(m, probes) for m in range(64)]
@@ -437,6 +456,15 @@ class TestDetectors:
         assert dist.detectors() == tuple(dict.fromkeys(d for d, _ in dist.probs))
         assert dist == OutcomeDistribution(dist.probs)
 
+    def test_duplicate_part_names_rejected(self):
+        dyn, s0 = model()
+        js = evolve_with_probes(dyn, standard_probes("adew"), ProbeStrength(0.01), s0)
+        slc = dyn.slices[4]
+        pdi = PDI(slc, (projector_from_labels(slc, {"F", "G"}, name="X"),
+                        projector_from_labels(slc, {"H"}, name="X")))
+        with pytest.raises(ValueError, match="detector name 'X'"):
+            outcome_distribution(js, pdi)
+
 
 class TestGivenDetector:
     def test_zero_mass_detector_is_a_vanishing_probability(self):
@@ -446,6 +474,84 @@ class TestGivenDetector:
         assert isinstance(err.value, ValueError)
         assert err.value.probability == 0.0
         assert dist.given_detector("H4") == {"o": 1.0}
+
+    def test_unknown_detector_is_an_input_error(self):
+        dist = OutcomeDistribution({("F4", "o"): 0.0, ("H4", "o"): 1.0})
+        for query in (dist.detector_marginal, dist.given_detector):
+            with pytest.raises(ValueError, match=r"unknown detector 'Z'.*\['F4', 'H4'\]") as err:
+                query("Z")
+            assert not isinstance(err.value, VanishingProbabilityError)
+
+
+def reference_cells(js, pdi):
+    """The per-part loop: one stacked matrix-vector product per detector
+    part over the patterns in `_kappa_order`."""
+    order = _kappa_order(len(js.probes))
+    by_mask = _kappa_labels(js.probes)
+    labels = [by_mask[mask] for mask in order]
+    cols = js.amplitudes.T[list(order), :, None]
+    probs = {}
+    for i, part in enumerate(pdi.parts):
+        p = np.sum(np.abs(np.matmul(part.matrix, cols)) ** 2, axis=(1, 2))
+        probs.update(zip([(part.name or f"part{i}", lab) for lab in labels], p.tolist()))
+    return probs
+
+
+def reference_support(dist, tol=DEFAULT_TOL):
+    """The walk of every (detector, pattern) cell."""
+    support = {d: set() for d in dist.detectors()}
+    for (d, k), v in dist.probs.items():
+        if v > tol:
+            support[d].add(k)
+    return support
+
+
+def reference_sample(dist, n, seed):
+    """Multinomial draws over the cells looked up key by key."""
+    keys = list(dist.probs)
+    p = np.array([dist.probs[k] for k in keys], dtype=float)
+    counts = np.random.default_rng(seed).multinomial(n, p / p.sum())
+    return {k: int(c) for k, c in zip(keys, counts) if c > 0}
+
+
+def assert_readout_matches_reference(dist, ref_cells=None):
+    if ref_cells is not None:
+        assert list(dist.probs) == list(ref_cells)
+        np.testing.assert_array_equal(
+            np.array(list(dist.probs.values())), np.array(list(ref_cells.values()))
+        )
+    assert coincidence_support(dist) == reference_support(dist)
+    counts = sample(dist, 100_000, seed=13)
+    ref_counts = reference_sample(dist, 100_000, seed=13)
+    assert counts == ref_counts
+    assert list(counts) == list(ref_counts)
+
+
+class TestReadoutReference:
+    """The array readout against the per-cell formulas it replaced: equal
+    cells bit for bit, equal support sets and equal seeded counts in key
+    order."""
+
+    @pytest.mark.parametrize("n_probes", [4, 5, 6, 7])
+    @pytest.mark.parametrize("detectors", ["slice", "fourier"])
+    def test_matches_per_cell_formulas(self, n_probes, detectors):
+        dyn, s0 = model(0.42)
+        probes = standard_probes(BUILTIN_ORDER) + (ProbeSpec("h", frozenset({(3, "H")})),)
+        js = evolve_with_probes(dyn, probes[:n_probes], ProbeStrength(0.2), s0)
+        pdi = slice_pdi(dyn.slices[4]) if detectors == "slice" else fourier_pdi(dyn)[0]
+        ref = reference_cells(js, pdi)
+        dist = outcome_distribution(js, pdi)
+        assert_readout_matches_reference(dist, ref)
+        assert dist._cells.dtype == np.float64
+        assert dist._cells.flags.writeable is False
+
+    def test_caller_built_keys_follow_key_order(self):
+        # not grouped by detector, with one cell exactly at the support cut
+        probs = {("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25, ("F4", "a"): DEFAULT_TOL}
+        dist = OutcomeDistribution(probs)
+        assert_readout_matches_reference(dist)
+        assert coincidence_support(dist) == {"H4": {"o", "a"}, "F4": {"o"}}
+        assert list(sample(dist, 1000, seed=3)) == list(probs)[:3]
 
 
 class TestSampling:
