@@ -6,9 +6,9 @@ amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
 small (d channels x 2^n probe patterns), so everything is dense.  The joint
 state is checked for finite amplitudes once, when it is built, and readout
 works on the whole amplitude array at once: the outcome distribution is one
-broadcast matrix product of all detector parts over all 2^n patterns, the
-branch decomposition one column-norm call, and support and sampling read
-the distribution's cell array.
+broadcast matrix product of all detector parts over all 2^n patterns, held
+as one read-only cell array that its accessors, support and sampling read,
+and the branch decomposition is one column-norm call.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -272,41 +272,50 @@ def branch_components(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OutcomeDistribution:
-    """Joint probabilities over (detector label, probe pattern).
+    """Joint probabilities over (detector label, probe pattern), zero cells
+    included; helpers marginalize or condition on a detector.
 
-    Covers every pair, including zero-probability ones; helpers marginalize
-    or condition on a detector.  Besides the `probs` mapping it holds the
-    same cells as a read-only float64 array in key order, with the tuple of
-    keys; `outcome_distribution` passes both in, and for a caller-built
-    mapping they are derived at construction.  So are the detector labels,
-    in first-seen key order.
+    The cells are held once, as a read-only float64 array in the order of a
+    tuple of keys; `probs` is a read-only mapping view built when first
+    read.  A caller's mapping is checked here, once, for finite values
+    >= 0; `outcome_distribution` hands over squared norms of a checked
+    joint state instead.
     """
 
-    probs: Mapping[tuple[str, str], float]
-    _keys: tuple[tuple[str, str], ...] | None = field(default=None, repr=False, compare=False)
-    _cells: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _keys: tuple[tuple[str, str], ...]
+    _cells: np.ndarray
 
-    def __post_init__(self):
-        if self._cells is None:
-            probs = dict(self.probs)
-            object.__setattr__(self, "probs", probs)
-            object.__setattr__(self, "_keys", tuple(probs))
-            object.__setattr__(self, "_cells", np.array(list(probs.values()), dtype=float))
-        self._cells.setflags(write=False)
-        detectors = dict.fromkeys(map(operator.itemgetter(0), self._keys))
-        object.__setattr__(self, "_detectors", tuple(detectors))
+    def __new__(cls, probs: Mapping[tuple[str, str], float]):
+        cells = np.array(list(probs.values()), dtype=float)
+        if not ((cells >= 0.0) & (cells < np.inf)).all():
+            raise ValueError("outcome probabilities must be finite and >= 0")
+        return _trusted(cls, _keys=tuple(probs), _cells=cells)
+
+    def __reduce__(self):
+        return type(self), (dict(self.probs),)
+
+    @functools.cached_property
+    def probs(self) -> Mapping[tuple[str, str], float]:
+        return types.MappingProxyType(dict(zip(self._keys, self._cells.tolist())))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.probs == other.probs
+
+    def _cells_of(self, detector: str) -> list[tuple[str, float]]:
+        cells = [(k, v) for (d, k), v in zip(self._keys, self._cells.tolist()) if d == detector]
+        if not cells:
+            raise ValueError(
+                f"unknown detector {detector!r}; detectors are {list(self.detectors())}"
+            )
+        return cells
 
     def p(self, detector: str, kappa: str) -> float:
-        return self.probs[(detector, kappa)]
+        return dict(self._cells_of(detector))[kappa]
 
     def detector_marginal(self, detector: str) -> float:
-        if detector not in self._detectors:
-            raise ValueError(
-                f"unknown detector {detector!r}; detectors are {list(self._detectors)}"
-            )
-        return sum(v for (d, _), v in self.probs.items() if d == detector)
+        return sum(v for _, v in self._cells_of(detector))
 
     def given_detector(self, detector: str) -> dict[str, float]:
         mass = self.detector_marginal(detector)
@@ -314,15 +323,13 @@ class OutcomeDistribution:
             raise VanishingProbabilityError(
                 f"detector {detector!r} has zero probability", mass
             )
-        return {
-            k: v / mass for (d, k), v in self.probs.items() if d == detector
-        }
+        return {k: v / mass for k, v in self._cells_of(detector)}
 
     def total(self) -> float:
-        return sum(self.probs.values())
+        return sum(self._cells.tolist())
 
     def detectors(self) -> tuple[str, ...]:
-        return self._detectors
+        return tuple(dict.fromkeys([d for d, _ in self._keys]))
 
 
 def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistribution:
@@ -351,7 +358,7 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     cols = js.amplitudes.T[list(order), :, None]
     cells = np.sum(np.abs(np.matmul(mats, cols[None])) ** 2, axis=(2, 3)).ravel()
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
-    return OutcomeDistribution(dict(zip(keys, cells.tolist())), keys, cells)
+    return _trusted(OutcomeDistribution, _keys=keys, _cells=cells)
 
 
 def coincidence_support(

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -477,10 +478,57 @@ class TestGivenDetector:
 
     def test_unknown_detector_is_an_input_error(self):
         dist = OutcomeDistribution({("F4", "o"): 0.0, ("H4", "o"): 1.0})
-        for query in (dist.detector_marginal, dist.given_detector):
+        for query in (dist.detector_marginal, dist.given_detector, lambda det: dist.p(det, "o")):
             with pytest.raises(ValueError, match=r"unknown detector 'Z'.*\['F4', 'H4'\]") as err:
                 query("Z")
             assert not isinstance(err.value, VanishingProbabilityError)
+
+
+class TestOneSourceOfTruth:
+    """The cells are held once: a caller hands in one mapping, checked at
+    construction, and can neither pass a second copy nor change the one held."""
+
+    @pytest.mark.parametrize(
+        "probs",
+        [{("a", "o"): 1.1, ("a", "b"): -0.1},
+         {("a", "o"): 1.0, ("a", "b"): math.nan},
+         {("a", "o"): 1.0, ("a", "b"): math.inf}],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_caller_cells_must_be_finite_and_non_negative(self, probs):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            OutcomeDistribution(probs)
+
+    def test_probs_is_a_read_only_view(self):
+        dyn, s0 = model()
+        js = evolve_with_probes(dyn, standard_probes("adew"), ProbeStrength(0.01), s0)
+        built = outcome_distribution(js, detector_pdi(dyn))
+        for dist in (built, OutcomeDistribution({("F4", "o"): 1.0, ("H4", "o"): 0.0})):
+            key, value = next(iter(dist.probs.items()))
+            with pytest.raises(TypeError):
+                dist.probs[key] = value + 1.0
+            assert dist.probs[key] == value
+            assert dist.total() == sum(dist.probs.values())
+
+    def test_keys_and_cells_cannot_be_passed_in(self):
+        probs = {("F4", "o"): 1.0, ("H4", "o"): 0.0}
+        keys, cells = tuple(probs), np.array([0.0, 1.0])
+        with pytest.raises(TypeError):
+            OutcomeDistribution(probs, keys, cells)
+        for extra in ({"_keys": keys}, {"_cells": cells}):
+            with pytest.raises(TypeError):
+                OutcomeDistribution(probs, **extra)
+        dist = OutcomeDistribution(probs)
+        assert dist.total() == 1.0
+        assert coincidence_support(dist) == {"F4": {"o"}, "H4": set()}
+        assert sample(dist, 10, seed=1) == {("F4", "o"): 10}
+
+    def test_pickles_through_the_checked_constructor(self):
+        dist = OutcomeDistribution({("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25})
+        assert dist.probs  # caches the view, which cannot be pickled
+        copy = pickle.loads(pickle.dumps(dist))
+        assert copy == dist and list(copy.probs) == list(dist.probs)
+        assert copy._cells.flags.writeable is False
 
 
 def reference_cells(js, pdi):
@@ -520,6 +568,22 @@ def assert_readout_matches_reference(dist, ref_cells=None):
         np.testing.assert_array_equal(
             np.array(list(dist.probs.values())), np.array(list(ref_cells.values()))
         )
+    # the accessors against the walks of the mapping they replaced, with `==`
+    items = list(dist.probs.items())
+    assert dist.total() == sum(v for _, v in items)
+    for det in dist.detectors():
+        mass = sum(v for (d, _), v in items if d == det)
+        assert dist.detector_marginal(det) == mass
+        if mass > 0.0:
+            ref = [(k, v / mass) for (d, k), v in items if d == det]
+            assert list(dist.given_detector(det).items()) == ref
+        else:
+            with pytest.raises(VanishingProbabilityError):
+                dist.given_detector(det)
+    assert [dist.p(d, k) for (d, k), _ in items] == [v for _, v in items]
+    assert dist == OutcomeDistribution(dist.probs)
+    (key, value), *_ = items
+    assert dist != OutcomeDistribution({**dist.probs, key: np.nextafter(value, 2.0)})
     assert coincidence_support(dist) == reference_support(dist)
     counts = sample(dist, 100_000, seed=13)
     ref_counts = reference_sample(dist, 100_000, seed=13)
