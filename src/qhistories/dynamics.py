@@ -36,6 +36,10 @@ class StepUnitary:
             )
         object.__setattr__(self, "matrix", arr)
 
+    def __reduce__(self):
+        # Through the checked constructor, so a copy's matrix is read-only.
+        return type(self), (self.from_slice, self.to_slice, self.matrix)
+
     def unitarity_residual(self) -> float:
         u = self.matrix
         return float(np.max(np.abs(u.conj().T @ u - np.eye(self.from_slice.dim))))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Dynamics, _carry, transport
-from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket
+from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,26 +151,38 @@ def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
 
 
 def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> list[Ket]:
-    """The chain ket of each history's events but its last, in history order
-    (`initial` itself for a history of at most one event).
+    """The chain ket of each history's events but its last, carried to the
+    time of its last event (`initial` for an event-free history), in
+    history order.
 
     The histories are walked as a prefix tree keyed by (time, projector):
-    each distinct proper prefix is carried and projected once, and every
-    history below it reuses that ket.  A node applies the same matvecs as an
-    independent chain would, so every ket is bit-identical to one.
+    each distinct proper prefix is projected once, from its parent's ket
+    carried once to each later time its children need (the node's
+    `carried`, which lives only for this walk).  Every ket takes the same
+    matvecs as an independent chain, so it is bit-identical to one.
     """
     if initial.slice != dyn.slice_at(initial.slice.time_index):
         raise ValueError("initial ket does not live on this dynamics")
-    root = (initial, {})  # a node is (ket, children keyed by (time, projector))
+
+    def carry(node, t: int) -> Ket:
+        k, _, carried = node
+        if t not in carried:
+            slc = dyn.slice_at(t)
+            amps = _carry(dyn, k.amplitudes, k.slice.time_index, t)
+            carried[t] = _trusted(Ket, slice=slc, amplitudes=amps, name="")
+        return carried[t]
+
+    # a node is (ket, children keyed by (time, projector), carried kets keyed by time)
+    root = (initial, {}, {})
     out = []
     for h in histories:
-        k, children = root
+        node = root
         for t, p in h.events[:-1]:
-            node = children.get((t, p))
-            if node is None:
-                node = children[t, p] = (_project(dyn, k, t, p), {})
-            k, children = node
-        out.append(k)
+            children = node[1]
+            if (t, p) not in children:
+                children[t, p] = (_project(dyn, carry(node, t), t, p), {}, {})
+            node = children[t, p]
+        out.append(carry(node, h.events[-1][0]) if h.events else initial)
     return out
 
 
@@ -179,11 +191,15 @@ def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
 
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
-    An event-free history returns `initial` itself.  This is the one-history
-    case of the prefix-tree walk that serves whole families (`_prefix_kets`).
+    An event-free history returns `initial` itself.  Whole families share
+    their event prefixes instead (`_prefix_kets`).
     """
-    (k,) = _prefix_kets(dyn, initial, (h,))
-    return _project(dyn, k, *h.events[-1]) if h.events else initial
+    if initial.slice != dyn.slice_at(initial.slice.time_index):
+        raise ValueError("initial ket does not live on this dynamics")
+    k = initial
+    for t, p in h.events:
+        k = _project(dyn, k, t, p)
+    return k
 
 
 @dataclass(frozen=True)
@@ -234,21 +250,24 @@ def _decoherence(
 
     The histories' proper prefixes come from one prefix-tree walk
     (`_prefix_kets`), so a family pays one projection per distinct event
-    prefix, not one chain per history.  Each history then takes its own last
-    event with `chain_ket`, one call per history, so a tracer of the public
-    functions (perfbench's `histories.chain_ket_*` metrics) sees one chain
-    ket per history.  Only chain kets that end before the latest event time
-    are transported.  The weights are the squared norms of the un-carried
-    chain kets; D's diagonal differs in the last bit.
+    prefix and one carry per node and later time, not one chain per
+    history.  Each history then takes its own last event with `chain_ket`,
+    one call per history and with no transport step, so a tracer of the
+    public functions (perfbench's `histories.chain_ket_*` metrics) sees one
+    chain ket per history.  Only chain kets that end before the latest event
+    time are transported.  The weights are the squared norms of the
+    un-carried chain kets (the row norms of C for those that end at the
+    latest time); D's diagonal differs in the last bit.
     """
     chains = [
-        chain_ket(dyn, k, History(h.events[-1:]))
+        chain_ket(dyn, k, _trusted(History, events=h.events[-1:]))
         for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories)
     ]
     t_max = max(k.slice.time_index for k in chains)
+    ends = [k.slice.time_index == t_max for k in chains]
     c = np.array([
-        k.amplitudes if k.slice.time_index == t_max else transport(dyn, k, t_max).amplitudes
-        for k in chains
+        k.amplitudes if end else transport(dyn, k, t_max).amplitudes
+        for k, end in zip(chains, ends)
     ])
     d = c.conj() @ c.T
     norms = np.array([np.linalg.norm(row) for row in c])
@@ -258,7 +277,10 @@ def _decoherence(
     bad = overlaps > tol
     offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
     report = ConsistencyReport(max_overlap <= tol, max_overlap, offending)
-    return report, [k.norm() ** 2 for k in chains], d
+    weights = [
+        float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
+    ]
+    return report, weights, d
 
 
 def consistency_check(
@@ -373,18 +395,20 @@ def refine(
                 raise ValueError(f"refinement parts {i} and {j} overlap")
     total = sum(p.matrix for p in parts)
 
+    t = int(slc.time_index)
     new_histories: list[History] = []
     splits: dict[Projector | None, bool] = {}
     for h in fam.histories:
-        e = h.event_at(time_index)
+        e = h.event_at(t)
         if e not in splits:
             e_mat = np.eye(slc.dim) if e is None else e.matrix
             splits[e] = float(np.max(np.abs(e_mat - total))) <= tol
         if splits[e]:
-            before = tuple(ev for ev in h.events if ev[0] < time_index)
-            after = tuple(ev for ev in h.events if ev[0] > time_index)
+            # a valid history split at a checked slice is valid
+            before = tuple(ev for ev in h.events if ev[0] < t)
+            after = tuple(ev for ev in h.events if ev[0] > t)
             new_histories.extend(
-                History((*before, (time_index, p), *after)) for p in parts
+                _trusted(History, events=(*before, (t, p), *after)) for p in parts
             )
         else:
             new_histories.append(h)

@@ -161,6 +161,10 @@ class JointState:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
+    def __reduce__(self):
+        # Through the checked constructor, so a copy's array is read-only.
+        return type(self), (self.slice, self.probes, self.amplitudes)
+
     def total_norm2(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 

@@ -39,7 +39,7 @@ def _frozen_array(data, shape_kind: str) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError("amplitudes must be finite")
 
 
@@ -47,13 +47,13 @@ def _trusted(cls, **fields):
     """An instance of the frozen value class `cls` with `fields` set as
     given: no copy, no check, no `__post_init__`.  Only for values whose
     invariants the library's own arithmetic already implies; array fields
-    are made read-only in place.
+    still writeable are made read-only in place.
     """
-    obj = object.__new__(cls)
-    for key, value in fields.items():
-        if isinstance(value, np.ndarray):
+    for value in fields.values():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
             value.setflags(write=False)
-        object.__setattr__(obj, key, value)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -121,6 +121,10 @@ class Ket:
             )
         object.__setattr__(self, "amplitudes", arr)
 
+    def __reduce__(self):
+        # Through the checked constructor, so a copy's array is read-only.
+        return type(self), (self.slice, self.amplitudes, self.name)
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -170,6 +174,11 @@ class Projector:
         idem = float(np.max(np.abs(m @ m - m)))
         if idem > tol:
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
+
+    def __reduce__(self):
+        # Through the checked constructor, so a copy's matrix is read-only;
+        # its algebra passed when built, perhaps at a looser `tol`.
+        return type(self), (self.slice, self.matrix, self.name, np.inf)
 
     def apply(self, k: Ket) -> Ket:
         if k.slice != self.slice:

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
-from qhistories.histories import History, chain_ket
+from qhistories.histories import Family, History, chain_ket, consistency_check
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, time_slices
 from qhistories.statespace import Ket, TimeSlice, basis_ket, projector_from_labels
 
@@ -156,14 +156,18 @@ def test_overflowing_transport_raises():
 def test_overflowing_chain_ket_raises():
     dyn = overflowing_dynamics()
     k = Ket(dyn.slices[0], [1.0, 1.0])
-    for events in (
-        ((2, projector_from_labels(dyn.slices[2], {"x"})),),
-        ((1, projector_from_labels(dyn.slices[1], {"x", "y"})),
-         (2, projector_from_labels(dyn.slices[2], {"y"}))),
+    xy1 = projector_from_labels(dyn.slices[1], {"x", "y"})
+    x2, y2 = (projector_from_labels(dyn.slices[2], {lab}) for lab in "xy")
+    # both histories project from the one carry of the shared t1 node to t2
+    shared = Family(k, (History(((1, xy1), (2, x2))), History(((1, xy1), (2, y2)))))
+    for compute in (
+        lambda: chain_ket(dyn, k, History(((2, x2),))),
+        lambda: chain_ket(dyn, k, History(((1, xy1), (2, y2)))),
+        lambda: consistency_check(dyn, shared),
     ):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="amplitudes must be finite"):
-                chain_ket(dyn, k, History(events))
+                compute()
 
 
 def test_transport_and_chain_kets_are_read_only(dyn):

@@ -3,7 +3,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qhistories.dynamics import transport
+from qhistories.dynamics import Dynamics, StepUnitary, transport
 from qhistories.histories import (
     ConsistencyReport,
     Defined,
@@ -285,6 +285,71 @@ class TestCommonTime:
         np.testing.assert_allclose(
             list(weights.values()), np.sum(np.abs(rows) ** 2, axis=1), atol=1e-12
         )
+
+
+def haar_dynamics(seed, dim=8, n_slices=5):
+    """Seeded dense random unitaries (QR of complex Gaussians) joining
+    slices of `dim` channels c0, c1, ..."""
+    rng = np.random.default_rng(seed)
+    slices = tuple(
+        TimeSlice(t, tuple(f"c{i}" for i in range(dim))) for t in range(n_slices)
+    )
+    steps = []
+    for a, b in zip(slices, slices[1:]):
+        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        steps.append(StepUnitary(a, b, q * (np.diagonal(r) / np.abs(np.diagonal(r)))))
+    initial = Ket(slices[0], rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return Dynamics(slices, tuple(steps)), Ket(slices[0], initial.amplitudes / initial.norm())
+
+
+def label_parts(slc, *groups):
+    return tuple(projector_from_labels(slc, {f"c{i}" for i in g}) for g in groups)
+
+
+def dense_refined_families(dyn, initial, seed):
+    """Two families grown by `refine`, whose siblings share their parents
+    at every level: a full 24-history tree, and an 18-history family whose
+    six histories through A1 end at t3, before the others."""
+    rng = np.random.default_rng([seed, 1])
+    s = dyn.slices
+    a1, b1 = label_parts(s[1], range(4), range(4, 8))
+    ray = projector_from_ket(Ket(s[2], rng.normal(size=8) + 1j * rng.normal(size=8)), "R2")
+    t2 = (ray, ray.complement())  # non-diagonal events
+    t3 = label_parts(s[3], (0, 5), (1, 2, 7), (3, 4, 6))
+    r4 = projector_from_labels(s[4], {f"c{i}" for i in range(6)})
+    tree = Family(initial, (History(()),))
+    for t, parts in ((1, (a1, b1)), (2, t2), (3, t3), (4, label_parts(s[4], (0, 2, 4, 6), (1, 3, 5, 7)))):
+        tree = refine(tree, t, parts)
+    early = Family(initial, (History(((1, a1),)), History(((1, b1), (4, r4)))))
+    for t, parts in ((2, t2), (4, label_parts(s[4], (0, 1), range(2, 6))), (3, t3)):
+        early = refine(early, t, parts)
+    return tree, early
+
+
+class TestDenseRefinedFamilies:
+    """The prefix-tree walk on dense dynamics, where every carry and every
+    projection is a full complex matvec."""
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_match_per_history_oracle_bit_for_bit(self, seed):
+        dyn, s0 = haar_dynamics(seed)
+        tree, early = dense_refined_families(dyn, s0, seed)
+        assert len(tree.histories) == 24 and len(early.histories) == 18
+        ends = [h.times[-1] for h in early.histories]
+        assert ends.count(3) == 6 and ends.count(4) == 12
+        for fam in (tree, early):
+            got_report, got_weights, got_d = _decoherence(dyn, fam, 1e-10)
+            ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+            assert got_d.tobytes() == ref_d.tobytes()
+            assert got_weights == ref_weights
+            assert got_report == ref_report
+            assert not got_report.consistent  # Haar steps do not decohere
+            for h in fam.histories:
+                # the histories `refine` builds are the ones History() checks
+                assert History(h.events).events == h.events
+                assert all(type(t) is int for t in h.times)
+                ket = chain_ket(dyn, s0, h)
+                assert ket.slice == dyn.slices[h.times[-1]]
 
 
 class TestBornProbabilities:

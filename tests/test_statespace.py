@@ -1,8 +1,14 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qhistories.dynamics import transport
+from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
+from qhistories.probes import ProbeStrength, evolve_with_probes, standard_probes
 from qhistories.statespace import (
     PDI,
     Ket,
@@ -311,3 +317,37 @@ def test_library_built_values_match_the_validated_constructors():
     pdi = slice_pdi(T2)
     assert pdi.slice == T2 and isinstance(pdi.parts, tuple) and len(pdi) == 3
     assert pdi_validate(pdi.parts).ok
+
+
+def _array_values():
+    """(value, name of its array field) for every class that holds one."""
+    dyn = build_nested_mzi(BeamSplitterParams(1 / 3))
+    s0 = source_ket(dyn)
+    js = evolve_with_probes(dyn, standard_probes("ab"), ProbeStrength(0.01), s0)
+    return [
+        (s0, "amplitudes"),
+        (transport(dyn, s0, 3), "amplitudes"),
+        (Ket(T2, [0.6, 0.8j, 0]), "amplitudes"),
+        (dyn.steps[1], "matrix"),
+        (projector_from_labels(T2, {"A", "C"}), "matrix"),
+        (projector_from_ket(Ket(T2, [1, 1j, 0])), "matrix"),
+        # accepted at a looser tol than the default: a copy is not refused
+        (Projector(T2, np.diag([1 + 5e-4, 0.0, 0.0]), "P", tol=1e-3), "matrix"),
+        (js, "amplitudes"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copies_keep_their_arrays_read_only(copier):
+    for value, field in _array_values():
+        dup = copier(value)
+        assert type(dup) is type(value)
+        arr = getattr(dup, field)
+        np.testing.assert_array_equal(arr, getattr(value, field))
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
