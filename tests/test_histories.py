@@ -298,8 +298,8 @@ def haar_dynamics(seed, dim=8, n_slices=5):
     for a, b in zip(slices, slices[1:]):
         q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         steps.append(StepUnitary(a, b, q * (np.diagonal(r) / np.abs(np.diagonal(r)))))
-    initial = Ket(slices[0], rng.normal(size=dim) + 1j * rng.normal(size=dim))
-    return Dynamics(slices, tuple(steps)), Ket(slices[0], initial.amplitudes / initial.norm())
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return Dynamics(slices, tuple(steps)), Ket(slices[0], v / np.linalg.norm(v))
 
 
 def label_parts(slc, *groups):
@@ -309,7 +309,7 @@ def label_parts(slc, *groups):
 def dense_refined_families(dyn, initial, seed):
     """Two families grown by `refine`, whose siblings share their parents
     at every level: a full 24-history tree, and an 18-history family whose
-    six histories through A1 end at t3, before the others."""
+    six histories through the first t1 part end at t3, before the others."""
     rng = np.random.default_rng([seed, 1])
     s = dyn.slices
     a1, b1 = label_parts(s[1], range(4), range(4, 8))
@@ -344,12 +344,11 @@ class TestDenseRefinedFamilies:
             assert got_weights == ref_weights
             assert got_report == ref_report
             assert not got_report.consistent  # Haar steps do not decohere
-            for h in fam.histories:
+            for h, w in zip(fam.histories, got_weights):
                 # the histories `refine` builds are the ones History() checks
                 assert History(h.events).events == h.events
                 assert all(type(t) is int for t in h.times)
-                ket = chain_ket(dyn, s0, h)
-                assert ket.slice == dyn.slices[h.times[-1]]
+                assert chain_ket(dyn, s0, h).norm() ** 2 == w
 
 
 class TestBornProbabilities:

@@ -320,7 +320,8 @@ def test_library_built_values_match_the_validated_constructors():
 
 
 def _array_values():
-    """(value, name of its array field) for every class that holds one."""
+    """(value, name of its array field) for the value classes that hold an
+    array; `OutcomeDistribution` has its own test in test_probes.py."""
     dyn = build_nested_mzi(BeamSplitterParams(1 / 3))
     s0 = source_ket(dyn)
     js = evolve_with_probes(dyn, standard_probes("ab"), ProbeStrength(0.01), s0)
