@@ -5,10 +5,12 @@ crosses a coupled channel, the probe rotates by a small angle: |0> picks up
 amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
 small (d channels x 2^n probe patterns), so everything is dense.  The joint
 state is checked for finite amplitudes once, when it is built, and readout
-works on the whole amplitude array at once: the outcome distribution is one
-broadcast matrix product of all detector parts over all 2^n patterns, held
-as one read-only cell array that its accessors, support and sampling read,
-and the branch decomposition is one column-norm call.
+works on the whole amplitude array at once.  The outcome distribution is
+held as one read-only cell array that its accessors, support and sampling
+read.  When every detector part is a 0/1 diagonal matrix (every label
+projector and `slice_pdi`), its cells are masked sums of |amplitude|^2;
+any other detector takes one broadcast matrix product of all parts over all
+2^n patterns.  The branch decomposition is one column-norm call.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -20,7 +22,7 @@ import functools
 import itertools
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -264,16 +266,21 @@ def branch_components(
     labels = _kappa_labels(js.probes)
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
-    # the joint state checked every entry, so the kets need no check.
+    # the joint state checked every entry, so the kets need no check.  Each
+    # ket and component is built as `_trusted` builds it, without its
+    # per-field flag loop.
     rows = js.amplitudes.T.copy()
     rows.setflags(write=False)
-    return tuple(
-        BranchComponent(
-            labels[mask], _trusted(Ket, slice=js.slice, amplitudes=rows[mask], name="")
-        )
-        for mask in _kappa_order(len(js.probes))
-        if norms[mask] > tol
-    )
+    new, slc = object.__new__, js.slice
+    branches = []
+    for mask in _kappa_order(len(js.probes)):
+        if norms[mask] > tol:
+            phi = new(Ket)
+            phi.__dict__.update(slice=slc, amplitudes=rows[mask], name="")
+            branch = new(BranchComponent)
+            branch.__dict__.update(kappa=labels[mask], phi=phi)
+            branches.append(branch)
+    return tuple(branches)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -285,17 +292,21 @@ class OutcomeDistribution:
     tuple of keys; `probs` is a read-only mapping view built when first
     read.  A caller's mapping is checked here, once, for finite values
     >= 0; `outcome_distribution` hands over squared norms of a checked
-    joint state instead.
+    joint state instead.  The detector names, in order of first
+    appearance, are held from construction on.
     """
 
     _keys: tuple[tuple[str, str], ...]
     _cells: np.ndarray
+    _detectors: tuple[str, ...] = field(repr=False)
 
     def __new__(cls, probs: Mapping[tuple[str, str], float]):
         cells = np.array(list(probs.values()), dtype=float)
         if not ((cells >= 0.0) & (cells < np.inf)).all():
             raise ValueError("outcome probabilities must be finite and >= 0")
-        return _trusted(cls, _keys=tuple(probs), _cells=cells)
+        keys = tuple(probs)
+        dets = tuple(dict.fromkeys([d for d, _ in keys]))
+        return _trusted(cls, _keys=keys, _cells=cells, _detectors=dets)
 
     def __reduce__(self):
         return type(self), (dict(self.probs),)
@@ -333,7 +344,7 @@ class OutcomeDistribution:
         return sum(self._cells.tolist())
 
     def detectors(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys([d for d, _ in self._keys]))
+        return self._detectors
 
 
 def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistribution:
@@ -354,15 +365,23 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
             raise ValueError(f"detector name {det!r} is given to more than one part")
     order = _kappa_order(len(js.probes))
     by_mask = _kappa_labels(js.probes)
-    # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1),
-    # in `order`.  Each cell is still its own matrix-vector product, summed
-    # over contiguous memory, so it has the value that part's and pattern's
-    # own product and sum give, bit for bit.
-    mats = np.stack([part.matrix for part in detector_pdi.parts])[:, None]
-    cols = js.amplitudes.T[list(order), :, None]
-    cells = np.sum(np.abs(np.matmul(mats, cols[None])) ** 2, axis=(2, 3)).ravel()
+    # One row per pattern (2^n, d), in `order`.  Every cell is a sum over
+    # d of contiguous |.|^2 terms in a (k, 2^n, d) layout, so it has the
+    # value that part's and pattern's own matrix-vector product and sum
+    # give, bit for bit.  A 0/1 diagonal part copies the amplitudes it
+    # keeps and zeroes the rest, so when every part is one, a mask over
+    # |amplitude|^2 gives the same terms without the product.
+    mats = np.stack([part.matrix for part in detector_pdi.parts])
+    cols = js.amplitudes.T[list(order)]
+    on = mats.diagonal(axis1=1, axis2=2) == 1
+    if np.count_nonzero(mats) == np.count_nonzero(on):
+        cells = np.sum(np.where(on[:, None, :], np.abs(cols) ** 2, 0.0), axis=2).ravel()
+    else:
+        # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
+        prods = np.matmul(mats[:, None], cols[None, :, :, None])
+        cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
-    return _trusted(OutcomeDistribution, _keys=keys, _cells=cells)
+    return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 
 
 def coincidence_support(

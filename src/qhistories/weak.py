@@ -130,9 +130,16 @@ def presence_table(
     framework is then inconsistent, which matches :func:`infer` by the
     chain-ket identity).
     """
+    # One two-state vector per distinct time, built at the first channel
+    # there, so any error is raised at the same channel as per-channel
+    # `weak_value` calls would raise it.
+    tsvs: dict[int, TwoStateVector] = {}
     rows = []
     for q in channels:
-        wv = weak_value(dyn, initial, final, q, tol)
+        t = q.slice.time_index
+        if t not in tsvs:
+            tsvs[t] = two_state_vector(dyn, initial, final, t)
+        wv = tsvs[t].weak_value(q, tol)
         tsvf = PresenceVerdict.PRESENT if abs(wv) > tol else PresenceVerdict.ABSENT
         if abs(wv - 1.0) <= tol:
             ch = PresenceVerdict.PRESENT

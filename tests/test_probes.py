@@ -1,5 +1,7 @@
 import math
 import pickle
+from copy import deepcopy
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from _closedforms import (
     expected_single_watcher_branches,
     expected_split_watcher_branches,
 )
+from test_histories import haar_dynamics
 
 from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.histories import VanishingProbabilityError
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.probes import (
     BUILTIN_ORDER,
+    BranchComponent,
     JointState,
     OutcomeDistribution,
     ProbeSpec,
@@ -31,6 +35,7 @@ from qhistories.statespace import (
     DEFAULT_TOL,
     PDI,
     Ket,
+    Projector,
     TimeSlice,
     projector_from_ket,
     projector_from_labels,
@@ -413,6 +418,26 @@ class TestBranchComponents:
             assert br.phi.norm() == Ket(js.slice, column).norm()
         assert js.amplitudes.flags.writeable is False
 
+    def test_branches_are_plain_frozen_values(self):
+        dyn, s0 = model()
+        js = evolve_with_probes(dyn, standard_probes("ad"), ProbeStrength(0.01), s0)
+        branch = branch_components(js)[1]
+        assert repr(branch) == (
+            "BranchComponent(kappa='a', phi=Ket(slice=TimeSlice(time_index=4, "
+            "basis=('F', 'G', 'H')), amplitudes=array([0.03333333+0.j, "
+            "0.04714045+0.j, 0.        +0.j]), name=''))"
+        )
+        assert branch.phi.slice is js.slice and branch.phi.name == ""
+        assert branch.phi.amplitudes.flags.writeable is False
+        with pytest.raises(FrozenInstanceError):
+            branch.kappa = "d"
+        for copy in (pickle.loads(pickle.dumps(branch)), deepcopy(branch)):
+            assert type(copy) is BranchComponent and type(copy.phi) is Ket
+            assert repr(copy) == repr(branch)
+            assert copy.phi.slice == js.slice and copy.phi.name == ""
+            np.testing.assert_array_equal(copy.phi.amplitudes, branch.phi.amplitudes)
+            assert copy.phi.amplitudes.flags.writeable is False
+
     def test_non_finite_branch_is_rejected(self):
         amps = np.zeros((2, 4), dtype=complex)
         amps[0, 0] = 1.0
@@ -445,6 +470,19 @@ class TestDetectors:
         dist = OutcomeDistribution({("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25})
         assert dist.detectors() == ("H4", "F4")
         assert OutcomeDistribution({}).detectors() == ()
+
+    def test_detectors_held_through_copies_with_the_same_repr(self):
+        # keys interleave three detectors
+        probs = {("H4", "o"): 0.5, ("F4", "o"): 0.25, ("G4", "a"): 0.0,
+                 ("F4", "a"): 0.25, ("H4", "a"): 0.0}
+        dist = OutcomeDistribution(probs)
+        assert dist.detectors() == ("H4", "F4", "G4")
+        assert repr(OutcomeDistribution({("H4", "o"): 0.5, ("F4", "o"): 0.25})) == (
+            "OutcomeDistribution(_keys=(('H4', 'o'), ('F4', 'o')), _cells=array([0.5 , 0.25]))"
+        )
+        for copy in (pickle.loads(pickle.dumps(dist)), deepcopy(dist)):
+            assert copy == dist and repr(copy) == repr(dist)
+            assert copy.detectors() == ("H4", "F4", "G4")
 
     def test_readout_detectors_follow_the_decomposition(self):
         dyn, s0 = model()
@@ -591,6 +629,36 @@ def assert_readout_matches_reference(dist, ref_cells=None):
     assert list(counts) == list(ref_counts)
 
 
+def haar_probes(n):
+    """n single-channel probes, spread over times 1 to 5 in turn."""
+    return tuple(ProbeSpec(f"p{i}", frozenset({(1 + i % 5, f"c{(3 * i) % 8}")})) for i in range(n))
+
+
+def grouped_pdi(slc, sizes):
+    """Label projectors onto consecutive runs of `sizes` channels."""
+    bounds = np.cumsum((0,) + sizes)
+    return PDI(slc, tuple(projector_from_labels(slc, slc.basis[i:j], f"g{k}")
+                          for k, (i, j) in enumerate(zip(bounds, bounds[1:]))))
+
+
+def rank_one(slc, amps, name):
+    return projector_from_ket(Ket(slc, np.array(amps + [0] * (slc.dim - len(amps)))), name)
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Count the broadcast matrix products the readout makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", counted)
+    return calls
+
+
 class TestReadoutReference:
     """The array readout against the per-cell formulas it replaced: equal
     cells bit for bit, equal support sets and equal seeded counts in key
@@ -608,6 +676,48 @@ class TestReadoutReference:
         assert_readout_matches_reference(dist, ref)
         assert dist._cells.dtype == np.float64
         assert dist._cells.flags.writeable is False
+
+    @pytest.mark.parametrize("n_probes", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("sizes", [(1,) * 8, (2, 3, 3), (4, 4), (1, 2, 5)],
+                             ids=["1x8", "2-3-3", "4-4", "1-2-5"])
+    def test_grouped_diagonal_detectors_need_no_product(self, n_probes, sizes, matmul_calls):
+        dyn, s0 = haar_dynamics(7, n_slices=6)
+        js = evolve_with_probes(dyn, haar_probes(n_probes), ProbeStrength(0.2), s0)
+        pdi = grouped_pdi(dyn.slices[-1], sizes)
+        ref = reference_cells(js, pdi)
+        matmul_calls.clear()
+        dist = outcome_distribution(js, pdi)
+        assert matmul_calls == []
+        assert_readout_matches_reference(dist, ref)
+
+    def test_nearly_diagonal_part_takes_the_product(self, matmul_calls):
+        # 0/1 on the diagonal, but one off-diagonal pair of 1e-200: it passes
+        # the projector checks and is not a diagonal detector
+        dyn, s0 = haar_dynamics(7, n_slices=6)
+        js = evolve_with_probes(dyn, haar_probes(6), ProbeStrength(0.2), s0)
+        slc = dyn.slices[-1]
+        m = np.diag([1.0, 1.0, 1.0] + [0.0] * 5).astype(complex)
+        m[0, 1] = m[1, 0] = 1e-200
+        pdi = PDI(slc, (Projector(slc, m, "near"), projector_from_labels(slc, slc.basis[3:])))
+        ref = reference_cells(js, pdi)
+        matmul_calls.clear()
+        dist = outcome_distribution(js, pdi)
+        assert matmul_calls == [(2, 1, 8, 8)]
+        assert_readout_matches_reference(dist, ref)
+
+    def test_mixed_diagonal_and_dense_parts_take_the_product(self, matmul_calls):
+        dyn, s0 = haar_dynamics(7, n_slices=6)
+        js = evolve_with_probes(dyn, haar_probes(7), ProbeStrength(0.2), s0)
+        slc = dyn.slices[-1]
+        pdi = PDI(slc, (projector_from_labels(slc, slc.basis[:2], "m0"),
+                        rank_one(slc, [0, 0, 0.6, 0.8j], "m1"),
+                        rank_one(slc, [0, 0, 0.8, -0.6j], "m2"),
+                        projector_from_labels(slc, slc.basis[4:], "m3")))
+        ref = reference_cells(js, pdi)
+        matmul_calls.clear()
+        dist = outcome_distribution(js, pdi)
+        assert matmul_calls == [(4, 1, 8, 8)]
+        assert_readout_matches_reference(dist, ref)
 
     def test_caller_built_keys_follow_key_order(self):
         # not grouped by detector, with one cell exactly at the support cut

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qhistories.histories import Defined, Incommensurate, infer
+import qhistories.weak as weak_module
+from qhistories.dynamics import transport
+from qhistories.histories import Defined, Incommensurate, VanishingProbabilityError, infer
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.statespace import Ket, Projector, basis_ket, projector_from_labels
 from qhistories.weak import (
@@ -133,6 +135,19 @@ class TestChainWeakIdentity:
             assert chain_weak_identity_residual(dyn, s0, f4, p) <= 1e-12
 
 
+@pytest.fixture
+def transport_times(monkeypatch):
+    """The target time of every `transport` call made through `weak`."""
+    times = []
+
+    def counted(dyn, ket, t):
+        times.append(t)
+        return transport(dyn, ket, t)
+
+    monkeypatch.setattr(weak_module, "transport", counted)
+    return times
+
+
 class TestPresence:
     def test_table_at_special_ratio(self):
         dyn, s0, f4 = model(1 / 3)
@@ -171,6 +186,29 @@ class TestPresence:
                 assert verdict.probability == pytest.approx(
                     entry.weak_value.real, abs=1e-10
                 )
+
+    def test_one_two_state_vector_per_distinct_time(self, transport_times):
+        dyn, s0, f4 = model(0.42)
+        channels = [
+            projector_from_labels(dyn.slices[t], {lab})
+            for t in (2, 3, 2)
+            for lab in dyn.slices[t].basis
+        ]
+        expected = [weak_value(dyn, s0, f4, q) for q in channels]
+        transport_times.clear()
+        rows = presence_table(dyn, s0, f4, channels)
+        # forward and backward once at t2, then at t3; t2 is read again
+        assert transport_times == [2, 2, 3, 3]
+        assert [r.weak_value for r in rows] == expected
+
+    def test_vanishing_overlap_raises_at_the_first_channel(self, transport_times):
+        dyn, _, _ = model(0.42)
+        q0 = basis_ket(dyn.slices[0], "Q")
+        h4 = basis_ket(dyn.slices[4], "H")
+        channels = [projector_from_labels(dyn.slices[t], {"A"}) for t in (2, 1)]
+        with pytest.raises(VanishingProbabilityError, match="incompatible"):
+            presence_table(dyn, q0, h4, channels)
+        assert transport_times == [2, 2]
 
     def test_two_state_vector_requires_common_slice(self):
         dyn, s0, f4 = model(0.3)
