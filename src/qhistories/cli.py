@@ -59,7 +59,7 @@ class RunConfig:
     epsilon: float = 1e-4
     probes: tuple[str, ...] = ("a", "d", "e", "w")
     family: str = "F_A"
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOL
     seed: int = 12345
     samples: int = 1_000_000
     format: str = "text"

@@ -113,7 +113,7 @@ def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.nd
 
 @dataclass(frozen=True)
 class StepReport:
-    """Per-step unitarity residuals; `ok` iff all are within tolerance."""
+    """Per-step unitarity residuals; `ok` iff all are within `DEFAULT_TOL`."""
 
     ok: bool
     max_residual: float
@@ -121,7 +121,7 @@ class StepReport:
     residuals: tuple[float, ...]
 
 
-def step_validate(dyn: Dynamics, tol: float = DEFAULT_TOL) -> StepReport:
+def step_validate(dyn: Dynamics) -> StepReport:
     residuals = tuple(st.unitarity_residual() for st in dyn.steps)
     worst = int(np.argmax(residuals))
-    return StepReport(max(residuals) <= tol, max(residuals), worst, residuals)
+    return StepReport(max(residuals) <= DEFAULT_TOL, max(residuals), worst, residuals)

@@ -209,7 +209,7 @@ class ConsistencyReport:
     `max_overlap` is the largest |<c_i|c_j>| / max(1, |c_i| |c_j|), an
     absolute measure for a normalized initial state (see consistency_check);
     `offending_pairs` holds the raw inner products of the pairs exceeding
-    tolerance, in row-major (i < j) order.
+    `DEFAULT_TOL`, in row-major (i < j) order.
     """
 
     consistent: bool
@@ -242,7 +242,7 @@ class VanishingProbabilityError(ValueError):
 
 
 def _decoherence(
-    dyn: Dynamics, fam: Family, tol: float
+    dyn: Dynamics, fam: Family
 ) -> tuple[ConsistencyReport, list[float], np.ndarray]:
     """The consistency report, the Born weights and the decoherence
     functional D = C* C^T, where row i of C is the chain ket of history i
@@ -274,35 +274,31 @@ def _decoherence(
     i, j = np.triu_indices(len(chains), 1)
     overlaps = np.abs(d[i, j]) / np.maximum(1.0, norms[i] * norms[j])
     max_overlap = float(overlaps.max(initial=0.0))
-    bad = overlaps > tol
+    bad = overlaps > DEFAULT_TOL
     offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
-    report = ConsistencyReport(max_overlap <= tol, max_overlap, offending)
+    report = ConsistencyReport(max_overlap <= DEFAULT_TOL, max_overlap, offending)
     weights = [
         float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
     ]
     return report, weights, d
 
 
-def consistency_check(
-    dyn: Dynamics, fam: Family, tol: float = DEFAULT_TOL
-) -> ConsistencyReport:
+def consistency_check(dyn: Dynamics, fam: Family) -> ConsistencyReport:
     """Pairwise-orthogonality test of the family's chain kets.
 
     Each overlap |<c_i|c_j>| is divided by max(1, |c_i| |c_j|), which is 1
     for a normalized initial state: the criterion is absolute, not relative
     to the weights of the two histories (ROADMAP item 1).  An overlap
-    exactly at tolerance counts as consistent.
+    exactly at `DEFAULT_TOL` counts as consistent.
     """
-    return _decoherence(dyn, fam, tol)[0]
+    return _decoherence(dyn, fam)[0]
 
 
-def born_probabilities(
-    dyn: Dynamics, fam: Family, tol: float = DEFAULT_TOL
-) -> dict[History, float]:
+def born_probabilities(dyn: Dynamics, fam: Family) -> dict[History, float]:
     """Extended Born rule: history -> squared chain-ket norm, conditioned on
     the initial state.  Rejects inconsistent families.
     """
-    report, weights, _ = _decoherence(dyn, fam, tol)
+    report, weights, _ = _decoherence(dyn, fam)
     if not report.consistent:
         raise InconsistentFamilyError(report)
     return dict(zip(fam.histories, weights))
@@ -311,7 +307,6 @@ def born_probabilities(
 def _match(
     h: History,
     events: Iterable[tuple[int, Projector]],
-    tol: float,
     memo: dict[tuple[int, Projector | None, Projector], bool],
 ) -> bool:
     """True if the history's event at each given time equals the given
@@ -324,9 +319,9 @@ def _match(
         key = (t, e, p)
         if key not in memo:
             e_mat = np.eye(p.slice.dim) if e is None else e.matrix
-            if float(np.max(np.abs(e_mat - p.matrix))) <= tol:
+            if float(np.max(np.abs(e_mat - p.matrix))) <= DEFAULT_TOL:
                 memo[key] = True
-            elif float(np.max(np.abs(e_mat @ p.matrix))) <= tol:
+            elif float(np.max(np.abs(e_mat @ p.matrix))) <= DEFAULT_TOL:
                 memo[key] = False
             else:
                 raise InexpressibleEventError(
@@ -343,7 +338,6 @@ def conditional_probability(
     fam: Family,
     condition: Iterable[tuple[int, Projector]],
     query: Iterable[tuple[int, Projector]],
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Ratio of summed Born weights Pr(query | condition, initial state).
 
@@ -351,26 +345,21 @@ def conditional_probability(
     pick out a union of the family's histories; the query must do so within
     the conditioned subfamily.
     """
-    weights = born_probabilities(dyn, fam, tol)
+    weights = born_probabilities(dyn, fam)
     condition = tuple(condition)
     query = tuple(query)
     memo: dict = {}
-    selected = [h for h in fam.histories if _match(h, condition, tol, memo)]
+    selected = [h for h in fam.histories if _match(h, condition, memo)]
     cond_mass = sum(weights[h] for h in selected)
-    if cond_mass <= tol:
+    if cond_mass <= DEFAULT_TOL:
         raise VanishingProbabilityError(
             f"condition has vanishing probability ({cond_mass:.3g})", cond_mass
         )
-    joint_mass = sum(weights[h] for h in selected if _match(h, query, tol, memo))
+    joint_mass = sum(weights[h] for h in selected if _match(h, query, memo))
     return joint_mass / cond_mass
 
 
-def refine(
-    fam: Family,
-    time_index: int,
-    parts: Sequence[Projector],
-    tol: float = DEFAULT_TOL,
-) -> Family:
+def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     """Split histories at `time_index` by a finer decomposition.
 
     Every history whose event at that time equals the sum of `parts`
@@ -391,7 +380,7 @@ def refine(
         raise ValueError("refinement parts live on mixed slices")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if float(np.max(np.abs(parts[i].matrix @ parts[j].matrix))) > tol:
+            if float(np.max(np.abs(parts[i].matrix @ parts[j].matrix))) > DEFAULT_TOL:
                 raise ValueError(f"refinement parts {i} and {j} overlap")
     total = sum(p.matrix for p in parts)
 
@@ -402,7 +391,7 @@ def refine(
         e = h.event_at(t)
         if e not in splits:
             e_mat = np.eye(slc.dim) if e is None else e.matrix
-            splits[e] = float(np.max(np.abs(e_mat - total))) <= tol
+            splits[e] = float(np.max(np.abs(e_mat - total))) <= DEFAULT_TOL
         if splits[e]:
             # a valid history split at a checked slice is valid
             before = tuple(ev for ev in h.events if ev[0] < t)
@@ -439,11 +428,7 @@ InferenceVerdict = Defined | Incommensurate
 
 
 def infer(
-    dyn: Dynamics,
-    initial: Ket,
-    final_event: Projector,
-    query: Projector,
-    tol: float = DEFAULT_TOL,
+    dyn: Dynamics, initial: Ket, final_event: Projector, query: Projector
 ) -> InferenceVerdict:
     """Decide Pr(query | initial, final event) in the coarsest framework.
 
@@ -464,11 +449,11 @@ def infer(
             History(((t, query.complement()), (t_final, final_event))),
         ),
     )
-    report, weights, d = _decoherence(dyn, fam, tol)
+    report, weights, d = _decoherence(dyn, fam)
     # The two chain kets sum to the final event applied to the evolved
     # initial state, so the sum of D is its forward probability.
     p_final = float(d.sum().real)
-    if p_final <= tol:
+    if p_final <= DEFAULT_TOL:
         raise VanishingProbabilityError(
             f"final event has vanishing forward probability ({p_final:.3g})", p_final
         )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import Dynamics
 from .histories import VanishingProbabilityError
-from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _require_finite, _trusted
+from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _label_mask, _require_finite, _trusted
 
 
 @dataclass(frozen=True)
@@ -257,11 +257,9 @@ def evolve_with_probes(
     return JointState(dyn.slices[stop], probes, amps)
 
 
-def branch_components(
-    js: JointState, tol: float = DEFAULT_TOL
-) -> tuple[BranchComponent, ...]:
-    """Decompose by probe pattern, dropping branches of norm at most tol.
-    Ordered by excitation count, then probe position."""
+def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
+    """Decompose by probe pattern, dropping branches of norm at most
+    `DEFAULT_TOL`.  Ordered by excitation count, then probe position."""
     norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = _kappa_labels(js.probes)
     # One contiguous row per pattern, laid out as a copy of each column.
@@ -274,7 +272,7 @@ def branch_components(
     new, slc = object.__new__, js.slice
     branches = []
     for mask in _kappa_order(len(js.probes)):
-        if norms[mask] > tol:
+        if norms[mask] > DEFAULT_TOL:
             phi = new(Ket)
             phi.__dict__.update(slice=slc, amplitudes=rows[mask], name="")
             branch = new(BranchComponent)
@@ -373,8 +371,8 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     # |amplitude|^2 gives the same terms without the product.
     mats = np.stack([part.matrix for part in detector_pdi.parts])
     cols = js.amplitudes.T[list(order)]
-    on = mats.diagonal(axis1=1, axis2=2) == 1
-    if np.count_nonzero(mats) == np.count_nonzero(on):
+    on = _label_mask(mats)
+    if on is not None:
         cells = np.sum(np.where(on[:, None, :], np.abs(cols) ** 2, 0.0), axis=2).ravel()
     else:
         # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
@@ -384,13 +382,12 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 
 
-def coincidence_support(
-    dist: OutcomeDistribution, tol: float = DEFAULT_TOL
-) -> dict[str, set[str]]:
-    """Per detector, the set of probe patterns with probability above tol."""
+def coincidence_support(dist: OutcomeDistribution) -> dict[str, set[str]]:
+    """Per detector, the set of probe patterns with probability above
+    `DEFAULT_TOL`."""
     support: dict[str, set[str]] = {d: set() for d in dist.detectors()}
     keys = dist._keys
-    for i in np.flatnonzero(dist._cells > tol).tolist():
+    for i in np.flatnonzero(dist._cells > DEFAULT_TOL).tolist():
         d, k = keys[i]
         support[d].add(k)
     return support

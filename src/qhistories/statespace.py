@@ -14,16 +14,20 @@ library is already checked.  Kets computed with caller-supplied step
 matrices (chain kets, transport results) keep the one check those products
 do not imply, the finiteness scan (`_computed_ket`).  Probe branch kets are
 rows of a joint state that ran that scan once, over all its amplitudes.
+
+Every algebraic check and every verdict of the library compares against
+one cut-off, `DEFAULT_TOL`; no call takes a tolerance of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Default absolute tolerance (matrix max-norm) for algebraic invariants.
+#: The library's one absolute cut-off: matrix max-norm for algebraic
+#: invariants, and the threshold of every verdict.
 DEFAULT_TOL = 1e-10
 
 
@@ -159,9 +163,8 @@ class Projector:
     slice: TimeSlice
     matrix: np.ndarray
     name: str = ""
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float = DEFAULT_TOL):
+    def __post_init__(self):
         m = _frozen_array(self.matrix, "matrix")
         if m.shape[0] != self.slice.dim:
             raise ValueError(
@@ -169,16 +172,15 @@ class Projector:
             )
         object.__setattr__(self, "matrix", m)
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > tol:
+        if herm > DEFAULT_TOL:
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
         idem = float(np.max(np.abs(m @ m - m)))
-        if idem > tol:
+        if idem > DEFAULT_TOL:
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
 
     def __reduce__(self):
-        # Through the checked constructor, so a copy's matrix is read-only;
-        # its algebra passed when built, perhaps at a looser `tol`.
-        return type(self), (self.slice, self.matrix, self.name, np.inf)
+        # Through the checked constructor, so a copy's matrix is read-only.
+        return type(self), (self.slice, self.matrix, self.name)
 
     def apply(self, k: Ket) -> Ket:
         if k.slice != self.slice:
@@ -187,31 +189,31 @@ class Projector:
             )
         return Ket(self.slice, self.matrix @ k.amplitudes)
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
     def complement(self, name: str | None = None) -> Projector:
-        """The projector I - P onto the orthogonal complement.  Fully
-        validated: P may have been accepted with a looser `tol`."""
+        """The projector I - P onto the orthogonal complement, checked at
+        `DEFAULT_TOL` like any caller's projector."""
         ident = np.eye(self.slice.dim, dtype=complex)
         if name is None:
             name = _complement_name(self)
         return Projector(self.slice, ident - self.matrix, name)
 
 
+def _label_mask(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of `m`, or of each matrix of the stack `m`, as a boolean
+    mask if every matrix is exactly a 0/1 diagonal matrix (a channel-label
+    projector); None otherwise.  Exact: no entry is compared to a cut-off."""
+    on = m.diagonal(axis1=-2, axis2=-1) == 1
+    return on if np.count_nonzero(m) == np.count_nonzero(on) else None
+
+
 def _complement_name(p: Projector) -> str:
-    diag = np.diagonal(p.matrix)
-    off = p.matrix - np.diag(diag)
-    is_01_diag = np.max(np.abs(off)) == 0.0 and all(
-        abs(d) < 1e-14 or abs(d - 1) < 1e-14 for d in diag
-    )
-    if is_01_diag:
-        labels = [lab for lab, d in zip(p.slice.basis, diag) if abs(d - 1) < 1e-14]
-        rest = [lab for lab in p.slice.basis if lab not in labels]
-        if rest:
-            return "+".join(f"{lab}{p.slice.time_index}" for lab in rest)
-        return f"0@t{p.slice.time_index}"
-    return f"~{p.name}" if p.name else ""
+    on = _label_mask(p.matrix)
+    if on is None:
+        return f"~{p.name}" if p.name else ""
+    rest = [lab for lab, kept in zip(p.slice.basis, on.tolist()) if not kept]
+    if rest:
+        return "+".join(f"{lab}{p.slice.time_index}" for lab in rest)
+    return f"0@t{p.slice.time_index}"
 
 
 def identity_projector(slc: TimeSlice) -> Projector:
@@ -259,8 +261,9 @@ class PDIReport:
     worst: str = ""
 
 
-def pdi_validate(parts: Sequence[Projector], tol: float = DEFAULT_TOL) -> PDIReport:
-    """Check that `parts` are mutually orthogonal and sum to the identity.
+def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
+    """Check that `parts` are mutually orthogonal and sum to the identity,
+    each residual within `DEFAULT_TOL`.
 
     Returns a report rather than raising, so that near-miss decompositions can
     be inspected; mixing slices is a hard error.
@@ -289,7 +292,7 @@ def pdi_validate(parts: Sequence[Projector], tol: float = DEFAULT_TOL) -> PDIRep
         lab = slc.basis[ij[0]] if ij[0] == ij[1] else f"{ij}"
         max_res = res
         worst = f"sum differs from identity at {lab} (residual {res:.3g})"
-    ok = max_res <= tol
+    ok = max_res <= DEFAULT_TOL
     return PDIReport(ok, max_res, "" if ok else worst)
 
 
@@ -299,13 +302,12 @@ class PDI:
 
     slice: TimeSlice
     parts: tuple[Projector, ...]
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol: float = DEFAULT_TOL):
+    def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         if any(p.slice != self.slice for p in self.parts):
             raise ValueError("all parts must live on the PDI's slice")
-        report = pdi_validate(self.parts, tol)
+        report = pdi_validate(self.parts)
         if not report.ok:
             raise ValueError(f"not a projective decomposition: {report.worst}")
 

@@ -37,14 +37,14 @@ class TwoStateVector:
     def overlap(self) -> complex:
         return inner(self.backward, self.forward)
 
-    def weak_value(self, q: Projector, tol: float = DEFAULT_TOL) -> complex:
+    def weak_value(self, q: Projector) -> complex:
         """<backward|Q|forward> / <backward|forward>.  Raises
         VanishingProbabilityError, carrying |<backward|forward>|^2, when the
         post-selection is incompatible with the pre-selection."""
         if q.slice != self.forward.slice:
             raise ValueError(f"projector lives on {q.slice}, not this slice")
         denom = self.overlap()
-        if abs(denom) <= tol:
+        if abs(denom) <= DEFAULT_TOL:
             raise VanishingProbabilityError(
                 "post-selection is incompatible with pre-selection: "
                 f"|<backward|forward>| = {abs(denom):.3g}",
@@ -66,25 +66,15 @@ def two_state_vector(dyn: Dynamics, initial: Ket, final: Ket, t: int) -> TwoStat
     return TwoStateVector(transport(dyn, initial, t), backward_state(dyn, final, t))
 
 
-def weak_value(
-    dyn: Dynamics,
-    initial: Ket,
-    final: Ket,
-    q: Projector,
-    tol: float = DEFAULT_TOL,
-) -> complex:
+def weak_value(dyn: Dynamics, initial: Ket, final: Ket, q: Projector) -> complex:
     """Weak value of a projector at its own time, for the run pre-selected
     on `initial` and post-selected on `final`."""
     tsv = two_state_vector(dyn, initial, final, q.slice.time_index)
-    return tsv.weak_value(q, tol)
+    return tsv.weak_value(q)
 
 
 def chain_weak_identity_residual(
-    dyn: Dynamics,
-    initial: Ket,
-    final: Ket,
-    p: Projector,
-    tol: float = DEFAULT_TOL,
+    dyn: Dynamics, initial: Ket, final: Ket, p: Projector
 ) -> float:
     """Residual of the identity tying the single-event chain ket to the weak
     value: <final | chain(initial, P, final)> = <backward|forward> <P>_w.
@@ -92,7 +82,7 @@ def chain_weak_identity_residual(
     """
     t = p.slice.time_index
     tsv = two_state_vector(dyn, initial, final, t)
-    wv = tsv.weak_value(p, tol)
+    wv = tsv.weak_value(p)
     h = History(((t, p), (dyn.final_index, projector_from_ket(final))))
     chain = chain_ket(dyn, initial, h)
     lhs = inner(final, chain)
@@ -116,11 +106,7 @@ class ChannelPresence:
 
 
 def presence_table(
-    dyn: Dynamics,
-    initial: Ket,
-    final: Ket,
-    channels: Sequence[Projector],
-    tol: float = DEFAULT_TOL,
+    dyn: Dynamics, initial: Ket, final: Ket, channels: Sequence[Projector]
 ) -> tuple[ChannelPresence, ...]:
     """Compare the two presence criteria per channel.
 
@@ -139,11 +125,11 @@ def presence_table(
         t = q.slice.time_index
         if t not in tsvs:
             tsvs[t] = two_state_vector(dyn, initial, final, t)
-        wv = tsvs[t].weak_value(q, tol)
-        tsvf = PresenceVerdict.PRESENT if abs(wv) > tol else PresenceVerdict.ABSENT
-        if abs(wv - 1.0) <= tol:
+        wv = tsvs[t].weak_value(q)
+        tsvf = PresenceVerdict.PRESENT if abs(wv) > DEFAULT_TOL else PresenceVerdict.ABSENT
+        if abs(wv - 1.0) <= DEFAULT_TOL:
             ch = PresenceVerdict.PRESENT
-        elif abs(wv) <= tol:
+        elif abs(wv) <= DEFAULT_TOL:
             ch = PresenceVerdict.ABSENT
         else:
             ch = PresenceVerdict.MEANINGLESS

@@ -270,7 +270,7 @@ class TestCommonTime:
             assert ip == pytest.approx(d[a, b], abs=1e-12)
 
         # the prefix-tree walk is bit-identical to independent chains
-        got_report, got_weights, got_d = _decoherence(dyn, fam, 1e-10)
+        got_report, got_weights, got_d = _decoherence(dyn, fam)
         ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
         assert got_d.tobytes() == ref_d.tobytes()
         assert got_weights == ref_weights
@@ -338,7 +338,7 @@ class TestDenseRefinedFamilies:
         ends = [h.times[-1] for h in early.histories]
         assert ends.count(3) == 6 and ends.count(4) == 12
         for fam in (tree, early):
-            got_report, got_weights, got_d = _decoherence(dyn, fam, 1e-10)
+            got_report, got_weights, got_d = _decoherence(dyn, fam)
             ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
             assert got_d.tobytes() == ref_d.tobytes()
             assert got_weights == ref_weights

@@ -381,14 +381,17 @@ def joint(amps, ids="pqrs"):
 
 class TestBranchComponents:
     def test_branch_at_tol_dropped_and_just_above_kept(self):
+        above = float(np.nextafter(DEFAULT_TOL, 1.0))
         amps = np.zeros((2, 4), dtype=complex)
         amps[0, 0] = 1.0
-        amps[1, 3] = 0.5
+        amps[1, 1] = DEFAULT_TOL
+        amps[0, 3] = above
         js = joint(amps)
-        assert [br.kappa for br in branch_components(js, tol=0.5)] == ["o"]
-        kept = branch_components(js, tol=float(np.nextafter(0.5, 0.0)))
+        # the column norms are exactly the cut and the next float above it
+        assert np.linalg.norm(amps, axis=0).tolist() == [1.0, DEFAULT_TOL, 0.0, above]
+        kept = branch_components(js)
         assert [br.kappa for br in kept] == ["o", "pq"]
-        assert kept[1].phi.norm() == 0.5
+        assert kept[1].phi.norm() == above
 
     def test_branches_in_mask_order_with_dense_norms(self):
         rng = np.random.default_rng(3)

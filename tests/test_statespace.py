@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qhistories
 from qhistories.dynamics import transport
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.probes import ProbeStrength, evolve_with_probes, standard_probes
@@ -14,6 +16,7 @@ from qhistories.statespace import (
     Ket,
     Projector,
     TimeSlice,
+    _label_mask,
     basis_ket,
     identity_projector,
     inner,
@@ -56,11 +59,65 @@ def test_projector_from_single_label():
 def test_projector_from_label_pair_is_complement_of_a():
     p = projector_from_labels(T2, {"B", "C"})
     np.testing.assert_array_equal(p.matrix, np.diag([0.0, 1.0, 1.0]))
-    assert p.trace() == pytest.approx(2.0)
+    assert np.trace(p.matrix).real == pytest.approx(2.0)
     assert p.name == "B2+C2"
     q = projector_from_labels(T2, {"A"}).complement()
     np.testing.assert_array_equal(q.matrix, p.matrix)
     assert q.name == "B2+C2"
+
+
+def test_complement_names_follow_exact_label_projectors_only():
+    for labels in [{"A"}, {"B"}, {"A", "C"}, {"B", "C"}]:
+        rest = [lab for lab in T2.basis if lab not in labels]
+        q = projector_from_labels(T2, labels).complement()
+        assert q.name == "+".join(f"{lab}2" for lab in rest)
+    assert identity_projector(T2).complement().name == "0@t2"
+    assert projector_from_labels(T2, {"A", "B", "C"}).complement().name == "0@t2"
+    # within DEFAULT_TOL of a label projector, but not one: no label name
+    p = Projector(T2, np.diag([1.0, 1e-300, 0.0]), "P")
+    assert p.complement().name == "~P"
+    assert Projector(T2, p.matrix).complement().name == ""
+
+
+def test_label_mask_is_exact_and_takes_stacks():
+    np.testing.assert_array_equal(
+        _label_mask(projector_from_labels(T2, {"A", "C"}).matrix), [True, False, True]
+    )
+    stack = np.stack([p.matrix for p in slice_pdi(T2)])
+    np.testing.assert_array_equal(_label_mask(stack), np.eye(3, dtype=bool))
+    assert _label_mask(np.zeros((3, 3))).tolist() == [False] * 3
+    ray = projector_from_ket(Ket(T2, [1, 1, 0]))
+    for m in [np.diag([1.0, 1e-300, 0.0]), np.diag([1.0, 1 - 2**-53, 0.0]),
+              ray.matrix, np.stack([stack[0], ray.matrix])]:
+        assert _label_mask(m) is None
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # DEFAULT_TOL is the one cut-off: no function, constructor or method of
+    # the package takes a tolerance of its own
+    checked = set()
+    for name, obj in vars(qhistories).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        targets = {name: obj}
+        if inspect.isclass(obj):
+            targets.update(
+                (f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+            )
+        for label, fn in targets.items():
+            try:
+                params = inspect.signature(fn).parameters
+            except ValueError:  # an exception class with a builtin constructor
+                continue
+            assert "tol" not in params, label
+            checked.add(label)
+    assert {
+        "Projector", "PDI", "pdi_validate", "step_validate", "consistency_check",
+        "born_probabilities", "conditional_probability", "refine", "infer",
+        "TwoStateVector.weak_value", "weak_value", "chain_weak_identity_residual",
+        "presence_table", "branch_components", "coincidence_support",
+    } <= checked
 
 
 def test_projector_from_all_labels_is_identity():
@@ -89,7 +146,7 @@ def test_rank_one_projector_matches_outer_product_oracle():
     p = projector_from_ket(k)
     expected = np.outer(amps, amps.conj())  # already normalized
     np.testing.assert_allclose(p.matrix, expected, atol=1e-14)
-    assert p.trace() == pytest.approx(1.0)
+    assert np.trace(p.matrix).real == pytest.approx(1.0)
 
 
 def test_rank_one_projector_on_basis_ket_agrees_with_labels():
@@ -104,7 +161,7 @@ def test_rank_one_inside_rank_two_subspace():
     # strictly inside: bc absorbs p but they differ
     np.testing.assert_allclose(bc.matrix @ p.matrix, p.matrix, atol=1e-14)
     assert np.max(np.abs(bc.matrix - p.matrix)) > 0.4
-    assert p.trace() == pytest.approx(1.0)
+    assert np.trace(p.matrix).real == pytest.approx(1.0)
 
 
 def test_projector_from_zero_ket_rejected():
@@ -161,7 +218,7 @@ def test_pdi_constructor_enforces_validity():
 
 def test_pdi_trace_sums_to_dimension():
     pdi = slice_pdi(T2)
-    assert sum(p.trace() for p in pdi) == pytest.approx(T2.dim)
+    assert sum(np.trace(p.matrix).real for p in pdi) == pytest.approx(T2.dim)
 
 
 @given(
@@ -282,14 +339,6 @@ def test_pdi_rejects_overlapping_parts():
         PDI(T2, (a, ab, projector_from_labels(T2, {"C"})))
 
 
-def test_complement_of_a_loosely_accepted_projector_is_validated():
-    # accepted at tol 1e-3 (idempotence residual 5e-4), but I - P has the
-    # same residual and is checked at the default tolerance
-    p = Projector(T2, np.diag([1 + 5e-4, 0.0, 0.0]), "P", tol=1e-3)
-    with pytest.raises(ValueError, match="not idempotent"):
-        p.complement()
-
-
 def test_library_built_values_are_read_only():
     arrays = [
         basis_ket(T2, "B").amplitudes,
@@ -332,8 +381,6 @@ def _array_values():
         (dyn.steps[1], "matrix"),
         (projector_from_labels(T2, {"A", "C"}), "matrix"),
         (projector_from_ket(Ket(T2, [1, 1j, 0])), "matrix"),
-        # accepted at a looser tol than the default: a copy is not refused
-        (Projector(T2, np.diag([1 + 5e-4, 0.0, 0.0]), "P", tol=1e-3), "matrix"),
         (js, "amplitudes"),
     ]
 
