@@ -35,8 +35,9 @@ from .mzi import (
     source_ket,
 )
 from .probes import (
-    BUILTIN_ORDER,
+    JointState,
     ProbeStrength,
+    _MAX_SAMPLES,
     _kappa_sort_key,
     branch_components,
     coincidence_support,
@@ -79,13 +80,15 @@ def _parse_float(key: str, raw: str) -> float:
         raise ConfigError(f"{key}: {raw!r} is not a number") from None
 
 
-def _parse_int(key: str, raw: str, minimum: int) -> int:
+def _parse_int(key: str, raw: str, minimum: int, maximum: int | None = None) -> int:
     try:
         val = int(raw)
     except ValueError:
         raise ConfigError(f"{key}: {raw!r} is not an integer") from None
     if val < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {val}")
     return val
 
 
@@ -110,12 +113,10 @@ def _parse_key(cfg: dict, key: str, raw: str) -> None:
         cfg[key] = val
     elif key == "probes":
         ids = [tok.strip() for tok in raw.split(",") if tok.strip()]
-        unknown = sorted(set(ids) - set(BUILTIN_ORDER))
-        if unknown:
-            raise ConfigError(
-                f"probes: unknown ids {unknown}; choose from {','.join(BUILTIN_ORDER)}"
-            )
-        cfg[key] = tuple(i for i in BUILTIN_ORDER if i in set(ids))
+        try:
+            cfg[key] = tuple(spec.probe_id for spec in standard_probes(ids))
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     elif key == "family":
         cfg[key] = _family_id(raw).name
     elif key == "tolerance":
@@ -126,7 +127,7 @@ def _parse_key(cfg: dict, key: str, raw: str) -> None:
     elif key == "seed":
         cfg[key] = _parse_int(key, raw, 0)
     elif key == "samples":
-        cfg[key] = _parse_int(key, raw, 1)
+        cfg[key] = _parse_int(key, raw, 1, _MAX_SAMPLES)
     elif key == "format":
         if raw not in ("text", "csv"):
             raise ConfigError(f"format must be 'text' or 'csv', got {raw!r}")
@@ -313,16 +314,15 @@ def cmd_weak_values(cfg: RunConfig) -> tuple[int, list[Row]]:
     return 0, rows
 
 
-def _joint_state(cfg: RunConfig):
+def _joint_state(cfg: RunConfig) -> JointState:
     dyn = build_nested_mzi(BeamSplitterParams(cfg.alpha2))
-    js = evolve_with_probes(
+    return evolve_with_probes(
         dyn, standard_probes(cfg.probes), ProbeStrength(cfg.epsilon), source_ket(dyn)
     )
-    return dyn, js
 
 
 def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
-    _, js = _joint_state(cfg)
+    js = _joint_state(cfg)
     cond = _probe_cond(cfg, cfg.epsilon, cfg.probes)
     rows = []
     for branch in branch_components(js):
@@ -335,8 +335,8 @@ def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 
 def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
-    dyn, js = _joint_state(cfg)
-    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
+    js = _joint_state(cfg)
+    dist = outcome_distribution(js, slice_pdi(js.slice))
     support = coincidence_support(dist)
     cond = _probe_cond(cfg, cfg.epsilon, cfg.probes)
     rows = []
@@ -349,8 +349,8 @@ def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 
 def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
-    dyn, js = _joint_state(cfg)
-    dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
+    js = _joint_state(cfg)
+    dist = outcome_distribution(js, slice_pdi(js.slice))
     counts = sample(dist, cfg.samples, cfg.seed)
     cond = _probe_cond(cfg, cfg.epsilon, cfg.probes, n=cfg.samples, seed=cfg.seed)
     rows = [
@@ -592,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
                 source = fh.read()
         cfg = parse_config(source, {key: getattr(args, key) for key in _FLAG_KEYS})
         code, body = run_report(cfg, args.command, vars(args))
-    except (ConfigError, OSError) as err:
+    except (ConfigError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(body)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array
+from .statespace import DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array, _reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,17 +28,15 @@ class StepUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.matrix, "matrix")
-        if arr.shape != (self.to_slice.dim, self.from_slice.dim):
+        shape = (self.to_slice.dim, self.from_slice.dim)
+        if shape[0] != shape[1]:
             raise ValueError(
-                f"step matrix shape {arr.shape} does not map "
-                f"{self.from_slice} to {self.to_slice}"
+                f"step from {self.from_slice} to {self.to_slice} joins slices "
+                "of different dimension"
             )
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, shape, "step matrix"))
 
-    def __reduce__(self):
-        # Through the checked constructor, so a copy's matrix is read-only.
-        return type(self), (self.from_slice, self.to_slice, self.matrix)
+    __reduce__ = _reduce
 
     def unitarity_residual(self) -> float:
         u = self.matrix
@@ -87,15 +85,19 @@ class Dynamics:
         return self.slices[t]
 
 
+def _require_on(dyn: Dynamics, k: Ket) -> None:
+    """Reject a ket whose slice is not the slice of `dyn` at its time."""
+    if k.slice != dyn.slice_at(k.slice.time_index):
+        raise ValueError(f"ket on {k.slice} does not live on this dynamics")
+
+
 def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     """Move a ket to `target_index`, forward through the step unitaries or
     backward through their adjoints.  Norm is preserved either way.
     """
-    start = k.slice.time_index
-    if k.slice != dyn.slice_at(start):
-        raise ValueError(f"ket slice {k.slice} does not belong to this dynamics")
+    _require_on(dyn, k)
     dyn.slice_at(target_index)
-    amps = _carry(dyn, k.amplitudes, start, target_index)
+    amps = _carry(dyn, k.amplitudes, k.slice.time_index, target_index)
     return _computed_ket(dyn.slices[target_index], amps)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics, _carry, transport
+from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _trusted
 
 
@@ -161,8 +161,7 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
     `carried`, which lives only for this walk).  Every ket takes the same
     matvecs as an independent chain, so it is bit-identical to one.
     """
-    if initial.slice != dyn.slice_at(initial.slice.time_index):
-        raise ValueError("initial ket does not live on this dynamics")
+    _require_on(dyn, initial)
 
     def carry(node, t: int) -> Ket:
         k, _, carried = node
@@ -194,8 +193,7 @@ def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
     An event-free history returns `initial` itself.  Whole families share
     their event prefixes instead (`_prefix_kets`).
     """
-    if initial.slice != dyn.slice_at(initial.slice.time_index):
-        raise ValueError("initial ket does not live on this dynamics")
+    _require_on(dyn, initial)
     k = initial
     for t, p in h.events:
         k = _project(dyn, k, t, p)

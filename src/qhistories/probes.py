@@ -27,9 +27,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics
+from .dynamics import Dynamics, _require_on
 from .histories import VanishingProbabilityError
-from .statespace import DEFAULT_TOL, Ket, PDI, TimeSlice, _label_mask, _require_finite, _trusted
+from .statespace import (
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _label_mask, _reduce, _trusted,
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,9 @@ def standard_probes(ids: Iterable[str]) -> tuple[ProbeSpec, ...]:
     wanted = set(ids)
     unknown = wanted - set(BUILTIN_ORDER)
     if unknown:
-        raise ValueError(f"unknown probe ids {sorted(unknown)}")
+        raise ValueError(
+            f"unknown probe ids {sorted(unknown)}; choose from {','.join(BUILTIN_ORDER)}"
+        )
     return tuple(BUILTIN_PROBES[i] for i in BUILTIN_ORDER if i in wanted)
 
 
@@ -153,19 +157,11 @@ class JointState:
 
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(self.probes))
-        arr = np.array(self.amplitudes, dtype=complex)
-        expected = (self.slice.dim, 1 << len(self.probes))
-        if arr.shape != expected:
-            raise ValueError(
-                f"amplitude array shape {arr.shape}, expected {expected}"
-            )
-        _require_finite(arr)
-        arr.setflags(write=False)
+        shape = (self.slice.dim, 1 << len(self.probes))
+        arr = _frozen_array(self.amplitudes, shape, "joint state")
         object.__setattr__(self, "amplitudes", arr)
 
-    def __reduce__(self):
-        # Through the checked constructor, so a copy's array is read-only.
-        return type(self), (self.slice, self.probes, self.amplitudes)
+    __reduce__ = _reduce
 
     def total_norm2(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -239,8 +235,7 @@ def evolve_with_probes(
     if len(set(p.probe_id for p in probes)) != len(probes):
         raise ValueError("probe ids must be distinct")
     by_time = _couplings_by_time(dyn, probes)
-    if initial.slice != dyn.slice_at(initial.slice.time_index):
-        raise ValueError("initial ket does not live on this dynamics")
+    _require_on(dyn, initial)
     if initial.slice.time_index != 0:
         raise ValueError("probe evolution starts at time 0")
     stop = dyn.final_index if upto is None else upto
@@ -393,13 +388,17 @@ def coincidence_support(dist: OutcomeDistribution) -> dict[str, set[str]]:
     return support
 
 
+#: Largest sample count: numpy's multinomial takes the count as an int64.
+_MAX_SAMPLES = (1 << 63) - 1
+
+
 def sample(
     dist: OutcomeDistribution, n: int, seed: int
 ) -> dict[tuple[str, str], int]:
     """Aggregate counts of n independent draws; deterministic given seed.
     Zero-count cells are omitted; the rest follow key order."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    if not 1 <= n <= _MAX_SAMPLES:
+        raise ValueError(f"sample count must be >= 1 and <= {_MAX_SAMPLES}, got {n}")
     p = dist._cells
     total = p.sum()
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):

@@ -5,8 +5,9 @@ channel labels (a :class:`TimeSlice`).  Kets, projectors and projective
 decompositions of the identity (PDIs) all live on a single slice.
 Everything is an immutable value; the arrays inside are read-only.
 
-Inputs are validated where they enter: the public constructors copy and
-check every array (shape, finiteness, Hermiticity, idempotence, PDI sums).
+Inputs are validated where they enter: the public constructors copy every
+array through one intake, `_frozen_array` (exact shape, finite entries),
+then check their own invariants (Hermiticity, idempotence, PDI sums).
 Values the library builds from parts it already holds skip that second
 pass (`_trusted`): basis kets, label and identity projectors and
 `slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
@@ -21,7 +22,7 @@ one cut-off, `DEFAULT_TOL`; no call takes a tolerance of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,12 +32,12 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
-def _frozen_array(data, shape_kind: str) -> np.ndarray:
+def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The one intake of a caller's array: a read-only complex copy of
+    `data`, which must have exactly `shape` and finite entries."""
     arr = np.array(data, dtype=complex)
-    if shape_kind == "vector" and arr.ndim != 1:
-        raise ValueError(f"expected a 1-d amplitude vector, got shape {arr.shape}")
-    if shape_kind == "matrix" and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
     _require_finite(arr)
     arr.setflags(write=False)
     return arr
@@ -47,17 +48,24 @@ def _require_finite(arr: np.ndarray) -> None:
         raise ValueError("amplitudes must be finite")
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen value class `cls` with `fields` set as
+def _reduce(self):
+    """`__reduce__` of the value classes that hold a caller's array: pickle
+    and copy rebuild them through the checked constructor, so a copy's
+    array is read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _trusted(cls, **values):
+    """An instance of the frozen value class `cls` with `values` set as
     given: no copy, no check, no `__post_init__`.  Only for values whose
     invariants the library's own arithmetic already implies; array fields
     still writeable are made read-only in place.
     """
-    for value in fields.values():
+    for value in values.values():
         if isinstance(value, np.ndarray) and value.flags.writeable:
             value.setflags(write=False)
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj.__dict__.update(values)
     return obj
 
 
@@ -118,16 +126,10 @@ class Ket:
     name: str = ""
 
     def __post_init__(self):
-        arr = _frozen_array(self.amplitudes, "vector")
-        if arr.shape[0] != self.slice.dim:
-            raise ValueError(
-                f"amplitude count {arr.shape[0]} does not match slice {self.slice}"
-            )
+        arr = _frozen_array(self.amplitudes, (self.slice.dim,), "ket")
         object.__setattr__(self, "amplitudes", arr)
 
-    def __reduce__(self):
-        # Through the checked constructor, so a copy's array is read-only.
-        return type(self), (self.slice, self.amplitudes, self.name)
+    __reduce__ = _reduce
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -136,12 +138,11 @@ class Ket:
         return complex(self.amplitudes[self.slice.axis(label)])
 
 
-def basis_ket(slc: TimeSlice, label: str, name: str | None = None) -> Ket:
-    """Unit ket concentrated in a single channel."""
+def basis_ket(slc: TimeSlice, label: str) -> Ket:
+    """Unit ket concentrated in a single channel, named like "F4"."""
     amps = np.zeros(slc.dim, dtype=complex)
     amps[slc.axis(label)] = 1.0
-    name = name if name is not None else f"{label}{slc.time_index}"
-    return _trusted(Ket, slice=slc, amplitudes=amps, name=name)
+    return _trusted(Ket, slice=slc, amplitudes=amps, name=f"{label}{slc.time_index}")
 
 
 def inner(a: Ket, b: Ket) -> complex:
@@ -165,11 +166,8 @@ class Projector:
     name: str = ""
 
     def __post_init__(self):
-        m = _frozen_array(self.matrix, "matrix")
-        if m.shape[0] != self.slice.dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match slice {self.slice}"
-            )
+        d = self.slice.dim
+        m = _frozen_array(self.matrix, (d, d), "projector matrix")
         object.__setattr__(self, "matrix", m)
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > DEFAULT_TOL:
@@ -178,24 +176,13 @@ class Projector:
         if idem > DEFAULT_TOL:
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
 
-    def __reduce__(self):
-        # Through the checked constructor, so a copy's matrix is read-only.
-        return type(self), (self.slice, self.matrix, self.name)
+    __reduce__ = _reduce
 
-    def apply(self, k: Ket) -> Ket:
-        if k.slice != self.slice:
-            raise ValueError(
-                f"operator on {self.slice} cannot act on ket at {k.slice}"
-            )
-        return Ket(self.slice, self.matrix @ k.amplitudes)
-
-    def complement(self, name: str | None = None) -> Projector:
+    def complement(self) -> Projector:
         """The projector I - P onto the orthogonal complement, checked at
         `DEFAULT_TOL` like any caller's projector."""
         ident = np.eye(self.slice.dim, dtype=complex)
-        if name is None:
-            name = _complement_name(self)
-        return Projector(self.slice, ident - self.matrix, name)
+        return Projector(self.slice, ident - self.matrix, _complement_name(self))
 
 
 def _label_mask(m: np.ndarray) -> np.ndarray | None:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .dynamics import Dynamics, transport
 from .histories import History, VanishingProbabilityError, chain_ket
 from .statespace import DEFAULT_TOL, Ket, Projector, _trusted, inner, projector_from_ket
@@ -50,7 +52,8 @@ class TwoStateVector:
                 f"|<backward|forward>| = {abs(denom):.3g}",
                 abs(denom) ** 2,
             )
-        return inner(self.backward, q.apply(self.forward)) / denom
+        projected = q.matrix @ self.forward.amplitudes
+        return complex(np.vdot(self.backward.amplitudes, projected)) / denom
 
 
 def backward_state(dyn: Dynamics, final: Ket, t: int) -> Ket:

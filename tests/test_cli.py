@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import cases, run
 
@@ -60,7 +60,7 @@ class TestParseConfig:
         assert parse_config("epsilon = 0").epsilon == 0.0
 
     def test_unknown_probe_rejected(self):
-        with pytest.raises(ConfigError, match="unknown ids"):
+        with pytest.raises(ConfigError, match="unknown probe ids"):
             parse_config("probes = a,z")
 
     def test_probes_canonical_order(self):
@@ -300,6 +300,52 @@ class TestMain:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed = x", "seed: 'x' is not an integer"),
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("samples = 0", "samples must be >= 1, got 0"),
+            ("samples = 9223372036854775808", "samples must be <= 9223372036854775807"),
+            ("tolerance = 1", "tolerance must lie in [0.0, 1.0), got 1"),
+        ],
+    )
+    def test_out_of_range_config_value_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n")
+        code = main(["sample", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe")
+        code = main(["probs", "F_A", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_sample_count_above_int64_exits_2(self, capsys):
+        assert main(["sample", "--samples", "9223372036854775807", "--seed", "3"]) == 0
+        capsys.readouterr()
+        code = main(["sample", "--samples", "9223372036854775808"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: samples must be <= 9223372036854775807")
+
+    def test_infer_reads_time_suffixed_channel_labels(self):
+        plain = run(["infer", "t2", "C", "--given", "F"])
+        suffixed = run(["infer", "t2", "C2", "--given", "F4"])
+        assert (suffixed["exit"], suffixed["stdout"]) == (plain["exit"], plain["stdout"])
+        assert plain["exit"] == 0
+
+    def test_infer_bad_time_token_exits_2(self, capsys):
+        code = main(["infer", "tx", "C", "--given", "F"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: bad time index 'tx'")
+
+    @pytest.mark.parametrize(
         "time, channels", [("t0", "S"), ("t4", "F"), ("t5", "A"), ("t-1", "A")]
     )
     def test_infer_query_time_outside_interior_exits_2(self, capsys, time, channels):
@@ -360,6 +406,8 @@ _EPSILON = (
     "0", "1", "5e-324", "1e-16", "0.9999999999999999", "0.0001", "0.01", "nan", "x",
 )
 _TOLERANCE = ("0", "1e-14", "1e-6", "0.5")
+_SEED = ("0", "7", "-1", "x", "18446744073709551616")
+_SAMPLES = ("1", "1000", "0", "-5", "x", "9223372036854775807", "9223372036854775808")
 _CHANNELS = {1: "ADQ", 2: "ABC", 3: "AEH"}
 _COMMAND_NAMES = (
     "consistency", "probs", "infer", "weak-values", "probes", "coincidences",
@@ -381,6 +429,8 @@ def _argv(draw):
         ("alpha2", _ALPHA2),
         ("epsilon", _EPSILON),
         ("tolerance", _TOLERANCE),
+        ("seed", _SEED),
+        ("samples", _SAMPLES),
         ("format", ("text", "csv")),
     ):
         value = draw(st.none() | st.sampled_from(values))
@@ -394,6 +444,7 @@ def _argv(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(argv=_argv())
+@example(argv=["sample", "--samples=9223372036854775808"])
 def test_every_cli_input_ends_with_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -125,14 +125,22 @@ def test_composition_associativity(alpha2, start, mid, end):
     [
         (np.full((3, 3), np.nan), "amplitudes must be finite"),
         (np.diag([1.0, np.inf, 1.0]), "amplitudes must be finite"),
-        (np.eye(2), "does not map"),
-        (np.ones((3, 3, 1)), "square matrix"),
+        (np.eye(2), "has shape"),
+        (np.ones((3, 3, 1)), "has shape"),
     ],
 )
 def test_step_unitary_rejects_invalid_matrices(matrix, match):
     slices = time_slices()
     with pytest.raises(ValueError, match=match):
         StepUnitary(slices[0], slices[1], matrix)
+
+
+def test_step_unitary_joins_slices_of_one_dimension():
+    # a (3, 2) isometry would pass `step_validate`, but its adjoint would
+    # not carry kets back without loss
+    frm, to = TimeSlice(0, ("a", "b")), TimeSlice(1, ("a", "b", "c"))
+    with pytest.raises(ValueError, match="different dimension"):
+        StepUnitary(frm, to, np.eye(3, 2))
 
 
 def overflowing_dynamics():

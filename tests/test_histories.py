@@ -109,7 +109,7 @@ class TestChainKets:
         with pytest.raises(ValueError, match="event projector at time 2 lives on"):
             consistency_check(dyn, fam)
         stray = Ket(TimeSlice(0, ("X", "Y", "Z")), [1, 0, 0])
-        with pytest.raises(ValueError, match="initial ket does not live"):
+        with pytest.raises(ValueError, match="does not live on this dynamics"):
             consistency_check(dyn, Family(stray, (History(((2, a2),)),)))
 
 
@@ -434,6 +434,18 @@ class TestConditionalProbability:
             dyn, fam, [(2, proj(dyn, 2, {"B", "C"}))], [(2, proj(dyn, 2, {"A"}))]
         )
         assert pr == 0.0
+
+    def test_time_without_an_event_stands_for_the_identity(self):
+        # no history of {F4, G4+H4} has an event at t2: A2 is a proper part
+        # of that implicit identity, so it is not expressible, while the
+        # identity itself holds on every history
+        dyn, s0 = model(1 / 3)
+        fam = Family(s0, build_histories(dyn, [[(4, "F")], [(4, "GH")]]), complete=True)
+        f4 = [(4, proj(dyn, 4, {"F"}))]
+        with pytest.raises(InexpressibleEventError, match="time 2"):
+            conditional_probability(dyn, fam, f4, [(2, proj(dyn, 2, {"A"}))])
+        pr = conditional_probability(dyn, fam, f4, [(2, identity_projector(dyn.slices[2]))])
+        assert pr == 1.0
 
     def test_zero_probability_condition_rejected(self):
         dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.37))

@@ -766,6 +766,15 @@ class TestSampling:
         with pytest.raises(ValueError, match=">= 1"):
             sample(dist, 0, seed=1)
 
+    def test_sample_count_must_fit_an_int64(self):
+        dyn, s0 = model()
+        js = evolve_with_probes(dyn, standard_probes("adew"), ProbeStrength(0.01), s0)
+        dist = outcome_distribution(js, detector_pdi(dyn))
+        top = (1 << 63) - 1
+        assert sum(sample(dist, top, seed=1).values()) == top
+        with pytest.raises(ValueError, match=f"<= {top}, got {top + 1}"):
+            sample(dist, top + 1, seed=1)
+
 
 class TestSpecsAndStrength:
     def test_builtin_order_and_selection(self):

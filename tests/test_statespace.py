@@ -40,7 +40,7 @@ def test_slice_rejects_empty_basis():
 
 
 def test_ket_checks_amplitude_count():
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=r"has shape \(2,\), expected \(3,\)"):
         Ket(T2, [1.0, 0.0])
 
 
@@ -175,8 +175,8 @@ def test_projector_idempotent_on_own_ray():
         amps = rng.normal(size=3) + 1j * rng.normal(size=3)
         k = Ket(T2, amps)
         p = projector_from_ket(k)
-        back = p.apply(k)
-        assert np.max(np.abs(back.amplitudes - k.amplitudes)) <= 1e-10
+        back = p.matrix @ k.amplitudes
+        assert np.max(np.abs(back - k.amplitudes)) <= 1e-10
 
 
 def test_pdi_validate_accepts_a_and_complement():
@@ -274,7 +274,7 @@ def test_ket_rejects_non_finite_amplitudes(bad):
 
 
 def test_ket_rejects_a_matrix_of_amplitudes():
-    with pytest.raises(ValueError, match="1-d amplitude vector"):
+    with pytest.raises(ValueError, match=r"has shape \(3, 3\), expected \(3,\)"):
         Ket(T2, np.eye(3))
 
 
@@ -289,9 +289,9 @@ def test_projector_rejects_non_finite_entries(bad):
 @pytest.mark.parametrize(
     "matrix, match",
     [
-        (np.ones((3, 2)), "square matrix"),
-        (np.ones(3), "square matrix"),
-        (np.eye(2), "does not match slice"),
+        (np.ones((3, 2)), "has shape"),
+        (np.ones(3), "has shape"),
+        (np.eye(2), "has shape"),
         (np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
         (np.diag([2.0, 0.0, 0.0]), "not idempotent"),
     ],
@@ -354,8 +354,8 @@ def test_library_built_values_are_read_only():
 
 def test_library_built_values_match_the_validated_constructors():
     # the same objects the public constructors accept, field for field
-    k = basis_ket(T2, "B", "b")
-    ref = Ket(T2, [0, 1, 0], "b")
+    k = basis_ket(T2, "B")
+    ref = Ket(T2, [0, 1, 0], "B2")
     assert (k.slice, k.name) == (ref.slice, ref.name)
     np.testing.assert_array_equal(k.amplitudes, ref.amplitudes)
     assert k.amplitudes.dtype == complex
