@@ -250,7 +250,7 @@ def cmd_probs(cfg: RunConfig, family: str | None) -> tuple[int, list[Row]]:
 
 
 def _parse_time(token: str) -> int:
-    tok = token.lower().lstrip("t")
+    tok = token.lower().removeprefix("t")
     try:
         return int(tok)
     except ValueError:

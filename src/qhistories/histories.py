@@ -18,7 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
-from .statespace import DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _trusted
+from .statespace import (
+    DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _distance, _overlap, _trusted,
+    identity_projector,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,19 +310,22 @@ def _match(
     events: Iterable[tuple[int, Projector]],
     memo: dict[tuple[int, Projector | None, Projector], bool],
 ) -> bool:
-    """True if the history's event at each given time equals the given
-    projector; False if orthogonal to it; anything else violates the single
-    framework rule.  `memo` keeps each (time, event, projector) verdict for
-    the rest of the caller's call, so each distinct triple is compared once.
+    """True if the history's event at each given time (the identity if it
+    has none) equals the given projector; False if orthogonal to it;
+    anything else violates the single framework rule.  Two label projectors
+    are compared by their recorded supports: equal iff the supports are,
+    orthogonal iff they are disjoint.  `memo` keeps each (time, event,
+    projector) verdict for the rest of the caller's call, so each distinct
+    triple is compared once.
     """
     for t, p in events:
         e = h.event_at(t)
         key = (t, e, p)
         if key not in memo:
-            e_mat = np.eye(p.slice.dim) if e is None else e.matrix
-            if float(np.max(np.abs(e_mat - p.matrix))) <= DEFAULT_TOL:
+            ev = identity_projector(p.slice) if e is None else e
+            if _distance(ev, p) <= DEFAULT_TOL:
                 memo[key] = True
-            elif float(np.max(np.abs(e_mat @ p.matrix))) <= DEFAULT_TOL:
+            elif _overlap(ev, p) <= DEFAULT_TOL:
                 memo[key] = False
             else:
                 raise InexpressibleEventError(
@@ -364,7 +370,10 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     (identity if absent) is replaced by one history per part; all other
     histories pass through unchanged.  The result is returned *unvalidated*:
     consistency of a refinement is a separate question, and once lost it
-    cannot be restored by refining further.
+    cannot be restored by refining further.  When the parts and an event are
+    label projectors, the overlap and split tests read their recorded
+    supports: the parts must be pairwise disjoint, and their sum is the
+    label projector of the union.
     """
     parts = tuple(parts)
     if not parts:
@@ -378,9 +387,11 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
         raise ValueError("refinement parts live on mixed slices")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if float(np.max(np.abs(parts[i].matrix @ parts[j].matrix))) > DEFAULT_TOL:
+            if _overlap(parts[i], parts[j]) > DEFAULT_TOL:
                 raise ValueError(f"refinement parts {i} and {j} overlap")
-    total = sum(p.matrix for p in parts)
+    ons = [p._on for p in parts]
+    union = None if any(on is None for on in ons) else np.logical_or.reduce(ons)
+    total = None
 
     t = int(slc.time_index)
     new_histories: list[History] = []
@@ -388,8 +399,14 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     for h in fam.histories:
         e = h.event_at(t)
         if e not in splits:
-            e_mat = np.eye(slc.dim) if e is None else e.matrix
-            splits[e] = float(np.max(np.abs(e_mat - total))) <= DEFAULT_TOL
+            e_on = np.ones(slc.dim, dtype=bool) if e is None else e._on
+            if union is not None and e_on is not None and e_on.shape == union.shape:
+                splits[e] = not (e_on != union).any()
+            else:
+                if total is None:
+                    total = sum(p.matrix for p in parts)
+                e_mat = np.eye(slc.dim) if e is None else e.matrix
+                splits[e] = float(np.max(np.abs(e_mat - total))) <= DEFAULT_TOL
         if splits[e]:
             # a valid history split at a checked slice is valid
             before = tuple(ev for ev in h.events if ev[0] < t)

@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import Dynamics, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _label_mask, _reduce, _trusted,
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _trusted,
 )
 
 
@@ -362,15 +362,17 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     # d of contiguous |.|^2 terms in a (k, 2^n, d) layout, so it has the
     # value that part's and pattern's own matrix-vector product and sum
     # give, bit for bit.  A 0/1 diagonal part copies the amplitudes it
-    # keeps and zeroes the rest, so when every part is one, a mask over
-    # |amplitude|^2 gives the same terms without the product.
-    mats = np.stack([part.matrix for part in detector_pdi.parts])
+    # keeps and zeroes the rest, so when every part is a label projector,
+    # its recorded support over |amplitude|^2 gives the same terms without
+    # the product.
+    ons = [part._on for part in detector_pdi.parts]
     cols = js.amplitudes.T[list(order)]
-    on = _label_mask(mats)
-    if on is not None:
+    if all(on is not None for on in ons):
+        on = np.stack(ons)
         cells = np.sum(np.where(on[:, None, :], np.abs(cols) ** 2, 0.0), axis=2).ravel()
     else:
         # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
+        mats = np.stack([part.matrix for part in detector_pdi.parts])
         prods = np.matmul(mats[:, None], cols[None, :, :, None])
         cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))

@@ -16,6 +16,15 @@ matrices (chain kets, transport results) keep the one check those products
 do not imply, the finiteness scan (`_computed_ket`).  Probe branch kets are
 rows of a joint state that ran that scan once, over all its amplitudes.
 
+A channel-label projector (exactly a 0/1 diagonal matrix) records its
+support, the diagonal as a boolean mask, when it is built: label, identity
+and complement projectors from the parts they are built from, a caller's
+matrix by one exact test of its entries.  The projector algebra of the
+consistent-histories bookkeeping (equal, orthogonal, disjoint, summing to
+the identity) reads those masks when every projector involved has one; the
+answers are the dense ones, since for 0/1 diagonal matrices every residual
+is exactly 0 or 1.  Rays and rotated projectors take the dense path.
+
 Every algebraic check and every verdict of the library compares against
 one cut-off, `DEFAULT_TOL`; no call takes a tolerance of its own.
 """
@@ -159,16 +168,31 @@ class Projector:
     pure state) are first-class.
 
     `name` is display metadata only and never enters any computation.
+
+    A projector whose matrix is exactly a 0/1 diagonal matrix (a
+    channel-label projector) records its support when it is built: `_on`,
+    its diagonal as a read-only boolean mask (`_label_mask`).  Any other
+    projector has `_on` None.  `_on` is not a field: `repr`, pickling and
+    copies see the same three fields, and copies rebuilt through the
+    constructor record the same mask.
     """
 
     slice: TimeSlice
     matrix: np.ndarray
     name: str = ""
 
+    _on = None
+
     def __post_init__(self):
         d = self.slice.dim
         m = _frozen_array(self.matrix, (d, d), "projector matrix")
         object.__setattr__(self, "matrix", m)
+        on = _label_mask(m)
+        if on is not None:
+            # a 0/1 diagonal matrix has both residuals exactly 0
+            on.setflags(write=False)
+            object.__setattr__(self, "_on", on)
+            return
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > DEFAULT_TOL:
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
@@ -179,25 +203,48 @@ class Projector:
     __reduce__ = _reduce
 
     def complement(self) -> Projector:
-        """The projector I - P onto the orthogonal complement, checked at
-        `DEFAULT_TOL` like any caller's projector."""
-        ident = np.eye(self.slice.dim, dtype=complex)
-        return Projector(self.slice, ident - self.matrix, _complement_name(self))
+        """The projector I - P onto the orthogonal complement.  A label
+        projector's complement is the label projector of the other channels;
+        any other is checked at `DEFAULT_TOL` like a caller's projector."""
+        m = np.eye(self.slice.dim, dtype=complex) - self.matrix
+        name = _complement_name(self)
+        if self._on is None:
+            return Projector(self.slice, m, name)
+        return _trusted(Projector, slice=self.slice, matrix=m, name=name, _on=~self._on)
 
 
 def _label_mask(m: np.ndarray) -> np.ndarray | None:
     """The diagonal of `m`, or of each matrix of the stack `m`, as a boolean
     mask if every matrix is exactly a 0/1 diagonal matrix (a channel-label
     projector); None otherwise.  Exact: no entry is compared to a cut-off."""
-    on = m.diagonal(axis1=-2, axis2=-1) == 1
+    diag = m.diagonal(axis1=-2, axis2=-1)
+    on = diag == 1
+    # the diagonal alone rules out most other projectors, at d not d^2 entries
+    if np.count_nonzero(diag) != np.count_nonzero(on):
+        return None
     return on if np.count_nonzero(m) == np.count_nonzero(on) else None
 
 
+def _distance(a: Projector, b: Projector) -> float:
+    """Max-norm of a - b.  For two label projectors of one dimension it is
+    exactly 0 or 1, read from their recorded supports."""
+    if a._on is None or b._on is None or a._on.shape != b._on.shape:
+        return float(np.max(np.abs(a.matrix - b.matrix)))
+    return float((a._on != b._on).any())
+
+
+def _overlap(a: Projector, b: Projector) -> float:
+    """Max-norm of the product a b.  For two label projectors of one
+    dimension it is exactly 0 or 1: whether their supports meet."""
+    if a._on is None or b._on is None or a._on.shape != b._on.shape:
+        return float(np.max(np.abs(a.matrix @ b.matrix)))
+    return float((a._on & b._on).any())
+
+
 def _complement_name(p: Projector) -> str:
-    on = _label_mask(p.matrix)
-    if on is None:
+    if p._on is None:
         return f"~{p.name}" if p.name else ""
-    rest = [lab for lab, kept in zip(p.slice.basis, on.tolist()) if not kept]
+    rest = [lab for lab, kept in zip(p.slice.basis, p._on.tolist()) if not kept]
     if rest:
         return "+".join(f"{lab}{p.slice.time_index}" for lab in rest)
     return f"0@t{p.slice.time_index}"
@@ -205,7 +252,8 @@ def _complement_name(p: Projector) -> str:
 
 def identity_projector(slc: TimeSlice) -> Projector:
     m = np.eye(slc.dim, dtype=complex)
-    return _trusted(Projector, slice=slc, matrix=m, name=f"I{slc.time_index}")
+    on = np.ones(slc.dim, dtype=bool)
+    return _trusted(Projector, slice=slc, matrix=m, name=f"I{slc.time_index}", _on=on)
 
 
 def projector_from_labels(
@@ -215,12 +263,13 @@ def projector_from_labels(
     axes = sorted(slc.axis(lab) for lab in set(labels))
     if not axes:
         raise ValueError("label set must be non-empty")
+    on = np.zeros(slc.dim, dtype=bool)
+    on[axes] = True
     m = np.zeros((slc.dim, slc.dim), dtype=complex)
-    for ax in axes:
-        m[ax, ax] = 1.0
+    m.flat[:: slc.dim + 1] = on  # the diagonal
     if name is None:
         name = "+".join(f"{slc.basis[ax]}{slc.time_index}" for ax in axes)
-    return _trusted(Projector, slice=slc, matrix=m, name=name)
+    return _trusted(Projector, slice=slc, matrix=m, name=name, _on=on)
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
@@ -267,12 +316,16 @@ def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
     max_res = 0.0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            res = float(np.max(np.abs(parts[i].matrix @ parts[j].matrix)))
+            res = _overlap(parts[i], parts[j])
             if res > max_res:
                 max_res = res
                 worst = f"parts {i} and {j} are not orthogonal (residual {res:.3g})"
-    total = sum(p.matrix for p in parts)
-    comp = np.abs(total - np.eye(slc.dim))
+    ons = [p._on for p in parts]
+    if all(on is not None for on in ons):
+        # |total - I| of 0/1 diagonal parts: |cover count - 1| on the diagonal
+        comp = np.diag(np.abs(np.sum(ons, axis=0) - 1.0))
+    else:
+        comp = np.abs(sum(p.matrix for p in parts) - np.eye(slc.dim))
     res = float(np.max(comp))
     if res > max_res:
         ij = np.unravel_index(int(np.argmax(comp)), comp.shape)

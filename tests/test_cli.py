@@ -340,10 +340,12 @@ class TestMain:
         assert plain["exit"] == 0
 
     def test_infer_bad_time_token_exits_2(self, capsys):
-        code = main(["infer", "tx", "C", "--given", "F"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err.startswith("error: bad time index 'tx'")
+        # a token carries at most one "t": "tt2" is not "t2"
+        for token in ("tx", "tt2", "ttt2"):
+            code = main(["infer", token, "C", "--given", "F"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith(f"error: bad time index {token!r}")
 
     @pytest.mark.parametrize(
         "time, channels", [("t0", "S"), ("t4", "F"), ("t5", "A"), ("t-1", "A")]
@@ -423,7 +425,8 @@ def _argv(draw):
         argv.append(draw(st.sampled_from([f.name for f in NamedFamilyId])))
     elif command == "infer":
         t = draw(st.integers(1, 3))
-        argv += [f"t{t}", draw(st.sampled_from(_CHANNELS[t])), "--given"]
+        prefix = draw(st.sampled_from(("t", "", "tt")))
+        argv += [f"{prefix}{t}", draw(st.sampled_from(_CHANNELS[t])), "--given"]
         argv.append(draw(st.sampled_from("FGH")))
     for key, values in (
         ("alpha2", _ALPHA2),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import inspect
 import pickle
 
@@ -399,3 +400,63 @@ def test_copies_keep_their_arrays_read_only(copier):
         assert arr.flags.writeable is False
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+def _recorded(p):
+    on = p._on
+    assert on is None or (on.dtype == bool and on.flags.writeable is False)
+    return None if on is None else on.tolist()
+
+
+def test_label_projectors_record_their_support():
+    ac = projector_from_labels(T2, {"A", "C"})
+    assert _recorded(ac) == [True, False, True]
+    assert _recorded(ac.complement()) == [False, True, False]
+    assert _recorded(identity_projector(T2)) == [True] * 3
+    assert _recorded(identity_projector(T2).complement()) == [False] * 3
+    assert [_recorded(p) for p in slice_pdi(T2)] == np.eye(3, dtype=bool).tolist()
+    # a caller's exact 0/1 diagonal records the same support as the label one
+    assert _recorded(Projector(T2, np.diag([1, 0, 1]))) == [True, False, True]
+    assert _recorded(Projector(T2, np.diag([0j, -0.0, 1]))) == [False, False, True]
+    assert _recorded(Projector(T2, np.zeros((3, 3)))) == [False] * 3
+    assert _recorded(projector_from_ket(basis_ket(T2, "B"))) == [False, True, False]
+    with pytest.raises(ValueError):
+        ac._on[0] = False
+
+
+def test_other_projectors_record_no_support():
+    pair = np.diag([1.0, 1.0, 0.0])
+    pair[0, 1] = pair[1, 0] = 1e-200
+    for p in [
+        projector_from_ket(Ket(T2, [1, 1j, 0])),
+        projector_from_ket(Ket(T2, [0.6, 0.8, 0])).complement(),
+        Projector(T2, pair),
+        Projector(T2, np.diag([1.0, 1e-300, 0.0])),
+        Projector(T2, np.diag([1.0, 1 - 2**-53, 0.0])),
+    ]:
+        assert _recorded(p) is None
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copies_record_the_same_support(copier):
+    for p in [
+        projector_from_labels(T2, {"A", "C"}),
+        identity_projector(T2).complement(),
+        Projector(T2, np.diag([0, 1, 0])),
+        projector_from_ket(Ket(T2, [1, 1j, 0])),
+    ]:
+        assert _recorded(copier(p)) == _recorded(p)
+
+
+def test_recorded_support_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(Projector)] == ["slice", "matrix", "name"]
+    assert repr(projector_from_labels(T2, {"A", "C"})) == (
+        "Projector(slice=TimeSlice(time_index=2, basis=('A', 'B', 'C')), "
+        "matrix=array([[1.+0.j, 0.+0.j, 0.+0.j],\n"
+        "       [0.+0.j, 0.+0.j, 0.+0.j],\n"
+        "       [0.+0.j, 0.+0.j, 1.+0.j]]), name='A2+C2')"
+    )
