@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +62,12 @@ class Family:
     """A pure initial state plus a set of candidate histories.
 
     `complete` families must cover the identity: over the union of event
-    times, the histories' event structures (identity filled in) sum to the
-    history-space identity.  Subfamilies (`complete=False`) skip both that
-    check and the total-probability normalization.
+    times, the histories' operators (identity filled in) sum to the
+    history-space identity.  That is checked from their structure, with no
+    array over the history space (`_coverage_fault`), and a failure names
+    the first overlapping pair of histories or the missing rank.
+    Subfamilies (`complete=False`) skip both that check and the
+    total-probability normalization.
     """
 
     initial: Ket
@@ -78,17 +80,14 @@ class Family:
             raise ValueError("a family needs at least one history")
         t0 = self.initial.slice.time_index
         for h in self.histories:
-            if h.events and h.times[0] <= t0:
+            if h.events and h.events[0][0] <= t0:
                 raise ValueError(
                     f"history events must start after the initial time t{t0}"
                 )
         if self.complete:
-            res = _coverage_residual(self.histories)
-            if res > DEFAULT_TOL:
-                raise ValueError(
-                    "complete family does not cover the identity "
-                    f"(residual {res:.3g})"
-                )
+            fault = _coverage_fault(self.histories)
+            if fault:
+                raise ValueError(f"complete family does not cover the identity ({fault})")
 
 
 def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
@@ -101,47 +100,42 @@ def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
     return slices
 
 
-#: Largest array, in entries, that the coverage check of a complete family
-#: may form: 2^22 complex entries are 64 MiB.  The built-in and benchmark
-#: families need at most 512.
-_MAX_COVERAGE_ENTRIES = 1 << 22
+def _coverage_fault(histories: Sequence[History]) -> str:
+    """Why the histories' operators (each the tensor product of its events,
+    the identity where it has none) do not sum to the history-space
+    identity, or "" if they do.
 
-
-def _coverage_residual(histories: Sequence[History]) -> float:
-    """Max-norm distance from the identity of the histories' summed event
-    structures: Kronecker products over the union of event times, with the
-    identity where a history has no event.
-
-    When every event matrix is exactly diagonal, so is every product, and
-    the same products are formed in the same order on the diagonals alone
-    (a vector of length d^T): the residual is bit-identical to the dense one.
-    Raises ValueError, before allocating, when the array the chosen path
-    forms would exceed `_MAX_COVERAGE_ENTRIES`.
+    Projectors sum to the identity iff they are pairwise orthogonal and
+    their ranks sum to its dimension.  Two history operators are orthogonal
+    iff their events at some shared time are; an absent event is I, which
+    is orthogonal to none.  A rank is exact: a label projector's support
+    count, any other's rounded trace.  `memo` keeps each (P, Q) verdict
+    for this call only.
     """
     slices = _slices_by_time(histories)
-    times = sorted(slices)
-    rows = [[h.event_at(t) for t in times] for h in histories]
-    events = {p for row in rows for p in row if p is not None}
-    dim = math.prod(slices[t].dim for t in times)
-    if all(np.array_equal(p.matrix, np.diag(np.diagonal(p.matrix))) for p in events):
-        identity, factor, unit, entries = np.ones, np.diagonal, np.ones(1), dim
-    else:
-        identity, factor, unit, entries = np.eye, np.asarray, np.ones((1, 1)), dim * dim
-    if entries > _MAX_COVERAGE_ENTRIES:
-        raise ValueError(
-            f"coverage check of this complete family needs an array of {entries} "
-            f"entries (history-space dimension {dim}), above the limit of "
-            f"{_MAX_COVERAGE_ENTRIES}"
-        )
-    total = None
-    for row in rows:
-        mats = [
-            identity(slices[t].dim) if p is None else factor(p.matrix)
-            for t, p in zip(times, row)
-        ]
-        op = reduce(np.kron, mats, unit)
-        total = op if total is None else total + op
-    return float(np.max(np.abs(total - identity(dim))))
+    events = [dict(h.events) for h in histories]
+    memo: dict[tuple[Projector, Projector], bool] = {}
+    for i, a in enumerate(events):
+        for j in range(i + 1, len(events)):
+            b = events[j]
+            for t in a.keys() & b.keys():
+                key = (a[t], b[t])
+                if key not in memo:
+                    memo[key] = _overlap(*key) <= DEFAULT_TOL
+                if memo[key]:
+                    break
+            else:
+                return f"histories {i} and {j} overlap"
+    ranks = {
+        p: round(np.trace(p.matrix).real) if p._on is None else int(np.count_nonzero(p._on))
+        for e in events for p in e.values()
+    }
+    rank = sum(
+        math.prod(ranks[e[t]] if t in e else slc.dim for t, slc in slices.items())
+        for e in events
+    )
+    dim = math.prod(slc.dim for slc in slices.values())
+    return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
 def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:

@@ -12,7 +12,6 @@ from qhistories.histories import (
     Incommensurate,
     InconsistentFamilyError,
     InexpressibleEventError,
-    _coverage_residual,
     _decoherence,
     born_probabilities,
     chain_ket,
@@ -220,6 +219,17 @@ def dense_coverage_residual(histories):
     return float(np.max(np.abs(total - np.eye(dim))))
 
 
+def is_complete_family(initial, histories):
+    """Whether `Family(complete=True)` accepts `histories`; a refusal must
+    say that they do not cover the identity."""
+    try:
+        Family(initial, histories, complete=True)
+    except ValueError as exc:
+        assert "complete family does not cover the identity" in str(exc)
+        return False
+    return True
+
+
 #: Families whose histories end at different times, in the spec syntax of
 #: build_histories: (event lists per history, complete, consistent for every
 #: ratio).
@@ -255,6 +265,8 @@ class TestCommonTime:
         events, complete, consistent = COMMON_TIME_FAMILIES[name]
         histories = build_histories(dyn, events)
         fam = Family(s0, histories, complete)
+        dense_covers = dense_coverage_residual(histories) <= 1e-10
+        assert is_complete_family(s0, histories) is dense_covers
         rows = dense_chain_rows(dyn, s0, histories)
         d = rows.conj() @ rows.T
         i, j = np.triu_indices(len(rows), 1)
@@ -568,14 +580,24 @@ class TestFamilyValidation:
 
     def test_two_event_free_histories_do_not_cover_the_identity(self):
         _, s0 = model(0.3)
-        with pytest.raises(ValueError, match=r"cover the identity \(residual 1\)"):
-            Family(s0, (History(()), History(())), complete=True)
+        histories = (History(()), History(()))
+        assert dense_coverage_residual(histories) > 1e-10
+        with pytest.raises(ValueError, match=r"cover the identity \(histories 0 and 1 overlap\)"):
+            Family(s0, histories, complete=True)
+
+    @pytest.mark.parametrize("alpha2", [1 / 3, 0.5, 0.999])
+    @pytest.mark.parametrize("fid", list(NamedFamilyId))
+    def test_named_family_coverage_verdict_matches_the_dense_oracle(self, fid, alpha2):
+        _, fam = named_family(fid, BeamSplitterParams(alpha2))
+        dense = dense_coverage_residual(fam.histories) <= 1e-10
+        assert is_complete_family(fam.initial, fam.histories) is dense is fam.complete
 
     @pytest.mark.parametrize("covers", [True, False])
     def test_rank_one_events_take_the_dense_coverage_path(self, covers):
-        # a Fourier rank-one PDI at t2 and at t3: every event mixes every
-        # channel and every diagonal entry is 1/3, so the diagonals alone
-        # cannot tell the complete family from one that repeats f1 for f0
+        # a Fourier rank-one PDI at t2 and at t3: no event records a
+        # support, so orthogonality is the dense product and a rank the
+        # rounded trace; every diagonal entry is 1/3, so only the products
+        # tell the complete family from one that repeats f1 for f0
         dyn, s0 = model(0.3)
         omega = np.exp(2j * np.pi / 3)
         pdis = [
@@ -591,18 +613,18 @@ class TestFamilyValidation:
         histories = tuple(History(((2, pdis[0][a]), (3, pdis[1][b]))) for a, b in pairs)
         residual = dense_coverage_residual(histories)
         if covers:
-            fam = Family(s0, histories, complete=True)
-            assert _coverage_residual(fam.histories) == residual <= 1e-10
+            assert residual <= 1e-10
+            Family(s0, histories, complete=True)
             return
         assert residual > 0.1
-        with pytest.raises(ValueError, match=rf"cover the identity \(residual {residual:.3g}\)"):
+        with pytest.raises(ValueError, match=r"cover the identity \(histories 0 and 3 overlap\)"):
             Family(s0, histories, complete=True)
 
     @pytest.mark.parametrize("drop", [None, 3])
     def test_diagonal_coverage_equals_the_dense_value(self, drop):
         # d = 8 over three times, two parts per time; each part has one
-        # diagonal entry 1 - 3e-13 or 1 - 7e-13 (still valid projectors),
-        # so the products are not all exact 0s and 1s
+        # diagonal entry 1 - 3e-13 or 1 - 7e-13 (still valid projectors,
+        # with no recorded support), so the dense residual is small but not 0
         rng = np.random.default_rng(8)
         levels = []
         for t in (1, 2, 3):
@@ -621,31 +643,80 @@ class TestFamilyValidation:
         )
         if drop is not None:
             histories = histories[:drop] + histories[drop + 1:]
-        residual = _coverage_residual(histories)
-        assert residual == dense_coverage_residual(histories)
-        assert residual > 0.0
+        initial = basis_ket(TimeSlice(0, ("c0",)), "c0")
+        residual = dense_coverage_residual(histories)
+        if drop is None:
+            assert 0.0 < residual <= 1e-10
+            Family(initial, histories, complete=True)
+            return
+        assert residual > 1e-10
+        with pytest.raises(ValueError, match=r"\(ranks sum to 448, not 512\)"):
+            Family(initial, histories, complete=True)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_haar_rotated_label_family_has_the_label_verdicts(self, seed):
+        # a complete d = 8 label family over three times, each slice rotated
+        # by its own Haar unitary V_t: P -> V P V^dagger keeps every
+        # orthogonality and rank, but no event records a support, and the
+        # parts' traces miss their ranks 3 and 5 by rounding
+        rng = np.random.default_rng(seed)
+        levels = []
+        for t in (1, 2, 3):
+            slc = TimeSlice(t, tuple(f"c{i}" for i in range(8)))
+            q, r = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+            v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            perm = rng.permutation(8)
+            parts = []
+            for axes in (perm[:3], perm[3:]):
+                diag = np.zeros(8)
+                diag[axes] = 1.0
+                parts.append(Projector(slc, v @ np.diag(diag) @ v.conj().T))
+            assert all(p._on is None for p in parts)
+            levels.append((t, parts))
+        histories = tuple(
+            History(tuple((t, parts[k >> i & 1]) for i, (t, parts) in enumerate(levels)))
+            for k in range(8)
+        )
+        initial = basis_ket(TimeSlice(0, ("c0",)), "c0")
+        assert dense_coverage_residual(histories) <= 1e-10
+        Family(initial, histories, complete=True)
+        # history 0 has rank 3^3 = 27
+        assert dense_coverage_residual(histories[1:]) > 1e-10
+        with pytest.raises(ValueError, match=r"\(ranks sum to 485, not 512\)"):
+            Family(initial, histories[1:], complete=True)
+        # histories 2 (ranks 3, 5, 3) and 4 (3, 3, 5) have equal ranks, so
+        # repeating 2 in place of 4 keeps the rank sum at 512
+        repeated = histories[:4] + (histories[2],) + histories[5:]
+        assert dense_coverage_residual(repeated) > 1e-10
+        with pytest.raises(ValueError, match=r"\(histories 2 and 4 overlap\)"):
+            Family(initial, repeated, complete=True)
 
     @pytest.mark.parametrize("dim, times", [(64, 4), (8, 8), (128, 2)])
-    def test_oversized_coverage_check_raises_before_allocating(self, dim, times):
-        # d = 64 over four times is a 16.7M-entry diagonal; d = 128 over two
-        # has a 16k-entry diagonal, but one event is not diagonal, so the
-        # dense path would need (d^T)^2 = 268M entries
+    def test_large_history_spaces_need_no_size_cap(self, dim, times):
+        # d = 64 over four times: 16 histories of 32-channel halves, each of
+        # rank 32^4, in 64^4 = 16 777 216 dimensions; d = 8 over eight
+        # times: one history of identity events, 8^8 dimensions; d = 128
+        # over two times: a ray and its complement at t1, the identity at t2
         slices = [TimeSlice(t, tuple(f"c{i}" for i in range(dim))) for t in range(times + 1)]
+        initial = basis_ket(slices[0], "c0")
         events = [(t, identity_projector(slices[t])) for t in range(1, times + 1)]
-        if dim == 128:
+        if dim == 64:
+            halves = [label_parts(slc, range(32), range(32, 64)) for slc in slices[1:]]
+            histories = tuple(
+                History(tuple((t + 1, halves[t][k >> t & 1]) for t in range(4)))
+                for k in range(16)
+            )
+            with pytest.raises(ValueError, match=r"\(ranks sum to 15728640, not 16777216\)"):
+                Family(initial, histories[1:], complete=True)
+        elif dim == 128:
             v = np.zeros(dim, dtype=complex)
             v[:2] = 1.0
             ray = projector_from_ket(Ket(slices[1], v))
             histories = (History(((1, ray),) + tuple(events[1:])),
                          History(((1, ray.complement()),) + tuple(events[1:])))
-            want = dim**4
         else:
             histories = (History(tuple(events)),)
-            want = dim**times
-        initial = basis_ket(slices[0], "c0")
-        with pytest.raises(ValueError, match=rf"array of {want} entries"):
-            Family(initial, histories, complete=True)
-        Family(initial, histories)
+        Family(initial, histories, complete=True)
 
     def test_events_must_start_after_initial_time(self):
         dyn, s0 = model(0.3)
