@@ -66,8 +66,7 @@ class Family:
     history-space identity.  That is checked from their structure, with no
     array over the history space (`_coverage_fault`), and a failure names
     the first overlapping pair of histories or the missing rank.
-    Subfamilies (`complete=False`) skip both that check and the
-    total-probability normalization.
+    Subfamilies (`complete=False`) skip that check.
     """
 
     initial: Ket
@@ -138,11 +137,17 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
-def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
-    """Carry `k` to time `t` and apply the event `p` there."""
+def _require_event(dyn: Dynamics, t: int, p: Projector) -> TimeSlice:
+    """The slice of `dyn` at time `t`, which the event `p` must live on."""
     slc = dyn.slice_at(t)
     if p.slice != slc:
         raise ValueError(f"event projector at time {t} lives on {p.slice}, not {slc}")
+    return slc
+
+
+def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
+    """Carry `k` to time `t` and apply the event `p` there."""
+    slc = _require_event(dyn, t, p)
     amps = p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t)
     return _computed_ket(slc, amps)
 
@@ -339,13 +344,16 @@ def conditional_probability(
 ) -> float:
     """Ratio of summed Born weights Pr(query | condition, initial state).
 
-    Both arguments are sets of (time, projector) events.  The condition must
-    pick out a union of the family's histories; the query must do so within
-    the conditioned subfamily.
+    Both arguments are sets of (time, projector) events, each on the slice
+    of `dyn` at its time.  The condition must pick out a union of the
+    family's histories; the query must do so within the conditioned
+    subfamily.
     """
-    weights = born_probabilities(dyn, fam)
     condition = tuple(condition)
     query = tuple(query)
+    for t, p in condition + query:
+        _require_event(dyn, t, p)
+    weights = born_probabilities(dyn, fam)
     memo: dict = {}
     selected = [h for h in fam.histories if _match(h, condition, memo)]
     cond_mass = sum(weights[h] for h in selected)
@@ -364,10 +372,11 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     (identity if absent) is replaced by one history per part; all other
     histories pass through unchanged.  The result is returned *unvalidated*:
     consistency of a refinement is a separate question, and once lost it
-    cannot be restored by refining further.  When the parts and an event are
-    label projectors, the overlap and split tests read their recorded
-    supports: the parts must be pairwise disjoint, and their sum is the
-    label projector of the union.
+    cannot be restored by refining further.  A history event at that time
+    must live on the parts' slice.  When the parts and an event are label
+    projectors, the overlap and split tests read their recorded supports:
+    the parts must be pairwise disjoint, and their sum is the label
+    projector of the union.
     """
     parts = tuple(parts)
     if not parts:
@@ -393,8 +402,10 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     for h in fam.histories:
         e = h.event_at(t)
         if e not in splits:
+            if e is not None and e.slice != slc:
+                raise ValueError(f"history event at time {t} lives on {e.slice}, not {slc}")
             e_on = np.ones(slc.dim, dtype=bool) if e is None else e._on
-            if union is not None and e_on is not None and e_on.shape == union.shape:
+            if union is not None and e_on is not None:
                 splits[e] = not (e_on != union).any()
             else:
                 if total is None:
@@ -446,10 +457,7 @@ def infer(
     exists.  Deliberately does not search finer framings.
     """
     t_final = dyn.final_index
-    if final_event.slice != dyn.slices[t_final]:
-        raise ValueError(
-            f"final event lives on {final_event.slice}, not the final slice"
-        )
+    _require_event(dyn, t_final, final_event)
     t = query.slice.time_index
     fam = Family(
         initial,

@@ -18,12 +18,12 @@ rows of a joint state that ran that scan once, over all its amplitudes.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
-and complement projectors from the parts they are built from, a caller's
-matrix by one exact test of its entries.  The projector algebra of the
-consistent-histories bookkeeping (equal, orthogonal, disjoint, summing to
-the identity) reads those masks when every projector involved has one; the
-answers are the dense ones, since for 0/1 diagonal matrices every residual
-is exactly 0 or 1.  Rays and rotated projectors take the dense path.
+and complement projectors from their parts, a checked matrix by one exact
+test of its entries.  The consistent-histories bookkeeping (equal,
+orthogonal, split, rank) compares projectors on one slice and reads those
+masks when every projector involved has one; the answers are the dense
+ones, since for 0/1 diagonal matrices every residual is exactly 0 or 1.
+Rays and rotated projectors take the dense path.
 
 Every algebraic check and every verdict of the library compares against
 one cut-off, `DEFAULT_TOL`; no call takes a tolerance of its own.
@@ -170,11 +170,12 @@ class Projector:
     `name` is display metadata only and never enters any computation.
 
     A projector whose matrix is exactly a 0/1 diagonal matrix (a
-    channel-label projector) records its support when it is built: `_on`,
-    its diagonal as a read-only boolean mask (`_label_mask`).  Any other
-    projector has `_on` None.  `_on` is not a field: `repr`, pickling and
-    copies see the same three fields, and copies rebuilt through the
-    constructor record the same mask.
+    channel-label projector) records its support when it is built, after
+    the same residual checks as any matrix: `_on`, its diagonal as a
+    read-only boolean mask (`_label_mask`).  Any other projector has `_on`
+    None.  `_on` is not a field: `repr`, pickling and copies see the same
+    three fields, and copies rebuilt through the constructor record the
+    same mask.
     """
 
     slice: TimeSlice
@@ -187,18 +188,16 @@ class Projector:
         d = self.slice.dim
         m = _frozen_array(self.matrix, (d, d), "projector matrix")
         object.__setattr__(self, "matrix", m)
-        on = _label_mask(m)
-        if on is not None:
-            # a 0/1 diagonal matrix has both residuals exactly 0
-            on.setflags(write=False)
-            object.__setattr__(self, "_on", on)
-            return
         herm = float(np.max(np.abs(m - m.conj().T)))
         if herm > DEFAULT_TOL:
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
         idem = float(np.max(np.abs(m @ m - m)))
         if idem > DEFAULT_TOL:
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
+        on = _label_mask(m)
+        if on is not None:
+            on.setflags(write=False)
+            object.__setattr__(self, "_on", on)
 
     __reduce__ = _reduce
 
@@ -214,29 +213,25 @@ class Projector:
 
 
 def _label_mask(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of `m`, or of each matrix of the stack `m`, as a boolean
-    mask if every matrix is exactly a 0/1 diagonal matrix (a channel-label
-    projector); None otherwise.  Exact: no entry is compared to a cut-off."""
-    diag = m.diagonal(axis1=-2, axis2=-1)
-    on = diag == 1
-    # the diagonal alone rules out most other projectors, at d not d^2 entries
-    if np.count_nonzero(diag) != np.count_nonzero(on):
-        return None
+    """The diagonal of the square matrix `m` as a boolean mask if `m` is
+    exactly a 0/1 diagonal matrix (a channel-label projector); None
+    otherwise.  Exact: no entry is compared to a cut-off."""
+    on = m.diagonal() == 1
     return on if np.count_nonzero(m) == np.count_nonzero(on) else None
 
 
 def _distance(a: Projector, b: Projector) -> float:
-    """Max-norm of a - b.  For two label projectors of one dimension it is
-    exactly 0 or 1, read from their recorded supports."""
-    if a._on is None or b._on is None or a._on.shape != b._on.shape:
+    """Max-norm of a - b, for two projectors on one slice.  For two label
+    projectors it is exactly 0 or 1, read from their recorded supports."""
+    if a._on is None or b._on is None:
         return float(np.max(np.abs(a.matrix - b.matrix)))
     return float((a._on != b._on).any())
 
 
 def _overlap(a: Projector, b: Projector) -> float:
-    """Max-norm of the product a b.  For two label projectors of one
-    dimension it is exactly 0 or 1: whether their supports meet."""
-    if a._on is None or b._on is None or a._on.shape != b._on.shape:
+    """Max-norm of the product a b, for two projectors on one slice.  For
+    two label projectors it is exactly 0 or 1: whether their supports meet."""
+    if a._on is None or b._on is None:
         return float(np.max(np.abs(a.matrix @ b.matrix)))
     return float((a._on & b._on).any())
 
@@ -320,12 +315,7 @@ def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
             if res > max_res:
                 max_res = res
                 worst = f"parts {i} and {j} are not orthogonal (residual {res:.3g})"
-    ons = [p._on for p in parts]
-    if all(on is not None for on in ons):
-        # |total - I| of 0/1 diagonal parts: |cover count - 1| on the diagonal
-        comp = np.diag(np.abs(np.sum(ons, axis=0) - 1.0))
-    else:
-        comp = np.abs(sum(p.matrix for p in parts) - np.eye(slc.dim))
+    comp = np.abs(sum(p.matrix for p in parts) - np.eye(slc.dim))
     res = float(np.max(comp))
     if res > max_res:
         ij = np.unravel_index(int(np.argmax(comp)), comp.shape)

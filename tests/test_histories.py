@@ -37,6 +37,7 @@ from qhistories.statespace import (
     projector_from_ket,
     projector_from_labels,
 )
+from qhistories.weak import weak_value
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
@@ -299,6 +300,13 @@ class TestCommonTime:
         )
 
 
+def haar_unitary(rng, dim):
+    """A Haar-random unitary: the QR of a complex Gaussian matrix, with the
+    phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def haar_dynamics(seed, dim=8, n_slices=5):
     """Seeded dense random unitaries (QR of complex Gaussians) joining
     slices of `dim` channels c0, c1, ..."""
@@ -306,10 +314,7 @@ def haar_dynamics(seed, dim=8, n_slices=5):
     slices = tuple(
         TimeSlice(t, tuple(f"c{i}" for i in range(dim))) for t in range(n_slices)
     )
-    steps = []
-    for a, b in zip(slices, slices[1:]):
-        q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        steps.append(StepUnitary(a, b, q * (np.diagonal(r) / np.abs(np.diagonal(r)))))
+    steps = [StepUnitary(a, b, haar_unitary(rng, dim)) for a, b in zip(slices, slices[1:])]
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return Dynamics(slices, tuple(steps)), Ket(slices[0], v / np.linalg.norm(v))
 
@@ -361,6 +366,148 @@ class TestDenseRefinedFamilies:
                 assert History(h.events).events == h.events
                 assert all(type(t) is int for t in h.times)
                 assert chain_ket(dyn, s0, h).norm() ** 2 == w
+
+
+class Gauge:
+    """The problem of `dyn` in a Haar-random basis V_t at every slice t:
+    steps V_{t+1} U_t V_t^dagger, events V_t P V_t^dagger, kets V_t k.  It
+    is the same physics, but no rotated event records a support, so every
+    projector check on it takes the dense path."""
+
+    def __init__(self, dyn, seed):
+        rng = np.random.default_rng([seed, 2])
+        self.vs = [haar_unitary(rng, slc.dim) for slc in dyn.slices]
+        steps = tuple(
+            StepUnitary(st.from_slice, st.to_slice, self.vs[j + 1] @ st.matrix @ self.vs[j].conj().T)
+            for j, st in enumerate(dyn.steps)
+        )
+        self.dyn = Dynamics(dyn.slices, steps)
+        self._events = {}
+
+    def ket(self, k):
+        return Ket(k.slice, self.vs[k.slice.time_index] @ k.amplitudes, k.name)
+
+    def event(self, p):
+        # one rotated Projector per event, so shared prefixes stay shared
+        if p not in self._events:
+            v = self.vs[p.slice.time_index]
+            self._events[p] = Projector(p.slice, v @ p.matrix @ v.conj().T, p.name)
+            assert self._events[p]._on is None
+        return self._events[p]
+
+    def family(self, fam):
+        histories = tuple(
+            History(tuple((t, self.event(p)) for t, p in h.events)) for h in fam.histories
+        )
+        return Family(self.ket(fam.initial), histories, fam.complete)
+
+
+def verdict(f, *args):
+    """What `f(*args)` gives: its value, or the type of the ValueError it
+    raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_same_verdict(got, want, bound):
+    """The same exception type, or numbers within `bound`."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert abs(got - want) <= bound
+
+
+def assert_gauge_invariant(dyn, fam, seed):
+    """Compare `fam` on `dyn` with the same family in a `Gauge`: D, the
+    weights, every conditional probability given a final event, `infer` and
+    the weak values of every event of `fam` and every channel (and the
+    identity) at each time before the last.
+
+    The rounding bound, for a unit initial ket (Higham, ch. 3: a d x d
+    product errs by at most d eps in norm): a chain ket takes at most 2T
+    matrix-vector products over T slices.  Unrotated, that is 2 d T eps of
+    error; rotated, each step or event is also formed by two products, so
+    6 d T eps.  An entry of D or a weight (two chain kets and one inner
+    product per side) then differs by at most 2 (2 + 6) d T eps + 2 d eps,
+    under 20 d T eps.  A ratio's bound divides by its denominator: at most
+    n weights over a condition's mass, or a matrix element over the
+    two-state overlap.
+    """
+    g = Gauge(dyn, seed)
+    rfam = g.family(fam)  # a complete family must still cover the identity
+    t_final = dyn.final_index
+    bound = 20 * max(slc.dim for slc in dyn.slices) * len(dyn.slices) * np.finfo(float).eps
+    n = len(fam.histories)
+
+    report, weights, d = _decoherence(dyn, fam)
+    r_report, r_weights, r_d = _decoherence(g.dyn, rfam)
+    assert r_report.consistent is report.consistent
+    assert [p[:2] for p in r_report.offending_pairs] == [p[:2] for p in report.offending_pairs]
+    assert abs(r_report.max_overlap - report.max_overlap) <= bound
+    assert np.max(np.abs(r_d - d)) <= bound
+    assert np.max(np.abs(np.subtract(r_weights, weights))) <= bound
+
+    menu = {
+        t: [identity_projector(slc), *(projector_from_labels(slc, {lab}) for lab in slc.basis)]
+        for t, slc in enumerate(dyn.slices)
+    }
+    for h in fam.histories:
+        for t, p in h.events:
+            if not any(p is q for q in menu[t]):
+                menu[t].append(p)
+    queries = [(t, q) for t in range(1, t_final) for q in menu[t]]
+    evolved = transport(dyn, fam.initial, t_final).amplitudes
+
+    for c in menu[t_final]:
+        mass = sum(
+            w for h, w in zip(fam.histories, weights)
+            if np.array_equal(c.matrix, (h.event_at(t_final) or identity_projector(c.slice)).matrix)
+        )
+        for t, q in queries:
+            want = verdict(conditional_probability, dyn, fam, [(t_final, c)], [(t, q)])
+            got = verdict(
+                conditional_probability, g.dyn, rfam, [(t_final, g.event(c))], [(t, g.event(q))]
+            )
+            assert isinstance(want, type) or mass > 0
+            assert_same_verdict(got, want, 2 * n * bound / mass if mass else 0.0)
+
+        p_final = np.linalg.norm(c.matrix @ evolved) ** 2
+        for t, q in queries:
+            want = verdict(infer, dyn, fam.initial, c, q)
+            got = verdict(infer, g.dyn, g.ket(fam.initial), g.event(c), g.event(q))
+            got_kind, want_kind = (v if isinstance(v, type) else type(v) for v in (got, want))
+            assert got_kind is want_kind
+            if isinstance(want, Defined):
+                assert abs(got.probability - want.probability) <= 4 * bound / p_final
+            elif isinstance(want, Incommensurate):
+                assert abs(got.report.max_overlap - want.report.max_overlap) <= bound
+
+    for lab in dyn.slices[t_final].basis:
+        final = basis_ket(dyn.slices[t_final], lab)
+        overlap = abs(np.vdot(final.amplitudes, evolved))
+        for t, q in queries:
+            want = verdict(weak_value, dyn, fam.initial, final, q)
+            got = verdict(weak_value, g.dyn, g.ket(fam.initial), g.ket(final), g.event(q))
+            scale = 1 if isinstance(want, type) else (1 + abs(want)) / overlap
+            assert_same_verdict(got, want, bound * scale)
+
+
+class TestGaugeCovariance:
+    """The label-support paths of the unrotated problem against the dense
+    paths of the same problem in a `Gauge`."""
+
+    @pytest.mark.parametrize("alpha2", [1 / 3, 0.5, 0.999])
+    @pytest.mark.parametrize("fid", list(NamedFamilyId))
+    def test_named_family(self, fid, alpha2):
+        dyn, fam = named_family(fid, BeamSplitterParams(alpha2))
+        assert_gauge_invariant(dyn, fam, seed=list(NamedFamilyId).index(fid))
+
+    def test_refined_haar_tree(self):
+        dyn, s0 = haar_dynamics(5)
+        tree, _ = dense_refined_families(dyn, s0, 5)
+        assert_gauge_invariant(dyn, tree, seed=5)
 
 
 class TestBornProbabilities:
@@ -467,6 +614,25 @@ class TestConditionalProbability:
                 dyn, fam, [(2, proj(dyn, 2, {"B", "C"}))], [(4, proj(dyn, 4, {"F"}))]
             )
 
+    @pytest.mark.parametrize(
+        "basis", [("X", "Y", "Z"), None, ("X",), ("X", "Y", "Z", "W")]
+    )
+    def test_query_event_must_live_on_the_slice_of_its_time(self, basis):
+        # a foreign slice of the same dimension, or a t3 label projector
+        # given at time 2 (basis None), must not be compared by channel
+        # position; one of another dimension must not reach the matrices
+        dyn, fam = named_family(NamedFamilyId.EQ8_FULL, BeamSplitterParams(1 / 3))
+        slc = dyn.slices[3] if basis is None else TimeSlice(2, basis)
+        query = projector_from_labels(slc, {slc.basis[0]})
+        with pytest.raises(ValueError, match="event projector at time 2 lives on"):
+            conditional_probability(dyn, fam, [(4, proj(dyn, 4, {"F"}))], [(2, query)])
+
+    def test_condition_event_must_live_on_the_slice_of_its_time(self):
+        dyn, fam = named_family(NamedFamilyId.EQ8_FULL, BeamSplitterParams(1 / 3))
+        f4 = projector_from_labels(TimeSlice(4, ("X", "Y", "Z")), {"X"})
+        with pytest.raises(ValueError, match="event projector at time 4 lives on"):
+            conditional_probability(dyn, fam, [(4, f4)], [(2, proj(dyn, 2, {"A"}))])
+
 
 class TestRefine:
     def test_refining_both_identity_times_gives_18_histories(self):
@@ -499,6 +665,16 @@ class TestRefine:
         dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.3))
         with pytest.raises(ValueError, match="sum of the replacement parts"):
             refine(fam, 2, [proj(dyn, 2, {"B"})])
+
+    @pytest.mark.parametrize("groups", [[{"X"}], [{"X"}, {"Y", "Z"}]])
+    def test_history_events_must_live_on_the_parts_slice(self, groups):
+        # X on t2{X,Y,Z} has the support of the family's A2, and X + Y + Z
+        # that of the identity, but neither is an event of this dynamics
+        dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.3))
+        foreign = TimeSlice(2, ("X", "Y", "Z"))
+        parts = [projector_from_labels(foreign, g) for g in groups]
+        with pytest.raises(ValueError, match="history event at time 2 lives on"):
+            refine(fam, 2, parts)
 
     def test_overlapping_parts_rejected(self):
         dyn, fam = named_family(NamedFamilyId.F_A, BeamSplitterParams(0.3))
@@ -542,6 +718,12 @@ class TestInfer:
         q0 = basis_ket(dyn.slices[0], "Q")
         with pytest.raises(ValueError, match="vanishing forward probability"):
             infer(dyn, q0, proj(dyn, 4, {"H"}), proj(dyn, 2, {"A"}))
+
+    def test_final_event_must_live_on_the_final_slice(self):
+        dyn, s0 = model(0.42)
+        f4 = projector_from_labels(TimeSlice(4, ("X", "Y", "Z")), {"X"})
+        with pytest.raises(ValueError, match="event projector at time 4 lives on"):
+            infer(dyn, s0, f4, proj(dyn, 2, {"A"}))
 
     def test_framework_independence_of_shared_conditionals(self):
         # the same zero answer for the inner output arm from the coarsest
@@ -663,8 +845,7 @@ class TestFamilyValidation:
         levels = []
         for t in (1, 2, 3):
             slc = TimeSlice(t, tuple(f"c{i}" for i in range(8)))
-            q, r = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-            v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            v = haar_unitary(rng, 8)
             perm = rng.permutation(8)
             parts = []
             for axes in (perm[:3], perm[3:]):

@@ -80,16 +80,13 @@ def test_complement_names_follow_exact_label_projectors_only():
     assert Projector(T2, p.matrix).complement().name == ""
 
 
-def test_label_mask_is_exact_and_takes_stacks():
+def test_label_mask_is_exact():
     np.testing.assert_array_equal(
         _label_mask(projector_from_labels(T2, {"A", "C"}).matrix), [True, False, True]
     )
-    stack = np.stack([p.matrix for p in slice_pdi(T2)])
-    np.testing.assert_array_equal(_label_mask(stack), np.eye(3, dtype=bool))
     assert _label_mask(np.zeros((3, 3))).tolist() == [False] * 3
     ray = projector_from_ket(Ket(T2, [1, 1, 0]))
-    for m in [np.diag([1.0, 1e-300, 0.0]), np.diag([1.0, 1 - 2**-53, 0.0]),
-              ray.matrix, np.stack([stack[0], ray.matrix])]:
+    for m in [np.diag([1.0, 1e-300, 0.0]), np.diag([1.0, 1 - 2**-53, 0.0]), ray.matrix]:
         assert _label_mask(m) is None
 
 
