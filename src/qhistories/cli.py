@@ -20,6 +20,7 @@ from .histories import (
     Family,
     InconsistentFamilyError,
     VanishingProbabilityError,
+    _conditional,
     born_probabilities,
     chain_ket,
     conditional_probability,
@@ -364,6 +365,10 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
 # the built-in closed-form reference suite
 
 def _suite_families(cfg: RunConfig, dyn: Dynamics):
+    """The eq10-eq23 entries, from one decoherence walk per family that
+    yields probabilities: conditionals on EQ8_FULL and on F_C at 1/3 reuse
+    the Born weights already computed, their events being built on the
+    model's own slices."""
     p = BeamSplitterParams(cfg.alpha2)
     a2, b2 = p.alpha2, p.beta2
     cond = _cond(cfg)
@@ -377,7 +382,7 @@ def _suite_families(cfg: RunConfig, dyn: Dynamics):
     f4 = projector_from_labels(dyn.slices[4], {"F"})
     a2_proj = projector_from_labels(dyn.slices[2], {"A"})
     yield "Pr(F4|S0)", cond, weights[hists[0]] + weights[hists[1]], a2 * a2, "eq11"
-    pr_a2 = conditional_probability(dyn, fam, [(4, f4)], [(2, a2_proj)])
+    pr_a2 = _conditional(fam, weights, [(4, f4)], [(2, a2_proj)])
     yield "Pr(A2|S0,F4)", cond, pr_a2, 1.0, "eq11"
 
     fam = _model_family(dyn, NamedFamilyId.F_A_PRIME)
@@ -403,7 +408,7 @@ def _suite_families(cfg: RunConfig, dyn: Dynamics):
     yield "Pr(F4|S0)", cond3, sum(weights.values()), 1.0 / 9.0, "eq23"
     yield "Pr(C2,F4|S0)", cond3, weights[fam.histories[0]], 1.0 / 9.0, "eq23"
     c2 = projector_from_labels(dyn.slices[2], {"C"})
-    pr_c2 = conditional_probability(dyn, fam, [(4, f4)], [(2, c2)])
+    pr_c2 = _conditional(fam, weights, [(4, f4)], [(2, c2)])
     yield "Pr(C2|S0,F4)", cond3, pr_c2, 1.0, "eq23"
 
 

@@ -124,6 +124,11 @@ class StepReport:
 
 
 def step_validate(dyn: Dynamics) -> StepReport:
-    residuals = tuple(st.unitarity_residual() for st in dyn.steps)
+    """Each step's `unitarity_residual`, computed for all steps at once:
+    the steps of a dynamics join slices of one dimension, so their
+    matrices stack into one (T, d, d) array."""
+    u = np.stack([st.matrix for st in dyn.steps])
+    gram = u.conj().transpose(0, 2, 1) @ u
+    residuals = tuple(np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2)).tolist())
     worst = int(np.argmax(residuals))
     return StepReport(max(residuals) <= DEFAULT_TOL, max(residuals), worst, residuals)

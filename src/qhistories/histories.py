@@ -270,12 +270,13 @@ def _decoherence(
         for k, end in zip(chains, ends)
     ])
     d = c.conj() @ c.T
-    norms = np.array([np.linalg.norm(row) for row in c])
-    i, j = np.triu_indices(len(chains), 1)
-    overlaps = np.abs(d[i, j]) / np.maximum(1.0, norms[i] * norms[j])
-    max_overlap = float(overlaps.max(initial=0.0))
-    bad = overlaps > DEFAULT_TOL
-    offending = tuple(zip(i[bad].tolist(), j[bad].tolist(), d[i[bad], j[bad]].tolist()))
+    # each row's norm by the two dots `np.linalg.norm` runs, without its wrapper
+    norms = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in c])
+    pairs = ~np.tri(len(chains), dtype=bool)  # i < j
+    ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
+    max_overlap = float(ratio[pairs].max(initial=0.0))
+    i, j = np.nonzero(pairs & (ratio > DEFAULT_TOL))  # row-major
+    offending = tuple(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
     report = ConsistencyReport(max_overlap <= DEFAULT_TOL, max_overlap, offending)
     weights = [
         float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
@@ -353,7 +354,17 @@ def conditional_probability(
     query = tuple(query)
     for t, p in condition + query:
         _require_event(dyn, t, p)
-    weights = born_probabilities(dyn, fam)
+    return _conditional(fam, born_probabilities(dyn, fam), condition, query)
+
+
+def _conditional(
+    fam: Family,
+    weights: dict[History, float],
+    condition: Sequence[tuple[int, Projector]],
+    query: Sequence[tuple[int, Projector]],
+) -> float:
+    """`conditional_probability` from the family's Born weights, for events
+    already checked against the dynamics."""
     memo: dict = {}
     selected = [h for h in fam.histories if _match(h, condition, memo)]
     cond_mass = sum(weights[h] for h in selected)

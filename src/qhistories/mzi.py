@@ -18,7 +18,9 @@ import numpy as np
 
 from .dynamics import Dynamics, StepUnitary, step_validate
 from .histories import Family, History
-from .statespace import Ket, TimeSlice, basis_ket, projector_from_labels, projector_from_ket
+from .statespace import (
+    Ket, TimeSlice, _trusted, basis_ket, projector_from_labels, projector_from_ket,
+)
 from .weak import backward_state
 
 #: Balanced-splitter amplitude for the inner loop.
@@ -63,18 +65,25 @@ class BeamSplitterParams:
         return math.sqrt(self.beta2)
 
 
+#: The five slices; every splitting ratio and both variants share them.
+_SLICES = tuple(TimeSlice(j, basis) for j, basis in enumerate(SLICE_BASES))
+
+
 def time_slices() -> tuple[TimeSlice, ...]:
-    return tuple(TimeSlice(j, basis) for j, basis in enumerate(SLICE_BASES))
+    return _SLICES
 
 
 def _step(
     frm: TimeSlice, to: TimeSlice, columns: dict[str, dict[str, float]]
 ) -> StepUnitary:
+    """The step whose column `src` sends amplitude `amp` to each `dst`.
+    Built trusted: the closed-form entries are finite and the shape is the
+    slices'; unitarity is left to `step_validate`."""
     m = np.zeros((to.dim, frm.dim), dtype=complex)
     for src, images in columns.items():
         for dst, amp in images.items():
             m[to.axis(dst), frm.axis(src)] = amp
-    return StepUnitary(frm, to, m)
+    return _trusted(StepUnitary, from_slice=frm, to_slice=to, matrix=m)
 
 
 def _build(p: BeamSplitterParams, to_t3: dict, to_t4: dict) -> Dynamics:
@@ -181,8 +190,10 @@ def _family(dyn: Dynamics, fid: NamedFamilyId) -> Family:
         back = projector_from_ket(backward_state(dyn, basis_ket(dyn.slices[4], "F"), 2))
         histories = tuple(History(((2, e), (4, f4))) for e in (back, back.complement()))
     else:
+        # rows of label projectors on the model's own slices, at increasing times
         proj = functools.cache(lambda t, ch: projector_from_labels(dyn.slices[t], ch))
         histories = tuple(
-            History(tuple((t, proj(t, ch)) for t, ch in row)) for row in _EVENTS[fid]
+            _trusted(History, events=tuple((t, proj(t, ch)) for t, ch in row))
+            for row in _EVENTS[fid]
         )
     return Family(source_ket(dyn), histories, complete=fid in _COMPLETE)

@@ -58,9 +58,10 @@ def _require_finite(arr: np.ndarray) -> None:
 
 
 def _reduce(self):
-    """`__reduce__` of the value classes that hold a caller's array: pickle
-    and copy rebuild them through the checked constructor, so a copy's
-    array is read-only."""
+    """`__reduce__` of the value classes that hold a caller's array or a
+    derived attribute: pickle and copy rebuild them through the checked
+    constructor, so a copy's array is read-only and its derived attributes
+    are rebuilt."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
@@ -103,6 +104,11 @@ class TimeSlice:
         if len(set(self.basis)) != len(self.basis):
             raise ValueError(f"channel labels must be distinct, got {self.basis}")
         object.__setattr__(self, "basis", tuple(self.basis))
+        # label -> position; not a field, so repr, ==, hash and pickles
+        # see the two fields only
+        object.__setattr__(self, "_axes", {lab: j for j, lab in enumerate(self.basis)})
+
+    __reduce__ = _reduce
 
     @property
     def dim(self) -> int:
@@ -111,8 +117,8 @@ class TimeSlice:
     def axis(self, label: str) -> int:
         """Basis position of `label`; rejects labels foreign to this slice."""
         try:
-            return self.basis.index(label)
-        except ValueError:
+            return self._axes[label]
+        except (KeyError, TypeError):
             raise ValueError(
                 f"unknown channel {label!r} on slice t{self.time_index} "
                 f"with basis {self.basis}"

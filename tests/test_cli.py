@@ -9,11 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import ALPHA2 as GOLDEN_ALPHA2
 from test_golden import cases, run
 
-from qhistories.cli import ConfigError, RunConfig, main, parse_config, run_report
-from qhistories.mzi import NamedFamilyId
+from qhistories.cli import ConfigError, RunConfig, _suite_families, main, parse_config, run_report
+from qhistories.histories import conditional_probability
+from qhistories.mzi import BeamSplitterParams, NamedFamilyId, build_nested_mzi, named_family
 from qhistories.probes import BUILTIN_ORDER
+from qhistories.statespace import projector_from_labels
 
 
 class TestParseConfig:
@@ -235,6 +238,41 @@ class TestSuite:
         code, _ = run_report(parse_config("", {"alpha2": "0.42"}), "paper-suite", {})
         assert code == 0
         assert calls == [0.42, 1.0 / 3.0]
+
+    def test_walks_each_family_once(self, monkeypatch):
+        # EQ8_FULL, F_A_PRIME and F_C at 1/3: the conditionals on EQ8_FULL
+        # and F_C reuse the Born weights of their family's one walk
+        import qhistories.histories as histories
+
+        walks = []
+        real = histories._decoherence
+
+        def counting(dyn, fam):
+            walks.append(len(fam.histories))
+            return real(dyn, fam)
+
+        monkeypatch.setattr(histories, "_decoherence", counting)
+        code, _ = run_report(parse_config("", {"alpha2": "0.42"}), "paper-suite", {})
+        assert code == 0
+        assert walks == [3, 18, 2]
+
+    @pytest.mark.parametrize("alpha2", GOLDEN_ALPHA2)
+    def test_reused_weights_give_the_library_conditionals(self, alpha2):
+        cfg = parse_config("", {"alpha2": alpha2})
+        dyn = build_nested_mzi(BeamSplitterParams(cfg.alpha2))
+        values = {q: v for q, _, v, _, _ in _suite_families(cfg, dyn)}
+        for fid, a2, channel, got in (
+            (NamedFamilyId.EQ8_FULL, cfg.alpha2, "A", values["Pr(A2|S0,F4)"]),
+            (NamedFamilyId.F_C, 1.0 / 3.0, "C", values["Pr(C2|S0,F4)"]),
+        ):
+            dyn, fam = named_family(fid, BeamSplitterParams(a2))
+            want = conditional_probability(
+                dyn,
+                fam,
+                [(4, projector_from_labels(dyn.slices[4], {"F"}))],
+                [(2, projector_from_labels(dyn.slices[2], {channel}))],
+            )
+            assert got.hex() == want.hex()
 
     def test_zero_tolerance_trips_mismatch_exit(self):
         cfg = parse_config("tolerance = 0")

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
 from qhistories.histories import Family, History, chain_ket, consistency_check
-from qhistories.mzi import BeamSplitterParams, build_nested_mzi, time_slices
+from qhistories.mzi import BeamSplitterParams, build_nested_mzi, build_no_bs34, time_slices
 from qhistories.statespace import Ket, TimeSlice, basis_ket, projector_from_labels
+from test_golden import ALPHA2 as GOLDEN_ALPHA2
+from test_histories import haar_dynamics
 
 ALPHA2 = 1 / 3
 
@@ -71,6 +73,65 @@ def test_step_validate_flags_non_unitary_step(dyn):
     assert not report.ok
     assert report.worst_step == 0
     assert report.max_residual == pytest.approx(0.75)
+
+
+def _residual_bits(residuals):
+    return [r.hex() for r in residuals]
+
+
+@pytest.mark.parametrize("alpha2", [float(a2) for a2 in GOLDEN_ALPHA2])
+@pytest.mark.parametrize("build", [build_nested_mzi, build_no_bs34])
+def test_stacked_residuals_are_each_steps_own_on_the_models(build, alpha2):
+    dyn = build(BeamSplitterParams(alpha2))
+    report = step_validate(dyn)
+    assert _residual_bits(report.residuals) == _residual_bits(
+        st.unitarity_residual() for st in dyn.steps
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_stacked_residuals_are_each_steps_own_on_haar_dynamics(dim, seed):
+    dyn, _ = haar_dynamics(seed, dim=dim)
+    report = step_validate(dyn)
+    assert report.ok
+    assert _residual_bits(report.residuals) == _residual_bits(
+        st.unitarity_residual() for st in dyn.steps
+    )
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 3])
+def test_stacked_check_reports_a_broken_step_at_its_own_position(dyn, position):
+    slices = time_slices()
+    frm, to = slices[position], slices[position + 1]
+    steps = list(dyn.steps)
+    steps[position] = StepUnitary(frm, to, dyn.steps[position].matrix * 1.5)
+    report = step_validate(Dynamics(slices, tuple(steps)))
+    assert not report.ok
+    assert report.worst_step == position
+    assert report.max_residual == report.residuals[position] == pytest.approx(1.25)
+    assert _residual_bits(report.residuals) == _residual_bits(
+        st.unitarity_residual() for st in steps
+    )
+
+
+@pytest.mark.parametrize("matrix, ok", [(np.diag([1.0, 1.0, 0.5]), False), (np.eye(3), True)])
+def test_stacked_check_of_a_one_step_dynamics(matrix, ok):
+    slices = time_slices()[:2]
+    step = StepUnitary(slices[0], slices[1], matrix)
+    report = step_validate(Dynamics(slices, (step,)))
+    assert report.ok is ok
+    assert report.worst_step == 0
+    assert report.residuals == (step.unitarity_residual(),)
+    assert report.max_residual == report.residuals[0]
+
+
+def test_model_steps_are_read_only_and_equal_checked_ones(dyn):
+    for st in dyn.steps:
+        assert st.matrix.flags.writeable is False
+        checked = StepUnitary(st.from_slice, st.to_slice, st.matrix)
+        assert checked.matrix.tobytes() == st.matrix.tobytes()
+        assert checked.matrix.dtype == st.matrix.dtype
 
 
 def test_transport_rejects_out_of_range_index(dyn):

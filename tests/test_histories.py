@@ -368,6 +368,52 @@ class TestDenseRefinedFamilies:
                 assert chain_ket(dyn, s0, h).norm() ** 2 == w
 
 
+def _pair_bits(report):
+    """The offending pairs with each inner product as the bits of its parts."""
+    return [(i, j, ip.real.hex(), ip.imag.hex()) for i, j, ip in report.offending_pairs]
+
+
+class TestPairBookkeeping:
+    """`_decoherence` reads its overlaps from one masked n x n ratio array;
+    the oracle reads the strict upper triangle by index, as the engine once
+    did.  Reports agree bit for bit, and the pairs are in row-major order."""
+
+    def assert_matches_oracle(self, dyn, fam):
+        got, got_weights, got_d = _decoherence(dyn, fam)
+        ref, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+        assert got_d.tobytes() == ref_d.tobytes()
+        assert [w.hex() for w in got_weights] == [w.hex() for w in ref_weights]
+        assert got.max_overlap.hex() == ref.max_overlap.hex()
+        assert got.consistent is ref.consistent
+        assert _pair_bits(got) == _pair_bits(ref)
+        pairs = [(i, j) for i, j, _ in got.offending_pairs]
+        assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
+        return got
+
+    def test_one_history_family(self):
+        dyn, s0 = haar_dynamics(7)
+        fam = Family(s0, (History(((2, label_parts(dyn.slices[2], range(3))[0]),)),))
+        report = self.assert_matches_oracle(dyn, fam)
+        assert report.max_overlap == 0.0
+        assert report.consistent
+        assert report.offending_pairs == ()
+
+    def test_inconsistent_two_history_family(self):
+        dyn, fam = named_family(NamedFamilyId.F_C, BeamSplitterParams(0.25))
+        report = self.assert_matches_oracle(dyn, fam)
+        assert not report.consistent
+        assert [(i, j) for i, j, _ in report.offending_pairs] == [(0, 1)]
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_inconsistent_refined_haar_tree(self, seed):
+        dyn, s0 = haar_dynamics(seed)
+        tree, _ = dense_refined_families(dyn, s0, seed)
+        report = self.assert_matches_oracle(dyn, tree)
+        assert not report.consistent
+        # some pairs decohere and some do not, so the mask selects within rows
+        assert 0 < len(report.offending_pairs) < 24 * 23 // 2
+
+
 class Gauge:
     """The problem of `dyn` in a Haar-random basis V_t at every slice t:
     steps V_{t+1} U_t V_t^dagger, events V_t P V_t^dagger, kets V_t k.  It

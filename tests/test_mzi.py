@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qhistories.dynamics import step_validate, transport
-from qhistories.histories import born_probabilities, consistency_check
+from qhistories.histories import History, born_probabilities, consistency_check
 from qhistories.mzi import (
     BeamSplitterParams,
     NamedFamilyId,
@@ -10,6 +10,7 @@ from qhistories.mzi import (
     build_no_bs34,
     named_family,
     source_ket,
+    time_slices,
 )
 from qhistories.statespace import basis_ket, inner
 
@@ -142,6 +143,23 @@ class TestNamedFamilies:
         dyn, fam = named_family(fid, BeamSplitterParams(0.4))
         assert [h.label() for h in fam.histories] == labels
         assert fam.complete is complete
+
+    @pytest.mark.parametrize("fid", list(NamedFamilyId), ids=lambda f: f.name)
+    def test_histories_are_the_checked_ones(self, fid):
+        dyn, fam = named_family(fid, BeamSplitterParams(0.4))
+        for h in fam.histories:
+            assert History(h.events).events == h.events
+            assert all(type(t) is int for t in h.times)
+            assert all(p.slice is dyn.slices[t] for t, p in h.events)
+
+    def test_models_share_one_set_of_slices(self):
+        slices = time_slices()
+        for build in (build_nested_mzi, build_no_bs34):
+            for alpha2 in (0.2, 0.7):
+                assert build(BeamSplitterParams(alpha2)).slices == slices
+        assert [str(s) for s in slices] == [
+            "t0{S,R,Q}", "t1{A,D,Q}", "t2{A,B,C}", "t3{A,E,H}", "t4{F,G,H}"
+        ]
 
     def test_unknown_family_id_rejected(self):
         with pytest.raises(ValueError, match="unknown family id"):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,30 @@ def test_slice_rejects_duplicate_labels():
 def test_slice_rejects_empty_basis():
     with pytest.raises(ValueError):
         TimeSlice(0, ())
+
+
+def test_slice_axis_reads_every_position_and_rejects_foreign_labels():
+    slc = TimeSlice(1, tuple(f"c{i}" for i in range(64)))
+    assert [slc.axis(lab) for lab in slc.basis] == list(range(64))
+    message = "unknown channel 'Z' on slice t2 with basis ('A', 'B', 'C')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        T2.axis("Z")
+    with pytest.raises(ValueError, match="unknown channel"):
+        T2.axis(["A"])
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_slice_positions_are_not_a_field(copier):
+    assert [f.name for f in dataclasses.fields(TimeSlice)] == ["time_index", "basis"]
+    assert repr(T2) == "TimeSlice(time_index=2, basis=('A', 'B', 'C'))"
+    dup = copier(T2)
+    assert dup == T2 and hash(dup) == hash(T2)
+    assert dup == TimeSlice(2, ["A", "B", "C"])
+    assert [dup.axis(lab) for lab in "CBA"] == [2, 1, 0]
 
 
 def test_ket_checks_amplitude_count():
