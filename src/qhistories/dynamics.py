@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statespace import DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array, _reduce
+from .statespace import (
+    DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array, _reduce, _require_slice,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +89,7 @@ class Dynamics:
 
 def _require_on(dyn: Dynamics, k: Ket) -> None:
     """Reject a ket whose slice is not the slice of `dyn` at its time."""
-    if k.slice != dyn.slice_at(k.slice.time_index):
-        raise ValueError(f"ket on {k.slice} does not live on this dynamics")
+    _require_slice(k, dyn.slice_at(k.slice.time_index), "ket")
 
 
 def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
@@ -96,9 +97,8 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     backward through their adjoints.  Norm is preserved either way.
     """
     _require_on(dyn, k)
-    dyn.slice_at(target_index)
-    amps = _carry(dyn, k.amplitudes, k.slice.time_index, target_index)
-    return _computed_ket(dyn.slices[target_index], amps)
+    slc = dyn.slice_at(target_index)
+    return _computed_ket(slc, _carry(dyn, k.amplitudes, k.slice.time_index, target_index))
 
 
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:

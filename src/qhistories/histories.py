@@ -18,8 +18,8 @@ import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _distance, _overlap, _trusted,
-    identity_projector,
+    DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _distance, _overlap,
+    _require_slice, _trusted, identity_projector,
 )
 
 
@@ -89,20 +89,11 @@ class Family:
                 raise ValueError(f"complete family does not cover the identity ({fault})")
 
 
-def _slices_by_time(histories: Sequence[History]) -> dict[int, TimeSlice]:
-    slices: dict[int, TimeSlice] = {}
-    for h in histories:
-        for t, p in h.events:
-            if t in slices and slices[t] != p.slice:
-                raise ValueError(f"conflicting slices at time {t}")
-            slices[t] = p.slice
-    return slices
-
-
 def _coverage_fault(histories: Sequence[History]) -> str:
     """Why the histories' operators (each the tensor product of its events,
     the identity where it has none) do not sum to the history-space
-    identity, or "" if they do.
+    identity, or "" if they do.  The events at one time must live on one
+    slice.
 
     Projectors sum to the identity iff they are pairwise orthogonal and
     their ranks sum to its dimension.  Two history operators are orthogonal
@@ -111,7 +102,10 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     count, any other's rounded trace.  `memo` keeps each (P, Q) verdict
     for this call only.
     """
-    slices = _slices_by_time(histories)
+    slices: dict[int, TimeSlice] = {}
+    for h in histories:
+        for t, p in h.events:
+            _require_slice(p, slices.setdefault(t, p.slice), "event")
     events = [dict(h.events) for h in histories]
     memo: dict[tuple[Projector, Projector], bool] = {}
     for i, a in enumerate(events):
@@ -137,17 +131,9 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
-def _require_event(dyn: Dynamics, t: int, p: Projector) -> TimeSlice:
-    """The slice of `dyn` at time `t`, which the event `p` must live on."""
-    slc = dyn.slice_at(t)
-    if p.slice != slc:
-        raise ValueError(f"event projector at time {t} lives on {p.slice}, not {slc}")
-    return slc
-
-
 def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
     """Carry `k` to time `t` and apply the event `p` there."""
-    slc = _require_event(dyn, t, p)
+    slc = _require_slice(p, dyn.slice_at(t), "event")
     amps = p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t)
     return _computed_ket(slc, amps)
 
@@ -257,7 +243,9 @@ def _decoherence(
     chain ket per history.  Only chain kets that end before the latest event
     time are transported.  The weights are the squared norms of the
     un-carried chain kets (the row norms of C for those that end at the
-    latest time); D's diagonal differs in the last bit.
+    latest time); D's diagonal differs in the last bit.  A weight or a
+    diagonal entry of D that overflows (finite amplitudes, non-unitary
+    steps) raises before any report is built, like an infinite amplitude.
     """
     chains = [
         chain_ket(dyn, k, _trusted(History, events=h.events[-1:]))
@@ -269,18 +257,21 @@ def _decoherence(
         k.amplitudes if end else transport(dyn, k, t_max).amplitudes
         for k, end in zip(chains, ends)
     ])
-    d = c.conj() @ c.T
-    # each row's norm by the two dots `np.linalg.norm` runs, without its wrapper
-    norms = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in c])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = c.conj() @ c.T
+        # each row's norm by the two dots `np.linalg.norm` runs, without its wrapper
+        norms = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in c])
+        weights = [
+            float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
+        ]
+    if not (np.isfinite(d.diagonal()).all() and np.isfinite(weights).all()):
+        raise ValueError("squared chain-ket norms overflow; they must be finite")
     pairs = ~np.tri(len(chains), dtype=bool)  # i < j
     ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
     max_overlap = float(ratio[pairs].max(initial=0.0))
     i, j = np.nonzero(pairs & (ratio > DEFAULT_TOL))  # row-major
     offending = tuple(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
     report = ConsistencyReport(max_overlap <= DEFAULT_TOL, max_overlap, offending)
-    weights = [
-        float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
-    ]
     return report, weights, d
 
 
@@ -353,7 +344,7 @@ def conditional_probability(
     condition = tuple(condition)
     query = tuple(query)
     for t, p in condition + query:
-        _require_event(dyn, t, p)
+        _require_slice(p, dyn.slice_at(t), "event")
     return _conditional(fam, born_probabilities(dyn, fam), condition, query)
 
 
@@ -397,8 +388,8 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
         raise ValueError(
             f"parts live at time {slc.time_index}, not {time_index}"
         )
-    if any(p.slice != slc for p in parts):
-        raise ValueError("refinement parts live on mixed slices")
+    for p in parts[1:]:
+        _require_slice(p, slc, "part")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if _overlap(parts[i], parts[j]) > DEFAULT_TOL:
@@ -413,8 +404,8 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     for h in fam.histories:
         e = h.event_at(t)
         if e not in splits:
-            if e is not None and e.slice != slc:
-                raise ValueError(f"history event at time {t} lives on {e.slice}, not {slc}")
+            if e is not None:
+                _require_slice(e, slc, "history event")
             e_on = np.ones(slc.dim, dtype=bool) if e is None else e._on
             if union is not None and e_on is not None:
                 splits[e] = not (e_on != union).any()
@@ -468,7 +459,7 @@ def infer(
     exists.  Deliberately does not search finer framings.
     """
     t_final = dyn.final_index
-    _require_event(dyn, t_final, final_event)
+    _require_slice(final_event, dyn.slice_at(t_final), "final event")
     t = query.slice.time_index
     fam = Family(
         initial,

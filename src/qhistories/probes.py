@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import Dynamics, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _trusted,
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
 )
 
 
@@ -347,11 +347,7 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     Keys run detector by detector, each over the patterns in `_kappa_order`.
     Unnamed parts are called "part<i>"; two parts may not share a name.
     """
-    if detector_pdi.slice != js.slice:
-        raise ValueError(
-            f"detector decomposition lives on {detector_pdi.slice}, "
-            f"joint state on {js.slice}"
-        )
+    _require_slice(detector_pdi, js.slice, "detector decomposition")
     dets = [part.name or f"part{i}" for i, part in enumerate(detector_pdi.parts)]
     for i, det in enumerate(dets):
         if det in dets[:i]:

@@ -87,6 +87,14 @@ def _computed_ket(slc: TimeSlice, amps: np.ndarray) -> Ket:
     return _trusted(Ket, slice=slc, amplitudes=amps, name="")
 
 
+def _require_slice(x, slc: TimeSlice, what: str) -> TimeSlice:
+    """The one slice rule: `x` (a ket, projector or decomposition) must
+    live on `slc`, which is returned."""
+    if x.slice != slc:
+        raise ValueError(f"{what} lives on {x.slice}, not {slc}")
+    return slc
+
+
 @dataclass(frozen=True)
 class TimeSlice:
     """An ordered orthonormal basis of channel labels at one time index."""
@@ -162,8 +170,7 @@ def basis_ket(slc: TimeSlice, label: str) -> Ket:
 
 def inner(a: Ket, b: Ket) -> complex:
     """Inner product <a|b>; both kets must live on the same slice."""
-    if a.slice != b.slice:
-        raise ValueError(f"kets live on different slices {a.slice} and {b.slice}")
+    _require_slice(b, a.slice, "ket")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -309,10 +316,7 @@ def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
         raise ValueError("a decomposition needs at least one part")
     slc = parts[0].slice
     for p in parts[1:]:
-        if p.slice != slc:
-            raise ValueError(
-                f"parts live on mixed slices: {slc} vs {p.slice}"
-            )
+        _require_slice(p, slc, "part")
     worst = ""
     max_res = 0.0
     for i in range(len(parts)):
@@ -341,8 +345,8 @@ class PDI:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p.slice != self.slice for p in self.parts):
-            raise ValueError("all parts must live on the PDI's slice")
+        for p in self.parts:
+            _require_slice(p, self.slice, "part")
         report = pdi_validate(self.parts)
         if not report.ok:
             raise ValueError(f"not a projective decomposition: {report.worst}")

@@ -16,7 +16,9 @@ import numpy as np
 
 from .dynamics import Dynamics, transport
 from .histories import History, VanishingProbabilityError, chain_ket
-from .statespace import DEFAULT_TOL, Ket, Projector, _trusted, inner, projector_from_ket
+from .statespace import (
+    DEFAULT_TOL, Ket, Projector, _require_slice, _trusted, inner, projector_from_ket,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,11 +32,7 @@ class TwoStateVector:
     backward: Ket
 
     def __post_init__(self):
-        if self.forward.slice != self.backward.slice:
-            raise ValueError(
-                f"forward ket at {self.forward.slice} and backward ket at "
-                f"{self.backward.slice} must share a slice"
-            )
+        _require_slice(self.backward, self.forward.slice, "backward ket")
 
     def overlap(self) -> complex:
         return inner(self.backward, self.forward)
@@ -43,8 +41,7 @@ class TwoStateVector:
         """<backward|Q|forward> / <backward|forward>.  Raises
         VanishingProbabilityError, carrying |<backward|forward>|^2, when the
         post-selection is incompatible with the pre-selection."""
-        if q.slice != self.forward.slice:
-            raise ValueError(f"projector lives on {q.slice}, not this slice")
+        _require_slice(q, self.forward.slice, "projector")
         denom = self.overlap()
         if abs(denom) <= DEFAULT_TOL:
             raise VanishingProbabilityError(
@@ -58,8 +55,7 @@ class TwoStateVector:
 
 def backward_state(dyn: Dynamics, final: Ket, t: int) -> Ket:
     """Adjoint-transport the post-selected ket back to time t."""
-    if final.slice != dyn.slices[dyn.final_index]:
-        raise ValueError(f"final ket lives on {final.slice}, not the final slice")
+    _require_slice(final, dyn.slices[dyn.final_index], "final ket")
     k = transport(dyn, final, t)
     name = f"{final.name}@t{t}" if final.name else ""
     return _trusted(Ket, slice=k.slice, amplitudes=k.amplitudes, name=name)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,8 @@ class TestBackwardState:
 
     def test_rejects_non_final_ket(self):
         dyn, s0, _ = model(0.42)
-        with pytest.raises(ValueError, match="final slice"):
+        want = f"final ket lives on {s0.slice}, not {dyn.slices[4]}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             backward_state(dyn, s0, 1)
 
 
@@ -212,7 +215,8 @@ class TestPresence:
 
     def test_two_state_vector_requires_common_slice(self):
         dyn, s0, f4 = model(0.3)
-        with pytest.raises(ValueError, match="share a slice"):
+        want = f"backward ket lives on {f4.slice}, not {s0.slice}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             from qhistories.weak import TwoStateVector
 
             TwoStateVector(s0, f4)
