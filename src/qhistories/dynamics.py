@@ -98,12 +98,16 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     """
     _require_on(dyn, k)
     slc = dyn.slice_at(target_index)
-    return _computed_ket(slc, _carry(dyn, k.amplitudes, k.slice.time_index, target_index))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = _carry(dyn, k.amplitudes, k.slice.time_index, target_index)
+    return _computed_ket(slc, amps)
 
 
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:
     """The step loop of :func:`transport` on raw amplitudes; both indices
-    must already be valid for `dyn`."""
+    must already be valid for `dyn`.  Callers run it under
+    `np.errstate(over="ignore", invalid="ignore")` and scan what it feeds
+    for finiteness: a non-unitary step can overflow."""
     if target_index >= start:
         for j in range(start, target_index):
             v = dyn.steps[j].matrix @ v

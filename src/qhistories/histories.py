@@ -143,33 +143,36 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
     time of its last event (`initial` for an event-free history), in
     history order.
 
-    The histories are walked as a prefix tree keyed by (time, projector):
-    each distinct proper prefix is projected once, from its parent's ket
-    carried once to each later time its children need (the node's
-    `carried`, which lives only for this walk).  Every ket takes the same
-    matvecs as an independent chain, so it is bit-identical to one.
+    The histories are walked as a prefix tree keyed by (time, projector),
+    on raw amplitudes: each distinct proper prefix is checked and projected
+    once, from its parent's amplitudes carried once to each later time its
+    children need, by an independent chain's matvecs, so bit for bit.  Kets
+    are built only for `chain_ket`, once per node and time.  No node is
+    scanned: a `chain_ket` projects it densely, where an infinite amplitude
+    makes every component NaN (0 * inf), so that scan raises.
     """
     _require_on(dyn, initial)
 
-    def carry(node, t: int) -> Ket:
-        k, _, carried = node
+    def carry(node, t: int) -> np.ndarray:
+        v, s, _, carried, _ = node
         if t not in carried:
-            slc = dyn.slice_at(t)
-            amps = _carry(dyn, k.amplitudes, k.slice.time_index, t)
-            carried[t] = _trusted(Ket, slice=slc, amplitudes=amps, name="")
+            carried[t] = _carry(dyn, v, s, t)
         return carried[t]
 
-    # a node is (ket, children keyed by (time, projector), carried kets keyed by time)
-    root = (initial, {}, {})
+    # a node: (amplitudes, time, children by (time, projector), carried and kets by time)
+    root = (initial.amplitudes, initial.slice.time_index, {}, {}, {})
     out = []
     for h in histories:
         node = root
         for t, p in h.events[:-1]:
-            children = node[1]
+            children = node[2]
             if (t, p) not in children:
-                children[t, p] = (_project(dyn, carry(node, t), t, p), {}, {})
+                _require_slice(p, dyn.slice_at(t), "event")
+                children[t, p] = (p.matrix @ carry(node, t), t, {}, {}, {})
             node = children[t, p]
-        out.append(carry(node, h.events[-1][0]) if h.events else initial)
+        if h.events and (t := h.events[-1][0]) not in node[4]:
+            node[4][t] = _trusted(Ket, slice=dyn.slice_at(t), amplitudes=carry(node, t), name="")
+        out.append(node[4][t] if h.events else initial)
     return out
 
 
@@ -234,36 +237,33 @@ def _decoherence(
     functional D = C* C^T, where row i of C is the chain ket of history i
     carried to the family's latest event time.
 
-    The histories' proper prefixes come from one prefix-tree walk
-    (`_prefix_kets`), so a family pays one projection per distinct event
-    prefix and one carry per node and later time, not one chain per
-    history.  Each history then takes its own last event with `chain_ket`,
-    one call per history and with no transport step, so a tracer of the
-    public functions (perfbench's `histories.chain_ket_*` metrics) sees one
-    chain ket per history.  Only chain kets that end before the latest event
-    time are transported.  The weights are the squared norms of the
-    un-carried chain kets (the row norms of C for those that end at the
-    latest time); D's diagonal differs in the last bit.  A weight or a
-    diagonal entry of D that overflows (finite amplitudes, non-unitary
-    steps) raises before any report is built, like an infinite amplitude.
+    The proper prefixes come from one prefix-tree walk (`_prefix_kets`).
+    Each history then takes its own last event with `chain_ket`, one call
+    per history with no transport step, so a tracer of the public functions
+    (perfbench's `histories.chain_ket_*` metrics) sees one chain ket per
+    history, and their scans are the walk's only finiteness check.  Only
+    chain kets that end before the latest event time are transported.  The
+    weights are the squared norms of the un-carried chain kets; D's
+    diagonal differs in the last bit.  Under one errstate, an infinite
+    amplitude, or a weight or diagonal entry of D that overflows, raises a
+    ValueError before any report is built, with no RuntimeWarning.
     """
-    chains = [
-        chain_ket(dyn, k, _trusted(History, events=h.events[-1:]))
-        for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories)
-    ]
-    t_max = max(k.slice.time_index for k in chains)
-    ends = [k.slice.time_index == t_max for k in chains]
-    c = np.array([
-        k.amplitudes if end else transport(dyn, k, t_max).amplitudes
-        for k, end in zip(chains, ends)
-    ])
     with np.errstate(over="ignore", invalid="ignore"):
-        d = c.conj() @ c.T
-        # each row's norm by the two dots `np.linalg.norm` runs, without its wrapper
-        norms = np.array([math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in c])
-        weights = [
-            float(n) ** 2 if end else k.norm() ** 2 for k, n, end in zip(chains, norms, ends)
+        chains = [
+            chain_ket(dyn, k, _trusted(History, events=h.events[-1:]))
+            for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories)
         ]
+        t_max = max(k.slice.time_index for k in chains)
+        ends = [k.slice.time_index == t_max for k in chains]
+        c = np.array([
+            k.amplitudes if end else transport(dyn, k, t_max).amplitudes
+            for k, end in zip(chains, ends)
+        ])
+        d = c.conj() @ c.T
+        re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
+        norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())
+        weights = [float(n if end else np.linalg.norm(k.amplitudes)) ** 2
+                   for k, n, end in zip(chains, norms, ends)]
     if not (np.isfinite(d.diagonal()).all() and np.isfinite(weights).all()):
         raise ValueError("squared chain-ket norms overflow; they must be finite")
     pairs = ~np.tri(len(chains), dtype=bool)  # i < j

@@ -37,8 +37,10 @@ from .statespace import (
 @dataclass(frozen=True)
 class ProbeSpec:
     """A probe id plus the (time index, channel label) pairs at which it
-    fires.  A multi-channel coupling set (like a probe watching two arms at
-    the same time) rotates once per occupied channel.
+    fires, all at one time.  A multi-channel coupling set (like a probe
+    watching two arms at the same time) rotates once per occupied channel.
+    A probe coupled at two times would be rotated twice on a path through
+    both, so that is rejected.
     """
 
     probe_id: str
@@ -50,6 +52,9 @@ class ProbeSpec:
         object.__setattr__(self, "couplings", frozenset(self.couplings))
         if not self.couplings:
             raise ValueError(f"probe {self.probe_id!r} has no couplings")
+        times = sorted({t for t, _ in self.couplings})
+        if len(times) > 1:
+            raise ValueError(f"probe {self.probe_id!r} couples at times {times}, not at one time")
 
 
 #: The built-in probes: one per inner channel, firing when the particle
@@ -207,8 +212,9 @@ def _apply_coupling(
     """In place: rotate probe `bit` on the rows where the particle occupies
     `channel_axis`.  The |0> column is (zeta, eta); the |1> column is the
     rotation completion times exp(i * completion_phase).  Probes start in
-    |0> and are hit at most once per branch, so the completion never enters
-    any outcome.
+    |0>, and a `ProbeSpec` couples at one time, where each row is one
+    channel, so a probe is rotated at most once on any row and the
+    completion never enters any outcome.
     """
     z, e = strength.zeta, strength.eta
     phase = np.exp(1j * completion_phase)

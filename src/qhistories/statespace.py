@@ -13,8 +13,10 @@ pass (`_trusted`): basis kets, label and identity projectors and
 `slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
 library is already checked.  Kets computed with caller-supplied step
 matrices (chain kets, transport results) keep the one check those products
-do not imply, the finiteness scan (`_computed_ket`).  Probe branch kets are
-rows of a joint state that ran that scan once, over all its amplitudes.
+do not imply, the finiteness scan (`_computed_ket`).  The decoherence walk
+builds its prefix kets trusted, from raw amplitudes that only reach a
+caller through a chain ket, which is scanned.  Probe branch kets are rows
+of a joint state that ran that scan once, over all its amplitudes.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
@@ -155,7 +157,16 @@ class Ket:
     __reduce__ = _reduce
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The 2-norm, as `np.linalg.norm` gives it.  When that overflows,
+        the amplitudes are first scaled by their largest component (as in
+        `projector_from_ket`)."""
+        amps = self.amplitudes
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(amps)
+            if np.isinf(n):
+                scale = np.abs(amps.view(float)).max()
+                n = np.linalg.norm(amps / scale) * scale
+        return float(n)
 
     def amplitude(self, label: str) -> complex:
         return complex(self.amplitudes[self.slice.axis(label)])

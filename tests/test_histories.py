@@ -371,6 +371,59 @@ class TestDenseRefinedFamilies:
                 assert chain_ket(dyn, s0, h).norm() ** 2 == w
 
 
+def block_dynamics(seed, dim=64, block=4, n_slices=5):
+    """Seeded steps that send each block of `block` channels onto another
+    block, mixing inside it by a Haar unitary: label events on unions of
+    blocks decohere."""
+    rng = np.random.default_rng([seed, 2])
+    slices = tuple(
+        TimeSlice(t, tuple(f"c{i}" for i in range(dim))) for t in range(n_slices)
+    )
+    steps = []
+    for a, b in zip(slices, slices[1:]):
+        m = np.zeros((dim, dim), dtype=complex)
+        for src, dst in enumerate(rng.permutation(dim // block)):
+            m[dst * block:(dst + 1) * block, src * block:(src + 1) * block] = haar_unitary(rng, block)
+        steps.append(StepUnitary(a, b, m))
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return Dynamics(slices, tuple(steps)), Ket(slices[0], v / np.linalg.norm(v))
+
+
+def block_refined_tree(dyn, initial, seed, shape=(2, 3, 3, 4), block=4):
+    """A tree grown by `refine` with `shape[t - 1]` parts at each time t,
+    each part the channels of a random group of blocks."""
+    rng = np.random.default_rng([seed, 3])
+    n_blocks = dyn.slices[0].dim // block
+    tree = Family(initial, (History(()),))
+    for t, k in enumerate(shape, start=1):
+        cuts = np.sort(rng.choice(np.arange(1, n_blocks), size=k - 1, replace=False))
+        groups = np.split(rng.permutation(n_blocks), cuts)
+        parts = label_parts(dyn.slices[t], *(
+            [b * block + i for b in g for i in range(block)] for g in groups
+        ))
+        tree = refine(tree, t, parts)
+    return tree
+
+
+class TestBenchmarkSizeWalk:
+    """The prefix-tree walk at the size of the benchmark's largest trees:
+    72 histories over d = 64, every proper prefix shared by 4 to 36
+    histories."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("steps", [haar_dynamics, block_dynamics])
+    def test_match_per_history_oracle_bit_for_bit(self, steps, seed):
+        dyn, s0 = steps(seed, dim=64, n_slices=5)
+        fam = block_refined_tree(dyn, s0, seed)
+        assert len(fam.histories) == 72
+        got_report, got_weights, got_d = _decoherence(dyn, fam)
+        ref_report, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+        assert got_d.tobytes() == ref_d.tobytes()
+        assert [w.hex() for w in got_weights] == [w.hex() for w in ref_weights]
+        assert got_report == ref_report
+        assert got_report.consistent is (steps is block_dynamics)
+
+
 def _pair_bits(report):
     """The offending pairs with each inner product as the bits of its parts."""
     return [(i, j, ip.real.hex(), ip.imag.hex()) for i, j, ip in report.offending_pairs]
@@ -673,6 +726,34 @@ class TestOverflow:
                          History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"x"}))))))
         with pytest.raises(ValueError, match="squared chain-ket norms overflow"):
             born_probabilities(dyn, fam)
+
+
+    def deep_model(self):
+        """x, y channels over t0..t3: two steps scaling by 1e300, so the
+        amplitude at t2 is infinite, then the identity, from (1, 0)."""
+        s = tuple(TimeSlice(t, ("x", "y")) for t in range(4))
+        steps = (StepUnitary(s[0], s[1], np.eye(2) * 1e300),
+                 StepUnitary(s[1], s[2], np.eye(2) * 1e300),
+                 StepUnitary(s[2], s[3], np.eye(2)))
+        return Dynamics(s, steps), Ket(s[0], [1, 0])
+
+    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities", "infer", "transport"])
+    def test_infinite_prefix_amplitude(self, query):
+        # the walk's shared t2 prefix is infinite; no node is scanned, so the
+        # chain kets through it raise, and no RuntimeWarning escapes before
+        dyn, k = self.deep_model()
+        x2, y2 = proj(dyn, 2, {"x"}), proj(dyn, 2, {"y"})
+        fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
+                         History(((2, x2), (3, proj(dyn, 3, {"y"})))),
+                         History(((2, y2),))))
+        calls = {
+            "consistency_check": lambda: consistency_check(dyn, fam),
+            "born_probabilities": lambda: born_probabilities(dyn, fam),
+            "infer": lambda: infer(dyn, k, proj(dyn, 3, {"x"}), x2),
+            "transport": lambda: transport(dyn, k, 2),
+        }
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            calls[query]()
 
 
 class TestBornProbabilities:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from copy import deepcopy
 from dataclasses import FrozenInstanceError
 
@@ -154,6 +155,15 @@ class TestEvolution:
         bad = ProbeSpec("x", frozenset({(1, "X")}))
         with pytest.raises(ValueError, match="unknown channel"):
             evolve_with_probes(dyn, (bad,), ProbeStrength(0.01), s0)
+
+    def test_probe_coupled_at_two_times_rejected(self):
+        # such a probe is rotated twice on a path through both couplings, so
+        # its outcomes would depend on completion_phase
+        with pytest.raises(ValueError, match=re.escape("probe 'x' couples at times [1, 2], not at one time")):
+            ProbeSpec("x", frozenset({(1, "A"), (2, "A")}))
+
+    def test_probe_watching_two_channels_at_one_time_is_legal(self):
+        assert ProbeSpec("w", frozenset({(2, "B"), (2, "C")})).couplings == {(2, "B"), (2, "C")}
 
     def test_initial_ket_past_the_last_slice_rejected(self):
         dyn, _ = model()

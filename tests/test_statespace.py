@@ -349,6 +349,22 @@ def test_projector_from_ket_keeps_its_bits_when_the_norm_is_finite():
     np.testing.assert_array_equal(projector_from_ket(Ket(T2, amps)).matrix, m)
 
 
+@pytest.mark.parametrize("scale", [1e200, -1e300j])
+def test_ket_norm_of_a_finite_ket_whose_square_overflows(scale):
+    # np.linalg.norm overflows to inf here, with a RuntimeWarning
+    n = Ket(TimeSlice(0, ("x", "y")), [scale, scale]).norm()
+    assert type(n) is float
+    assert n == pytest.approx(abs(scale) * np.sqrt(2), rel=1e-15)
+
+
+def test_ket_norm_keeps_the_bits_of_np_linalg_norm_when_finite():
+    dyn = build_nested_mzi(BeamSplitterParams(0.3))
+    kets = [source_ket(dyn), basis_ket(T2, "B"), Ket(T2, [0.3 + 0.1j, -0.7, 1e-9j])]
+    kets += [transport(dyn, source_ket(dyn), t) for t in range(1, 5)]
+    for k in kets:
+        assert k.norm().hex() == float(np.linalg.norm(k.amplitudes)).hex()
+
+
 def test_pdi_rejects_parts_on_another_slice():
     other = TimeSlice(3, ("A", "E", "H"))
     with pytest.raises(ValueError, match=re.escape(f"part lives on {other}, not {T2}")):
