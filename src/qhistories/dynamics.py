@@ -40,10 +40,6 @@ class StepUnitary:
 
     __reduce__ = _reduce
 
-    def unitarity_residual(self) -> float:
-        u = self.matrix
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.from_slice.dim))))
-
 
 @dataclass(frozen=True, eq=False)
 class Dynamics:
@@ -128,9 +124,9 @@ class StepReport:
 
 
 def step_validate(dyn: Dynamics) -> StepReport:
-    """Each step's `unitarity_residual`, computed for all steps at once:
-    the steps of a dynamics join slices of one dimension, so their
-    matrices stack into one (T, d, d) array."""
+    """Each step's unitarity residual, max |U^dagger U - I|, computed for
+    all steps at once: the steps of a dynamics join slices of one
+    dimension, so their matrices stack into one (T, d, d) array."""
     u = np.stack([st.matrix for st in dyn.steps])
     gram = u.conj().transpose(0, 2, 1) @ u
     residuals = tuple(np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2)).tolist())

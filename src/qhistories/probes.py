@@ -3,12 +3,13 @@
 Each probe is a two-level ancilla starting in |0>.  When the particle
 crosses a coupled channel, the probe rotates by a small angle: |0> picks up
 amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
-small (d channels x 2^n probe patterns), so everything is dense.  The joint
+small (d channels x 2^n probe patterns), so everything is dense.  A
+coupling writes only its probe's excited half, empty until then.  The joint
 state is checked for finite amplitudes once, when it is built, and readout
 works on the whole amplitude array at once.  The outcome distribution is
 held as one read-only cell array that its accessors, support and sampling
-read.  When every detector part is a 0/1 diagonal matrix (every label
-projector and `slice_pdi`), its cells are masked sums of |amplitude|^2;
+read.  Label-projector detectors (and `slice_pdi`) sum |amplitude|^2 by one
+0/1 mask product, or by masked sums once a part has three or more channels;
 any other detector takes one broadcast matrix product of all parts over all
 2^n patterns.  The branch decomposition is one column-norm call.
 
@@ -30,7 +31,8 @@ import numpy as np
 from .dynamics import Dynamics, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_finite, _require_slice,
+    _trusted,
 )
 
 
@@ -202,26 +204,19 @@ def _couplings_by_time(
     return resolved
 
 
-def _apply_coupling(
-    amps: np.ndarray,
-    channel_axis: int,
-    bit: int,
-    strength: ProbeStrength,
-    completion_phase: float,
-) -> None:
-    """In place: rotate probe `bit` on the rows where the particle occupies
-    `channel_axis`.  The |0> column is (zeta, eta); the |1> column is the
-    rotation completion times exp(i * completion_phase).  Probes start in
-    |0>, and a `ProbeSpec` couples at one time, where each row is one
-    channel, so a probe is rotated at most once on any row and the
-    completion never enters any outcome.
+def _apply_coupling(amps: np.ndarray, channel_axis: int, bit: int, strength: ProbeStrength) -> None:
+    """In place: rotate probe `bit` from |0> on the row where the particle
+    occupies `channel_axis`, so (a0, 0) becomes (zeta * a0, eta * a0).  A
+    `ProbeSpec` couples at one time, where each row is one channel, and only
+    this coupling sets the bit, so every column with the bit set is still
+    zero here: the rotation's |1> column (its completion) would multiply
+    zeros and never enter any outcome.
     """
-    z, e = strength.zeta, strength.eta
-    phase = np.exp(1j * completion_phase)
     # A view of the (C-contiguous) row: [high bits, probe bit, low bits].
     row = amps[channel_axis].reshape(-1, 2, 1 << bit)
-    a0, a1 = row[:, 0], row[:, 1]
-    row[:, 0], row[:, 1] = z * a0 - e * phase * a1, e * a0 + z * phase * a1
+    a0 = row[:, 0]
+    row[:, 1] = strength.eta * a0
+    row[:, 0] = strength.zeta * a0
 
 
 def evolve_with_probes(
@@ -231,7 +226,6 @@ def evolve_with_probes(
     initial: Ket,
     *,
     upto: int | None = None,
-    completion_phase: float = 0.0,
 ) -> JointState:
     """Evolve `initial` (x) |0...0> to the final slice (or to `upto`),
     alternating step unitaries (identity on the probes) with the probe
@@ -252,16 +246,19 @@ def evolve_with_probes(
     amps[:, 0] = initial.amplitudes
     for t in range(stop + 1):
         for pos, axis in by_time.get(t, []):
-            _apply_coupling(amps, axis, pos, strength, completion_phase)
+            _apply_coupling(amps, axis, pos, strength)
         if t < stop:
             amps = dyn.steps[t].matrix @ amps
-    return JointState(dyn.slices[stop], probes, amps)
+    _require_finite(amps)
+    return _trusted(JointState, slice=dyn.slices[stop], probes=probes, amplitudes=amps)
 
 
 def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     """Decompose by probe pattern, dropping branches of norm at most
-    `DEFAULT_TOL`.  Ordered by excitation count, then probe position."""
-    norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
+    `DEFAULT_TOL`.  Ordered by excitation count, then probe position.  A
+    finite column whose squared norm overflows has norm inf and is kept."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = _kappa_labels(js.probes)
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
@@ -363,20 +360,26 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     # One row per pattern (2^n, d), in `order`.  Every cell is a sum over
     # d of contiguous |.|^2 terms in a (k, 2^n, d) layout, so it has the
     # value that part's and pattern's own matrix-vector product and sum
-    # give, bit for bit.  A 0/1 diagonal part copies the amplitudes it
-    # keeps and zeroes the rest, so when every part is a label projector,
-    # its recorded support over |amplitude|^2 gives the same terms without
-    # the product.
+    # give, bit for bit.  A label projector keeps some terms and zeroes the
+    # rest, as its 0/1 support times |.|^2 does (x*1 = x, x*0 = +0); with
+    # at most two kept terms, a mask product sums them with one rounding in
+    # any order.  An overflowing |.|^2 makes an inf cell, or NaN (inf*0).
     ons = [part._on for part in detector_pdi.parts]
     cols = js.amplitudes.T[list(order)]
-    if all(on is not None for on in ons):
-        on = np.stack(ons)
-        cells = np.sum(np.where(on[:, None, :], np.abs(cols) ** 2, 0.0), axis=2).ravel()
-    else:
-        # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
-        mats = np.stack([part.matrix for part in detector_pdi.parts])
-        prods = np.matmul(mats[:, None], cols[None, :, :, None])
-        cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(on is not None for on in ons):
+            on, sq = np.array(ons, dtype=float), np.abs(cols) ** 2
+            if max(on.sum(axis=1).tolist()) <= 2:
+                cells = (on @ sq.T).ravel()
+            else:
+                cells = np.sum(on[:, None, :] * sq, axis=2).ravel()
+        else:
+            # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
+            mats = np.stack([part.matrix for part in detector_pdi.parts])
+            prods = np.matmul(mats[:, None], cols[None, :, :, None])
+            cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
+    if not np.isfinite(cells).all():
+        raise ValueError("squared amplitudes overflow; they must be finite")
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 

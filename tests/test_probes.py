@@ -95,6 +95,29 @@ def kron_oracle(dyn, probes, eps, initial, upto=None):
     return state.reshape(dyn.slices[stop].dim, big)
 
 
+def full_rotation_evolution(dyn, probes, eps, initial, phase=0.0):
+    """The library's evolution with each coupling as the full rotation: the
+    |0> column (zeta, eta), the |1> column its completion (-eta, zeta)
+    times exp(i phase)."""
+    z, e = math.sqrt(1.0 - eps), math.sqrt(eps)
+    w = np.exp(1j * phase)
+    by_time: dict[int, list] = {}
+    for pos, spec in enumerate(probes):
+        for t, lab in spec.couplings:
+            by_time.setdefault(t, []).append((pos, lab))
+    amps = np.zeros((initial.slice.dim, 1 << len(probes)), dtype=complex)
+    amps[:, 0] = initial.amplitudes
+    for t in range(dyn.final_index + 1):
+        for pos, lab in sorted(by_time.get(t, []), key=lambda pc: (probes[pc[0]].probe_id, pc[1])):
+            row = amps[dyn.slices[t].axis(lab)].reshape(-1, 2, 1 << pos)
+            a0, a1 = row[:, 0].copy(), row[:, 1].copy()
+            row[:, 0] = z * a0 - e * w * a1
+            row[:, 1] = e * a0 + z * w * a1
+        if t < dyn.final_index:
+            amps = dyn.steps[t].matrix @ amps
+    return amps
+
+
 class TestEvolution:
     @pytest.mark.parametrize("alpha2", [1 / 3, 0.42])
     @pytest.mark.parametrize("eps", [1e-4, 1e-2])
@@ -158,7 +181,7 @@ class TestEvolution:
 
     def test_probe_coupled_at_two_times_rejected(self):
         # such a probe is rotated twice on a path through both couplings, so
-        # its outcomes would depend on completion_phase
+        # its outcomes would depend on the phase of the rotation's completion
         with pytest.raises(ValueError, match=re.escape("probe 'x' couples at times [1, 2], not at one time")):
             ProbeSpec("x", frozenset({(1, "A"), (2, "A")}))
 
@@ -200,26 +223,30 @@ class TestEvolution:
         rng = np.random.default_rng(23)
         dyn, s0 = model(0.42)
         pdi = detector_pdi(dyn)
-        base = outcome_distribution(
-            evolve_with_probes(
-                dyn, standard_probes("adbcew"), ProbeStrength(0.2), s0
-            ),
-            pdi,
-        )
-        for _ in range(5):
-            phase = float(rng.uniform(0, 2 * np.pi))
-            alt = outcome_distribution(
-                evolve_with_probes(
-                    dyn,
-                    standard_probes("adbcew"),
-                    ProbeStrength(0.2),
-                    s0,
-                    completion_phase=phase,
-                ),
-                pdi,
-            )
+        probes = standard_probes("adbcew")
+        base = outcome_distribution(evolve_with_probes(dyn, probes, ProbeStrength(0.2), s0), pdi)
+        for phase in [0.0, np.pi / 2, np.pi] + rng.uniform(0, 2 * np.pi, size=5).tolist():
+            amps = full_rotation_evolution(dyn, probes, 0.2, s0, phase)
+            alt = outcome_distribution(JointState(dyn.slices[4], probes, amps), pdi)
             for key, v in base.probs.items():
                 assert alt.probs[key] == pytest.approx(v, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_haar_amplitudes_equal_the_full_rotation(self, seed):
+        # probes listed out of time order, one watching two channels, two
+        # at one time on one channel; the completion multiplies zeros only
+        dyn, s0 = haar_dynamics(seed, n_slices=6)
+        probes = (ProbeSpec("p", frozenset({(4, "c1")})),
+                  ProbeSpec("q", frozenset({(1, "c5")})),
+                  ProbeSpec("w", frozenset({(3, "c0"), (3, "c6")})),
+                  ProbeSpec("r", frozenset({(5, "c2")})),
+                  ProbeSpec("s", frozenset({(2, "c3")})),
+                  ProbeSpec("t", frozenset({(1, "c5")})),
+                  ProbeSpec("u", frozenset({(0, "c4")})))
+        js = evolve_with_probes(dyn, probes, ProbeStrength(0.3), s0)
+        ref = full_rotation_evolution(dyn, probes, 0.3, s0)
+        assert (js.amplitudes == ref).all()
+        assert js.amplitudes.flags.writeable is False
 
 
 class TestOutcomeStatistics:
@@ -660,7 +687,8 @@ def rank_one(slc, amps, name):
 
 @pytest.fixture
 def matmul_calls(monkeypatch):
-    """Count the broadcast matrix products the readout makes."""
+    """Count the broadcast matrix products of part matrices the readout
+    makes.  The 0/1 support-mask product (`@`) is not one of them."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -691,12 +719,27 @@ class TestReadoutReference:
         assert dist._cells.flags.writeable is False
 
     @pytest.mark.parametrize("n_probes", [4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("sizes", [(1,) * 8, (2, 3, 3), (4, 4), (1, 2, 5)],
-                             ids=["1x8", "2-3-3", "4-4", "1-2-5"])
+    @pytest.mark.parametrize("sizes", [(1,) * 8, (2, 2, 2, 2), (1, 1, 2, 2, 2), (2, 3, 3), (4, 4),
+                                       (1, 2, 5)],
+                             ids=["1x8", "2-2-2-2", "1-1-2-2-2", "2-3-3", "4-4", "1-2-5"])
     def test_grouped_diagonal_detectors_need_no_product(self, n_probes, sizes, matmul_calls):
         dyn, s0 = haar_dynamics(7, n_slices=6)
         js = evolve_with_probes(dyn, haar_probes(n_probes), ProbeStrength(0.2), s0)
         pdi = grouped_pdi(dyn.slices[-1], sizes)
+        ref = reference_cells(js, pdi)
+        matmul_calls.clear()
+        dist = outcome_distribution(js, pdi)
+        assert matmul_calls == []
+        assert_readout_matches_reference(dist, ref)
+
+    @pytest.mark.parametrize("alpha2", [0.001, 1 / 3, 0.5, 0.999])
+    @pytest.mark.parametrize("ids", ["adbce", "adbcew", "adew"])
+    def test_suite_detectors_need_no_product(self, alpha2, ids, matmul_calls):
+        # the paper suite's {F,G}|{H} at d = 3
+        dyn, s0 = model(alpha2)
+        js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(0.2), s0)
+        slc = dyn.slices[4]
+        pdi = PDI(slc, (projector_from_labels(slc, {"F", "G"}), projector_from_labels(slc, {"H"})))
         ref = reference_cells(js, pdi)
         matmul_calls.clear()
         dist = outcome_distribution(js, pdi)
@@ -739,6 +782,42 @@ class TestReadoutReference:
         assert_readout_matches_reference(dist)
         assert coincidence_support(dist) == {"H4": {"o", "a"}, "F4": {"o"}}
         assert list(sample(dist, 1000, seed=3)) == list(probs)[:3]
+
+
+class TestOverflow:
+    """Finite amplitudes whose squares overflow: the outcome distribution
+    raises on every path of its cells, the branch decomposition keeps the
+    branch, and no RuntimeWarning escapes (pytest turns one into an
+    error)."""
+
+    @staticmethod
+    def state(labels, big=1e200):
+        slc = TimeSlice(0, tuple(labels))
+        amps = np.zeros((len(labels), 2))
+        amps[0, 0], amps[1, 0], amps[-1, 1] = big, 1.0, 1.0
+        return JointState(slc, (ProbeSpec("p", frozenset({(0, labels[0])})),), amps)
+
+    @pytest.mark.parametrize("detectors", ["mask-product", "masked-sums", "dense"])
+    def test_outcome_distribution_rejects_overflowing_cells(self, detectors):
+        # one part's cell is inf; in the mask product the others' read inf*0
+        js = self.state("WXYZ")
+        slc = js.slice
+        pdi = {
+            "mask-product": slice_pdi(slc),
+            "masked-sums": PDI(slc, (projector_from_labels(slc, {"W", "X", "Y"}),
+                                     projector_from_labels(slc, {"Z"}))),
+            "dense": PDI(slc, (rank_one(slc, [0.6, 0.8], "r"), rank_one(slc, [0.8, -0.6], "s"),
+                               projector_from_labels(slc, {"Y", "Z"}))),
+        }[detectors]
+        with pytest.raises(ValueError, match=re.escape("squared amplitudes overflow; they must be finite")):
+            outcome_distribution(js, pdi)
+
+    def test_branch_with_an_overflowing_norm_is_kept(self):
+        js = self.state("XY")
+        branches = branch_components(js)
+        assert [br.kappa for br in branches] == ["o", "p"]
+        np.testing.assert_array_equal(branches[0].phi.amplitudes, [1e200, 1.0])
+        assert branches[0].phi.norm() == 1e200
 
 
 class TestSampling:
