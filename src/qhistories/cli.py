@@ -31,6 +31,7 @@ from .mzi import (
     BeamSplitterParams,
     NamedFamilyId,
     _family as _model_family,
+    _label_projector,
     build_nested_mzi,
     named_family,
     source_ket,
@@ -47,7 +48,7 @@ from .probes import (
     sample,
     standard_probes,
 )
-from .statespace import DEFAULT_TOL, PDI, basis_ket, inner, projector_from_labels, slice_pdi
+from .statespace import DEFAULT_TOL, PDI, basis_ket, inner, slice_pdi
 from .weak import presence_table
 
 
@@ -277,10 +278,8 @@ def cmd_infer(cfg: RunConfig, time_token: str, channels: str, given: str) -> tup
     t_final = dyn.final_index
     if not 0 < t < t_final:
         raise ConfigError(f"query time t{t} must lie strictly between t0 and t{t_final}")
-    query = projector_from_labels(dyn.slices[t], _parse_channels(dyn, t, channels))
-    final = projector_from_labels(
-        dyn.slices[t_final], _parse_channels(dyn, t_final, given)
-    )
+    query = _label_projector(t, _parse_channels(dyn, t, channels))
+    final = _label_projector(t_final, _parse_channels(dyn, t_final, given))
     s0 = source_ket(dyn)
     verdict = infer(dyn, s0, final, query)
     quantity = f"Pr({query.name}|{s0.name},{final.name})"
@@ -299,11 +298,7 @@ def cmd_weak_values(cfg: RunConfig) -> tuple[int, list[Row]]:
     dyn = build_nested_mzi(BeamSplitterParams(cfg.alpha2))
     s0 = source_ket(dyn)
     f4 = basis_ket(dyn.slices[4], "F")
-    channels = [
-        projector_from_labels(dyn.slices[t], {lab})
-        for t in (1, 2, 3)
-        for lab in dyn.slices[t].basis
-    ]
+    channels = [_label_projector(t, lab) for t in (1, 2, 3) for lab in dyn.slices[t].basis]
     rows = [
         Row(
             f"wv({entry.name})",
@@ -379,15 +374,15 @@ def _suite_families(cfg: RunConfig, dyn: Dynamics):
     for h, ref in zip(hists, (a2 * a2, 0.0, b2 + a2 * b2)):
         yield f"Pr({h.label()}|S0)", cond, weights[h], ref, "eq10"
 
-    f4 = projector_from_labels(dyn.slices[4], {"F"})
-    a2_proj = projector_from_labels(dyn.slices[2], {"A"})
+    f4 = _label_projector(4, "F")
+    a2_proj = _label_projector(2, "A")
     yield "Pr(F4|S0)", cond, weights[hists[0]] + weights[hists[1]], a2 * a2, "eq11"
     pr_a2 = _conditional(fam, weights, [(4, f4)], [(2, a2_proj)])
     yield "Pr(A2|S0,F4)", cond, pr_a2, 1.0, "eq11"
 
     fam = _model_family(dyn, NamedFamilyId.F_A_PRIME)
     yield "histories(F_A_PRIME)", cond, float(len(fam.histories)), 18.0, "eq16"
-    query = [(t, projector_from_labels(dyn.slices[t], {"A"})) for t in (1, 2, 3)]
+    query = [(t, _label_projector(t, "A")) for t in (1, 2, 3)]
     pr_path = conditional_probability(dyn, fam, [(4, f4)], query)
     yield "Pr(A1,A2,A3|S0,F4)", cond, pr_path, 1.0, "eq16"
 
@@ -407,7 +402,7 @@ def _suite_families(cfg: RunConfig, dyn: Dynamics):
     weights = born_probabilities(dyn, fam)
     yield "Pr(F4|S0)", cond3, sum(weights.values()), 1.0 / 9.0, "eq23"
     yield "Pr(C2,F4|S0)", cond3, weights[fam.histories[0]], 1.0 / 9.0, "eq23"
-    c2 = projector_from_labels(dyn.slices[2], {"C"})
+    c2 = _label_projector(2, "C")
     pr_c2 = _conditional(fam, weights, [(4, f4)], [(2, c2)])
     yield "Pr(C2|S0,F4)", cond3, pr_c2, 1.0, "eq23"
 
@@ -487,11 +482,7 @@ def _suite_probes(cfg: RunConfig, dyn: Dynamics):
     ids = ("a", "d", "b", "c", "e")
     cond = _probe_cond(cfg, eps35, ids)
     js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps35), s0)
-    slc = dyn.slices[4]
-    fg_pdi = PDI(
-        slc,
-        (projector_from_labels(slc, {"F", "G"}), projector_from_labels(slc, {"H"})),
-    )
+    fg_pdi = PDI(dyn.slices[4], (_label_projector(4, "FG"), _label_projector(4, "H")))
     support = coincidence_support(outcome_distribution(js, fg_pdi))
     for det, kappas in (
         ("H4", {"o", "d", "b", "c", "db", "dc"}),
@@ -505,7 +496,7 @@ def _suite_weak(cfg: RunConfig, dyn: Dynamics):
     a2, b2 = p.alpha2, p.beta2
     s0 = source_ket(dyn)
     f4 = basis_ket(dyn.slices[4], "F")
-    channels = [projector_from_labels(dyn.slices[2], {lab}) for lab in ("A", "B", "C")]
+    channels = [_label_projector(2, lab) for lab in "ABC"]
     refs = (1.0, -b2 / (2 * a2), b2 / (2 * a2))
     cond = _cond(cfg)
     for entry, ref in zip(presence_table(dyn, s0, f4, channels), refs):

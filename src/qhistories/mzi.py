@@ -5,21 +5,31 @@ loop (channels B and C between the second and third splitters) is tuned so
 that anything entering it through D leaves through H, for every splitting
 ratio.  A variant without the last two splitters routes beams straight
 through instead.
+
+What does not depend on the splitting ratio is built once, at import, and
+is read-only: the label projector of every non-empty channel set of each
+slice (`_label_projector`), each variant's step matrices as coefficient
+tables affine in the two splitter amplitudes, and every named family but
+EQ25_BACKWARD, whose ray depends on the ratio.  A build then evaluates the
+tables at the ratio and still checks the result (`Dynamics(...)` and
+`step_validate`); `named_family` hands out the shared, immutable family.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
+import types
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .dynamics import Dynamics, StepUnitary, step_validate
 from .histories import Family, History
 from .statespace import (
-    Ket, TimeSlice, _trusted, basis_ket, projector_from_labels, projector_from_ket,
+    Ket, Projector, TimeSlice, _trusted, basis_ket, projector_from_labels, projector_from_ket,
 )
 from .weak import backward_state
 
@@ -73,31 +83,79 @@ def time_slices() -> tuple[TimeSlice, ...]:
     return _SLICES
 
 
-def _step(
-    frm: TimeSlice, to: TimeSlice, columns: dict[str, dict[str, float]]
-) -> StepUnitary:
-    """The step whose column `src` sends amplitude `amp` to each `dst`.
-    Built trusted: the closed-form entries are finite and the shape is the
-    slices'; unitarity is left to `step_validate`."""
-    m = np.zeros((to.dim, frm.dim), dtype=complex)
-    for src, images in columns.items():
-        for dst, amp in images.items():
-            m[to.axis(dst), frm.axis(src)] = amp
-    return _trusted(StepUnitary, from_slice=frm, to_slice=to, matrix=m)
+#: Every non-empty channel set of each slice, keyed by (time, labels), as
+#: the label projector `projector_from_labels` builds: 7 per slice.
+_LABELS = types.MappingProxyType({
+    (slc.time_index, frozenset(labels)): projector_from_labels(slc, labels)
+    for slc in _SLICES
+    for n in range(1, slc.dim + 1)
+    for labels in itertools.combinations(slc.basis, n)
+})
 
 
-def _build(p: BeamSplitterParams, to_t3: dict, to_t4: dict) -> Dynamics:
-    """The source splitter and the inner-loop entry, then the given steps
-    into slices 3 and 4 (columns as in `_step`)."""
-    a, b = p.alpha, p.beta
-    t0, t1, t2, t3, t4 = time_slices()
-    steps = (
-        _step(t0, t1, {"S": {"A": a, "D": b}, "R": {"A": -b, "D": a}, "Q": {"Q": 1}}),
-        _step(t1, t2, {"A": {"A": 1}, "D": {"B": R, "C": R}, "Q": {"B": R, "C": -R}}),
-        _step(t2, t3, to_t3),
-        _step(t3, t4, to_t4),
+def _label_projector(t: int, labels: Iterable[str]) -> Projector:
+    """The shared label projector onto `labels` (channels of slice `t`)."""
+    return _LABELS[t, frozenset(labels)]
+
+
+def _nested_columns(a: float, b: float) -> tuple[dict[str, dict[str, float]], ...]:
+    """The four steps of the full model at amplitudes (a, b): column `src`
+    of a step sends amplitude `amp` to each `dst`.  The source splitter,
+    the inner-loop entry and exit, and the last splitter."""
+    return (
+        {"S": {"A": a, "D": b}, "R": {"A": -b, "D": a}, "Q": {"Q": 1}},
+        {"A": {"A": 1}, "D": {"B": R, "C": R}, "Q": {"B": R, "C": -R}},
+        {"A": {"A": 1}, "B": {"E": -R, "H": R}, "C": {"E": R, "H": R}},
+        {"A": {"F": a, "G": b}, "E": {"F": b, "G": -a}, "H": {"H": 1}},
     )
-    dyn = Dynamics((t0, t1, t2, t3, t4), steps)
+
+
+def _no_bs34_columns(a: float, b: float) -> tuple[dict[str, dict[str, float]], ...]:
+    """The steps of `build_no_bs34`, as columns like `_nested_columns`."""
+    return _nested_columns(a, b)[:2] + (
+        {"A": {"A": 1}, "B": {"H": 1}, "C": {"E": 1}},
+        {"A": {"G": 1}, "E": {"F": 1}, "H": {"H": 1}},
+    )
+
+
+def _matrices(columns: tuple[dict[str, dict[str, float]], ...]) -> np.ndarray:
+    """The (4, 3, 3) step matrices of four column maps over the slices."""
+    m = np.zeros((len(columns), 3, 3), dtype=complex)
+    for j, cols in enumerate(columns):
+        frm, to = _SLICES[j], _SLICES[j + 1]
+        for src, images in cols.items():
+            for dst, amp in images.items():
+                m[j, to.axis(dst), frm.axis(src)] = amp
+    return m
+
+
+def _coefficients(columns: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K0, Ka, Kb), read-only, with steps(a, b) = K0 + a Ka + b Kb.  Every
+    entry of a step is one of 0, +-1, +-R, +-a or +-b, so K0 holds the
+    constants and Ka, Kb the signs; for a, b > 0 the sum is each entry's
+    value bit for bit (y * 0 = +0 and x + (+0) = x)."""
+    k0 = _matrices(columns(0.0, 0.0))
+    tables = (k0, _matrices(columns(1.0, 0.0)) - k0, _matrices(columns(0.0, 1.0)) - k0)
+    for k in tables:
+        k.setflags(write=False)
+    return tables
+
+
+_NESTED = _coefficients(_nested_columns)
+_NO_BS34 = _coefficients(_no_bs34_columns)
+
+
+def _build(p: BeamSplitterParams, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Dynamics:
+    """The model whose steps are `tables` (as `_coefficients` gives them)
+    at the ratio `p`, built trusted: the entries are finite and the shapes
+    the slices'; unitarity is left to `step_validate`."""
+    k0, ka, kb = tables
+    u = k0 + p.alpha * ka + p.beta * kb
+    steps = tuple(
+        _trusted(StepUnitary, from_slice=_SLICES[j], to_slice=_SLICES[j + 1], matrix=u[j])
+        for j in range(len(u))
+    )
+    dyn = Dynamics(_SLICES, steps)
     report = step_validate(dyn)
     if not report.ok:
         raise AssertionError(f"construction produced a non-unitary step: {report}")
@@ -106,12 +164,7 @@ def _build(p: BeamSplitterParams, to_t3: dict, to_t4: dict) -> Dynamics:
 
 def build_nested_mzi(p: BeamSplitterParams) -> Dynamics:
     """The full model: four splitter steps over the five slices."""
-    a, b = p.alpha, p.beta
-    return _build(
-        p,
-        {"A": {"A": 1}, "B": {"E": -R, "H": R}, "C": {"E": R, "H": R}},
-        {"A": {"F": a, "G": b}, "E": {"F": b, "G": -a}, "H": {"H": 1}},
-    )
+    return _build(p, _NESTED)
 
 
 def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
@@ -119,11 +172,7 @@ def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
     through their crossing points (B->H, C->E, then A->G, E->F), following
     the layout geometry.  The first two steps are unchanged.
     """
-    return _build(
-        p,
-        {"A": {"A": 1}, "B": {"H": 1}, "C": {"E": 1}},
-        {"A": {"G": 1}, "E": {"F": 1}, "H": {"H": 1}},
-    )
+    return _build(p, _NO_BS34)
 
 
 def source_ket(dyn: Dynamics) -> Ket:
@@ -169,11 +218,27 @@ _COMPLETE = {
 }
 
 
+#: Every named family but EQ25_BACKWARD, over the shared slices from the
+#: source ket: their events do not depend on the splitting ratio.
+_SHARED = types.MappingProxyType({
+    fid: Family(
+        basis_ket(_SLICES[0], "S"),
+        tuple(
+            _trusted(History, events=tuple((t, _label_projector(t, ch)) for t, ch in row))
+            for row in rows
+        ),
+        complete=fid in _COMPLETE,
+    )
+    for fid, rows in _EVENTS.items()
+})
+
+
 def named_family(fid: NamedFamilyId, p: BeamSplitterParams) -> tuple[Dynamics, Family]:
-    """Construct one of the built-in families together with its dynamics.
+    """One of the built-in families together with its dynamics.
 
     EQ8_FULL, EQ12_DETECTORS and EQ26_NO_BS34 are complete; the rest are
-    subfamilies conditioned on arrival in F.
+    subfamilies conditioned on arrival in F.  Every family but
+    EQ25_BACKWARD is one shared, immutable object, the same at every ratio.
     """
     if not isinstance(fid, NamedFamilyId):
         raise ValueError(f"unknown family id {fid!r}")
@@ -184,16 +249,10 @@ def named_family(fid: NamedFamilyId, p: BeamSplitterParams) -> tuple[Dynamics, F
 def _family(dyn: Dynamics, fid: NamedFamilyId) -> Family:
     """The family `fid` over a model already built for it (`build_no_bs34`
     for EQ26_NO_BS34, `build_nested_mzi` for the rest)."""
-    if fid is NamedFamilyId.EQ25_BACKWARD:
-        # The ray at t2 that evolves into F4, and its complement.
-        f4 = projector_from_labels(dyn.slices[4], "F")
-        back = projector_from_ket(backward_state(dyn, basis_ket(dyn.slices[4], "F"), 2))
-        histories = tuple(History(((2, e), (4, f4))) for e in (back, back.complement()))
-    else:
-        # rows of label projectors on the model's own slices, at increasing times
-        proj = functools.cache(lambda t, ch: projector_from_labels(dyn.slices[t], ch))
-        histories = tuple(
-            _trusted(History, events=tuple((t, proj(t, ch)) for t, ch in row))
-            for row in _EVENTS[fid]
-        )
-    return Family(source_ket(dyn), histories, complete=fid in _COMPLETE)
+    if fid is not NamedFamilyId.EQ25_BACKWARD:
+        return _SHARED[fid]
+    # The ray at t2 that evolves into F4, and its complement.
+    f4 = _label_projector(4, "F")
+    back = projector_from_ket(backward_state(dyn, basis_ket(dyn.slices[4], "F"), 2))
+    histories = tuple(History(((2, e), (4, f4))) for e in (back, back.complement()))
+    return Family(source_ket(dyn), histories)

@@ -106,14 +106,9 @@ class ProbeStrength:
         return math.sqrt(1.0 - self.epsilon)
 
 
-def _kappa_label(mask: int, probes: Sequence[ProbeSpec]) -> str:
-    if mask == 0:
-        return "o"
-    return "".join(p.probe_id for i, p in enumerate(probes) if mask >> i & 1)
-
-
 def _kappa_labels(probes: Sequence[ProbeSpec]) -> list[str]:
-    """`_kappa_label` of every mask, indexed by mask.  Mask m + 2^k with
+    """The label of every mask, indexed by mask: the ids of the probes whose
+    bits are set, in probe order, or "o" for mask 0.  Mask m + 2^k with
     m < 2^k is the label of m followed by probe k's id."""
     labels = [""]
     for p in probes:

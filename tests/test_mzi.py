@@ -1,8 +1,13 @@
+import itertools
+import math
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from qhistories import mzi
 from qhistories.dynamics import step_validate, transport
-from qhistories.histories import History, born_probabilities, consistency_check
+from qhistories.histories import Family, History, born_probabilities, consistency_check
 from qhistories.mzi import (
     BeamSplitterParams,
     NamedFamilyId,
@@ -12,7 +17,7 @@ from qhistories.mzi import (
     source_ket,
     time_slices,
 )
-from qhistories.statespace import basis_ket, inner
+from qhistories.statespace import basis_ket, inner, projector_from_labels
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
@@ -197,3 +202,97 @@ class TestNamedFamilies:
         assert fam.complete
         weights = born_probabilities(dyn, fam)
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+EDGE_RATIOS = [1e-6, 0.001, 1 / 3, 0.5, 0.999, 1 - 1e-6, 1 - 1e-11]
+
+
+def closed_form_steps(alpha2, variant):
+    """The four step matrices written entry by entry: rows are the target
+    channels, columns the source channels, each in slice-basis order."""
+    a, b, r = math.sqrt(alpha2), math.sqrt(1 - alpha2), 1.0 / math.sqrt(2.0)
+    steps = [
+        [[a, -b, 0], [b, a, 0], [0, 0, 1]],  # S,R,Q -> A,D,Q
+        [[1, 0, 0], [0, r, r], [0, r, -r]],  # A,D,Q -> A,B,C
+    ]
+    if variant == "nested":
+        steps += [
+            [[1, 0, 0], [0, -r, r], [0, r, r]],  # A,B,C -> A,E,H
+            [[a, b, 0], [b, -a, 0], [0, 0, 1]],  # A,E,H -> F,G,H
+        ]
+    else:
+        steps += [
+            [[1, 0, 0], [0, 0, 1], [0, 1, 0]],  # B -> H, C -> E
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],  # A -> G, E -> F
+        ]
+    return [np.array(m, dtype=complex) for m in steps]
+
+
+class TestImportTables:
+    """The ratio-independent parts built at import: steps from coefficient
+    tables, the label-projector table and the shared named families."""
+
+    @pytest.mark.parametrize("variant", ["nested", "no_bs34"])
+    def test_steps_are_the_closed_forms_bit_for_bit(self, variant):
+        build = build_nested_mzi if variant == "nested" else build_no_bs34
+        for alpha2 in EDGE_RATIOS + GRID + [k / 97 for k in range(1, 97)]:
+            dyn = build(BeamSplitterParams(alpha2))
+            want = closed_form_steps(alpha2, variant)
+            for j, st in enumerate(dyn.steps):
+                assert st.matrix.tobytes() == want[j].tobytes(), (alpha2, j)
+                assert st.matrix.flags.writeable is False
+
+    def test_label_table_holds_every_label_projector(self):
+        assert len(mzi._LABELS) == 35
+        for slc in time_slices():
+            for n in range(1, 4):
+                for labels in itertools.combinations(slc.basis, n):
+                    got = mzi._label_projector(slc.time_index, labels[::-1])
+                    want = projector_from_labels(slc, labels)
+                    assert got.slice is slc
+                    assert got.name == want.name
+                    assert got.matrix.tobytes() == want.matrix.tobytes()
+                    assert got._on.tobytes() == want._on.tobytes()
+                    assert not got.matrix.flags.writeable and not got._on.flags.writeable
+
+    def test_tables_reject_assignment(self):
+        p = mzi._label_projector(2, "A")
+        with pytest.raises(TypeError):
+            mzi._LABELS[2, frozenset("A")] = p
+        with pytest.raises(TypeError):
+            mzi._SHARED[NamedFamilyId.F_A] = None
+        for k in (*mzi._NESTED, *mzi._NO_BS34):
+            assert k.flags.writeable is False
+
+    @pytest.mark.parametrize(
+        "fid", [f for f in NamedFamilyId if f is not NamedFamilyId.EQ25_BACKWARD],
+        ids=lambda f: f.name,
+    )
+    def test_shared_families_are_their_event_rows(self, fid):
+        fams = {named_family(fid, BeamSplitterParams(a2))[1] for a2 in EDGE_RATIOS}
+        assert len(fams) == 1
+        (fam,) = fams
+        assert fam is mzi._SHARED[fid]
+        assert fam.complete is FAMILY_LABELS[fid.name][0]
+        assert fam.initial.amplitudes.tobytes() == np.array([1, 0, 0], dtype=complex).tobytes()
+        assert [[(t, p.name) for t, p in h.events] for h in fam.histories] == [
+            [(t, projector_from_labels(time_slices()[t], ch).name) for t, ch in row]
+            for row in mzi._EVENTS[fid]
+        ]
+        with pytest.raises(FrozenInstanceError):
+            fam.histories = ()
+
+    def test_backward_family_is_built_per_call(self):
+        p = BeamSplitterParams(0.3)
+        first = named_family(NamedFamilyId.EQ25_BACKWARD, p)[1]
+        assert named_family(NamedFamilyId.EQ25_BACKWARD, p)[1] is not first
+
+    @pytest.mark.parametrize(
+        "fid", sorted(mzi._COMPLETE, key=lambda f: f.name), ids=lambda f: f.name
+    )
+    def test_complete_family_missing_a_history_is_rejected(self, fid):
+        fam = mzi._SHARED[fid]
+        for i in range(len(fam.histories)):
+            rest = fam.histories[:i] + fam.histories[i + 1:]
+            with pytest.raises(ValueError, match="does not cover the identity"):
+                Family(fam.initial, rest, complete=True)

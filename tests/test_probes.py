@@ -10,7 +10,7 @@ from _closedforms import (
     expected_single_watcher_branches,
     expected_split_watcher_branches,
 )
-from test_histories import haar_dynamics
+from test_histories import haar_dynamics, haar_unitary
 
 from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.histories import VanishingProbabilityError
@@ -22,7 +22,6 @@ from qhistories.probes import (
     OutcomeDistribution,
     ProbeSpec,
     ProbeStrength,
-    _kappa_label,
     _kappa_labels,
     _kappa_order,
     branch_components,
@@ -495,7 +494,7 @@ class TestBranchComponents:
 
     def test_labels_by_mask_match_single_labels(self):
         probes = standard_probes("adbcew")
-        assert _kappa_labels(probes) == [_kappa_label(m, probes) for m in range(64)]
+        assert _kappa_labels(probes) == [mask_label(m, probes) for m in range(64)]
 
     def test_kappa_order_cannot_be_mutated(self):
         order = _kappa_order(3)
@@ -782,6 +781,47 @@ class TestReadoutReference:
         assert_readout_matches_reference(dist)
         assert coincidence_support(dist) == {"H4": {"o", "a"}, "F4": {"o"}}
         assert list(sample(dist, 1000, seed=3)) == list(probs)[:3]
+
+
+class TestReadoutGauge:
+    """The label path of the readout against the dense path of the same
+    readout with only the final slice in a Haar-random basis V: the last
+    step becomes V U and each detector part V P V^dagger, so the rotated
+    parts record no support.  Probes couple before the final slice, where
+    the rotation does not reach them.
+
+    The bound is `assert_gauge_invariant`'s, 20 d T eps for a unit initial
+    ket: a cell is a squared norm after at most T step products and one
+    part product, and the rotation adds two products to each part and one
+    to the last step."""
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    @pytest.mark.parametrize("sizes", [(1,) * 8, (2, 2, 2, 2), (1, 1, 2, 2, 2), (2, 3, 3)],
+                             ids=["1x8", "2-2-2-2", "1-1-2-2-2", "2-3-3"])
+    def test_rotated_final_slice_gives_the_same_cells(self, seed, sizes, matmul_calls):
+        dyn, s0 = haar_dynamics(seed, n_slices=6)
+        probes = tuple(ProbeSpec(f"p{i}", frozenset({(1 + i % 4, f"c{(3 * i) % 8}")}))
+                       for i in range(6))
+        strength = ProbeStrength(0.2)
+        slc = dyn.slices[-1]
+        pdi = grouped_pdi(slc, sizes)
+        v = haar_unitary(np.random.default_rng([seed, 4]), slc.dim)
+        last = dyn.steps[-1]
+        rotated = Dynamics(dyn.slices, dyn.steps[:-1] + (
+            StepUnitary(last.from_slice, last.to_slice, v @ last.matrix),))
+        rotated_pdi = PDI(slc, tuple(Projector(slc, v @ p.matrix @ v.conj().T, p.name)
+                                     for p in pdi))
+        assert all(p._on is None for p in rotated_pdi)
+
+        matmul_calls.clear()
+        dist = outcome_distribution(evolve_with_probes(dyn, probes, strength, s0), pdi)
+        assert matmul_calls == []
+        got = outcome_distribution(
+            evolve_with_probes(rotated, probes, strength, s0), rotated_pdi)
+        assert matmul_calls == [(len(sizes), 1, 8, 8)]
+        assert got._keys == dist._keys
+        bound = 20 * slc.dim * len(dyn.slices) * np.finfo(float).eps
+        assert np.max(np.abs(got._cells - dist._cells)) <= bound
 
 
 class TestOverflow:
