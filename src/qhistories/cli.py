@@ -30,6 +30,8 @@ from .histories import (
 from .mzi import (
     BeamSplitterParams,
     NamedFamilyId,
+    _DETECTORS,
+    _FG_H,
     _family as _model_family,
     _label_projector,
     build_nested_mzi,
@@ -48,7 +50,7 @@ from .probes import (
     sample,
     standard_probes,
 )
-from .statespace import DEFAULT_TOL, PDI, basis_ket, inner, slice_pdi
+from .statespace import DEFAULT_TOL, basis_ket, inner
 from .weak import presence_table
 
 
@@ -332,7 +334,7 @@ def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
     js = _joint_state(cfg)
-    dist = outcome_distribution(js, slice_pdi(js.slice))
+    dist = outcome_distribution(js, _DETECTORS)
     support = coincidence_support(dist)
     cond = _probe_cond(cfg, cfg.epsilon, cfg.probes)
     rows = []
@@ -346,7 +348,7 @@ def cmd_coincidences(cfg: RunConfig) -> tuple[int, list[Row]]:
 
 def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
     js = _joint_state(cfg)
-    dist = outcome_distribution(js, slice_pdi(js.slice))
+    dist = outcome_distribution(js, _DETECTORS)
     counts = sample(dist, cfg.samples, cfg.seed)
     cond = _probe_cond(cfg, cfg.epsilon, cfg.probes, n=cfg.samples, seed=cfg.seed)
     rows = [
@@ -470,7 +472,7 @@ def _suite_probes(cfg: RunConfig, dyn: Dynamics):
                 value = got.amplitude(lab) if got is not None else 0.0
                 yield f"amp[{kappa}].{lab}", cond, value, ref, tag
         if tag == "eq30":
-            dist = outcome_distribution(js, slice_pdi(dyn.slices[dyn.final_index]))
+            dist = outcome_distribution(js, _DETECTORS)
             yield "Pr(F4,a)", cond, dist.p("F4", "a"), eps * a2 * a2, "eq32"
             yield "Pr(F4,o)", cond, dist.p("F4", "o"), (1 - eps) * a2 * a2, "eq32"
             yield "Pr(F4)", cond, dist.detector_marginal("F4"), a2 * a2, "eq32"
@@ -482,8 +484,7 @@ def _suite_probes(cfg: RunConfig, dyn: Dynamics):
     ids = ("a", "d", "b", "c", "e")
     cond = _probe_cond(cfg, eps35, ids)
     js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps35), s0)
-    fg_pdi = PDI(dyn.slices[4], (_label_projector(4, "FG"), _label_projector(4, "H")))
-    support = coincidence_support(outcome_distribution(js, fg_pdi))
+    support = coincidence_support(outcome_distribution(js, _FG_H))
     for det, kappas in (
         ("H4", {"o", "d", "b", "c", "db", "dc"}),
         ("F4+G4", {"o", "a", "b", "c", "db", "dc", "be", "ce", "dbe", "dce"}),

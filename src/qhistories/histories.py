@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, TimeSlice, _computed_ket, _distance, _overlap,
+    DEFAULT_TOL, Ket, Projector, TimeSlice, _apply, _computed_ket, _distance, _overlap,
     _require_slice, _trusted, identity_projector,
 )
 
@@ -134,7 +134,7 @@ def _coverage_fault(histories: Sequence[History]) -> str:
 def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
     """Carry `k` to time `t` and apply the event `p` there."""
     slc = _require_slice(p, dyn.slice_at(t), "event")
-    amps = p.matrix @ _carry(dyn, k.amplitudes, k.slice.time_index, t)
+    amps = _apply(p, _carry(dyn, k.amplitudes, k.slice.time_index, t))
     return _computed_ket(slc, amps)
 
 
@@ -145,11 +145,13 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
 
     The histories are walked as a prefix tree keyed by (time, projector),
     on raw amplitudes: each distinct proper prefix is checked and projected
-    once, from its parent's amplitudes carried once to each later time its
-    children need, by an independent chain's matvecs, so bit for bit.  Kets
-    are built only for `chain_ket`, once per node and time.  No node is
-    scanned: a `chain_ket` projects it densely, where an infinite amplitude
-    makes every component NaN (0 * inf), so that scan raises.
+    once (`_apply`), from its parent's amplitudes carried once to each later
+    time its children need, by an independent chain's products, so bit for
+    bit.  Kets are built only for `chain_ket`, once per node and time.  No
+    node is scanned: along every path through it a non-finite amplitude
+    stays non-finite (a step's product carries it on, and an event keeps
+    it or drops it to NaN, inf * 0), so the scan of each chain ket through
+    it raises.
     """
     _require_on(dyn, initial)
 
@@ -168,7 +170,7 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
             children = node[2]
             if (t, p) not in children:
                 _require_slice(p, dyn.slice_at(t), "event")
-                children[t, p] = (p.matrix @ carry(node, t), t, {}, {}, {})
+                children[t, p] = (_apply(p, carry(node, t)), t, {}, {}, {})
             node = children[t, p]
         if h.events and (t := h.events[-1][0]) not in node[4]:
             node[4][t] = _trusted(Ket, slice=dyn.slice_at(t), amplitudes=carry(node, t), name="")
@@ -177,7 +179,8 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
 
 
 def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
-    """Alternate unitary transport and event projection along a history.
+    """Alternate unitary transport and event projection (`_apply`) along a
+    history.
 
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
@@ -238,7 +241,8 @@ def _decoherence(
     carried to the family's latest event time.
 
     The proper prefixes come from one prefix-tree walk (`_prefix_kets`).
-    Each history then takes its own last event with `chain_ket`, one call
+    Both apply events by `_apply`, a label event by its support.  Each
+    history then takes its own last event with `chain_ket`, one call
     per history with no transport step, so a tracer of the public functions
     (perfbench's `histories.chain_ket_*` metrics) sees one chain ket per
     history, and their scans are the walk's only finiteness check.  Only
@@ -280,8 +284,9 @@ def consistency_check(dyn: Dynamics, fam: Family) -> ConsistencyReport:
 
     Each overlap |<c_i|c_j>| is divided by max(1, |c_i| |c_j|), which is 1
     for a normalized initial state: the criterion is absolute, not relative
-    to the weights of the two histories (ROADMAP item 1).  An overlap
-    exactly at `DEFAULT_TOL` counts as consistent.
+    to the weights of the two histories (ROADMAP item "Verdicts that know
+    their resolution").  An overlap exactly at `DEFAULT_TOL` counts as
+    consistent.
     """
     return _decoherence(dyn, fam)[0]
 

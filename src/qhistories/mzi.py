@@ -8,7 +8,8 @@ through instead.
 
 What does not depend on the splitting ratio is built once, at import, and
 is read-only: the label projector of every non-empty channel set of each
-slice (`_label_projector`), each variant's step matrices as coefficient
+slice (`_label_projector`), the two readout decompositions of the final
+slice built from them, each variant's step matrices as coefficient
 tables affine in the two splitter amplitudes, and every named family but
 EQ25_BACKWARD, whose ray depends on the ratio.  A build then evaluates the
 tables at the ratio and still checks the result (`Dynamics(...)` and
@@ -29,7 +30,8 @@ import numpy as np
 from .dynamics import Dynamics, StepUnitary, step_validate
 from .histories import Family, History
 from .statespace import (
-    Ket, Projector, TimeSlice, _trusted, basis_ket, projector_from_labels, projector_from_ket,
+    PDI, Ket, Projector, TimeSlice, _trusted, basis_ket, projector_from_labels,
+    projector_from_ket,
 )
 from .weak import backward_state
 
@@ -96,6 +98,14 @@ _LABELS = types.MappingProxyType({
 def _label_projector(t: int, labels: Iterable[str]) -> Projector:
     """The shared label projector onto `labels` (channels of slice `t`)."""
     return _LABELS[t, frozenset(labels)]
+
+
+#: The readouts of the final slice, from the shared label projectors: one
+#: part per detector (as `slice_pdi` builds it), and F+G against H.
+_DETECTORS = _trusted(
+    PDI, slice=_SLICES[4], parts=tuple(_label_projector(4, lab) for lab in _SLICES[4].basis)
+)
+_FG_H = PDI(_SLICES[4], (_label_projector(4, "FG"), _label_projector(4, "H")))
 
 
 def _nested_columns(a: float, b: float) -> tuple[dict[str, dict[str, float]], ...]:

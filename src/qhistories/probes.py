@@ -168,6 +168,11 @@ class JointState:
     def total_norm2(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
+    @functools.cached_property
+    def _labels(self) -> tuple[str, ...]:
+        """`_kappa_labels` of the probes, built when first read."""
+        return tuple(_kappa_labels(self.probes))
+
 
 @dataclass(frozen=True, eq=False)
 class BranchComponent:
@@ -254,7 +259,7 @@ def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     finite column whose squared norm overflows has norm inf and is kept."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
-    labels = _kappa_labels(js.probes)
+    labels = js._labels
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
     # the joint state checked every entry, so the kets need no check.  Each
@@ -351,7 +356,7 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
         if det in dets[:i]:
             raise ValueError(f"detector name {det!r} is given to more than one part")
     order = _kappa_order(len(js.probes))
-    by_mask = _kappa_labels(js.probes)
+    by_mask = js._labels
     # One row per pattern (2^n, d), in `order`.  Every cell is a sum over
     # d of contiguous |.|^2 terms in a (k, 2^n, d) layout, so it has the
     # value that part's and pattern's own matrix-vector product and sum

@@ -25,6 +25,8 @@ test of its entries.  The consistent-histories bookkeeping (equal,
 orthogonal, split, rank) compares projectors on one slice and reads those
 masks when every projector involved has one; the answers are the dense
 ones, since for 0/1 diagonal matrices every residual is exactly 0 or 1.
+Applying an event to amplitudes (`_apply`: chain kets, the decoherence
+walk, weak values) multiplies by its mask, with the dense product's bits.
 Rays and rotated projectors take the dense path.
 
 Every algebraic check and every verdict of the library compares against
@@ -92,7 +94,7 @@ def _computed_ket(slc: TimeSlice, amps: np.ndarray) -> Ket:
 def _require_slice(x, slc: TimeSlice, what: str) -> TimeSlice:
     """The one slice rule: `x` (a ket, projector or decomposition) must
     live on `slc`, which is returned."""
-    if x.slice != slc:
+    if x.slice is not slc and x.slice != slc:
         raise ValueError(f"{what} lives on {x.slice}, not {slc}")
     return slc
 
@@ -242,6 +244,17 @@ def _label_mask(m: np.ndarray) -> np.ndarray | None:
     otherwise.  Exact: no entry is compared to a cut-off."""
     on = m.diagonal() == 1
     return on if np.count_nonzero(m) == np.count_nonzero(on) else None
+
+
+def _apply(p: Projector, v: np.ndarray) -> np.ndarray:
+    """`p.matrix @ v`, bit for bit.  A label projector multiplies by its
+    support instead: x * 1 = x and x + 0 = x for nonzero x, and the `+ 0.0`
+    turns a dropped channel's -0 into the product's +0.  A non-finite
+    amplitude stays non-finite (inf * 0 = NaN), but its NaN no longer
+    spreads to every component as in the product."""
+    if p._on is None:
+        return p.matrix @ v
+    return v * p._on + 0.0
 
 
 def _distance(a: Projector, b: Projector) -> float:

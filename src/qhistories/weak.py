@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import Dynamics, transport
 from .histories import History, VanishingProbabilityError, chain_ket
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, _require_slice, _trusted, inner, projector_from_ket,
+    DEFAULT_TOL, Ket, Projector, _apply, _require_slice, _trusted, inner, projector_from_ket,
 )
 
 
@@ -40,7 +40,8 @@ class TwoStateVector:
     def weak_value(self, q: Projector) -> complex:
         """<backward|Q|forward> / <backward|forward>.  Raises
         VanishingProbabilityError, carrying |<backward|forward>|^2, when the
-        post-selection is incompatible with the pre-selection."""
+        post-selection is incompatible with the pre-selection.  Q is applied
+        by `_apply`: a label projector by its support, bit for bit."""
         _require_slice(q, self.forward.slice, "projector")
         denom = self.overlap()
         if abs(denom) <= DEFAULT_TOL:
@@ -49,7 +50,7 @@ class TwoStateVector:
                 f"|<backward|forward>| = {abs(denom):.3g}",
                 abs(denom) ** 2,
             )
-        projected = q.matrix @ self.forward.amplitudes
+        projected = _apply(q, self.forward.amplitudes)
         return complex(np.vdot(self.backward.amplitudes, projected)) / denom
 
 

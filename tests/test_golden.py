@@ -8,7 +8,8 @@ change that alters one on purpose rewrites the file with
     PYTHONPATH=src python tests/test_golden.py
 
 and argues every changed report in CHANGES.md.  The ratio 0.99999999999
-freezes the spurious `consistent` verdict of F_B (ROADMAP item 1).
+freezes the spurious `consistent` verdict of F_B (ROADMAP item "Verdicts
+that know their resolution").
 """
 
 from __future__ import annotations

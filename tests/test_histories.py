@@ -657,7 +657,8 @@ def one_time_merges(fam):
 
 class TestCoarseGraining:
     """Merging two histories of a consistent family into their sum keeps
-    the family consistent and adds their weights (ROADMAP item 9), within
+    the family consistent and adds their weights (ROADMAP item "Gauge
+    covariance as the oracle for the fast paths"), within
     the rounding bound of `assert_gauge_invariant`."""
 
     def assert_additive(self, dyn, fam):
@@ -754,6 +755,27 @@ class TestOverflow:
         }
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             calls[query]()
+
+    def masked_model(self):
+        """x, y channels over t0..t3: two steps scaling x by 1e300, so x is
+        infinite at t2 while y stays 1, then the identity, from (1, 1)."""
+        s = tuple(TimeSlice(t, ("x", "y")) for t in range(4))
+        big = np.diag([1e300, 1.0])
+        steps = (StepUnitary(s[0], s[1], big), StepUnitary(s[1], s[2], big),
+                 StepUnitary(s[2], s[3], np.eye(2)))
+        return Dynamics(s, steps), Ket(s[0], [1, 1])
+
+    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("where", ["last", "prefix"])
+    def test_infinite_amplitude_masked_away_by_an_event(self, where, query):
+        # y2 drops the infinite channel, as the last event or as a prefix;
+        # inf * 0 leaves a NaN there, which a chain ket's scan sees
+        dyn, k = self.masked_model()
+        y2 = proj(dyn, 2, {"y"})
+        events = ((2, y2),) if where == "last" else ((2, y2), (3, proj(dyn, 3, {"y"})))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            query(dyn, Family(k, (History(events),)))
 
 
 class TestBornProbabilities:

@@ -35,6 +35,7 @@ from qhistories.probes import ProbeStrength, evolve_with_probes, outcome_distrib
 from qhistories.statespace import (
     PDI,
     TimeSlice,
+    _require_slice,
     basis_ket,
     inner,
     pdi_validate,
@@ -128,3 +129,13 @@ def test_foreign_slice_is_rejected_with_the_one_message(name, kind):
     with pytest.raises(ValueError, match=re.escape(want)):
         case.call(f)
 
+
+
+def test_an_equal_slice_that_is_another_object_passes():
+    twin = TimeSlice(T2.time_index, T2.basis)
+    assert twin == T2 and twin is not T2
+    assert _require_slice(label(twin), T2, "event") is T2
+    assert inner(ket(T2), ket(twin)) == 1
+    assert chain_ket(DYN, S0, History(((2, label(twin)),))).slice is T2
+    tsv = two_state_vector(DYN, S0, ket(T4), 2)
+    assert tsv.weak_value(label(twin)) == tsv.weak_value(label(T2))

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhistories
@@ -18,6 +18,7 @@ from qhistories.statespace import (
     Ket,
     Projector,
     TimeSlice,
+    _apply,
     _label_mask,
     basis_ket,
     identity_projector,
@@ -498,3 +499,65 @@ def test_recorded_support_is_not_a_field():
         "       [0.+0.j, 0.+0.j, 0.+0.j],\n"
         "       [0.+0.j, 0.+0.j, 1.+0.j]]), name='A2+C2')"
     )
+
+
+#: Real and imaginary parts: signed zeros, subnormals, normals, huge values.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+    st.floats(-1e-308, 1e-308),
+    st.floats(-1e3, 1e3),
+)
+
+
+def _amplitudes(re, im):
+    """A complex array with exactly these parts (1j * x would lose the sign
+    of a zero)."""
+    v = np.empty(len(re), dtype=complex)
+    v.real, v.imag = re, im
+    return v
+
+
+def _label_event(slc, on):
+    """The label projector with support `on`; with none, the complement of
+    the identity."""
+    labels = {lab for lab, kept in zip(slc.basis, on) if kept}
+    return projector_from_labels(slc, labels) if labels else identity_projector(slc).complement()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_label_event_applies_as_its_dense_product_bit_for_bit(data):
+    d = data.draw(st.integers(1, 100), label="d")
+    slc = TimeSlice(0, tuple(f"c{i}" for i in range(d)))
+    on = data.draw(st.one_of(
+        st.just([False] * d), st.just([True] * d),
+        st.lists(st.booleans(), min_size=d, max_size=d),
+    ), label="on")
+    p = _label_event(slc, on)
+    assert p._on.tolist() == on
+    parts = st.lists(_PARTS, min_size=d, max_size=d)
+    v = _amplitudes(data.draw(parts, label="re"), data.draw(parts, label="im"))
+    assert _apply(p, v).tobytes() == (p.matrix @ v).tobytes()
+
+
+def test_a_ray_takes_the_dense_product():
+    rng = np.random.default_rng(4)
+    slc = TimeSlice(0, tuple(f"c{i}" for i in range(6)))
+    for _ in range(5):
+        ray = projector_from_ket(Ket(slc, rng.normal(size=6) + 1j * rng.normal(size=6)))
+        assert ray._on is None
+        for p in (ray, ray.complement()):
+            v = rng.normal(size=6) + 1j * rng.normal(size=6)
+            assert _apply(p, v).tobytes() == (p.matrix @ v).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, complex(0.0, np.inf)], ids=["inf", "-inf", "inf*j"])
+def test_an_infinite_amplitude_masked_away_stays_non_finite(bad):
+    # inf * 0 is NaN where the event drops the channel; unlike the dense
+    # product, the kept channels keep their values
+    slc = TimeSlice(0, ("x", "y", "z"))
+    v = np.array([bad, 1.0, 2.0], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        out = _apply(projector_from_labels(slc, {"y"}), v)
+    assert np.isnan(out[0]) and not np.isfinite(out).all()
+    assert out[1:].tolist() == [1.0, 0.0]

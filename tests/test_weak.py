@@ -7,7 +7,9 @@ import qhistories.weak as weak_module
 from qhistories.dynamics import transport
 from qhistories.histories import Defined, Incommensurate, VanishingProbabilityError, infer
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
-from qhistories.statespace import Ket, Projector, basis_ket, projector_from_labels
+from qhistories.statespace import (
+    Ket, Projector, basis_ket, identity_projector, projector_from_labels,
+)
 from qhistories.weak import (
     PresenceVerdict,
     backward_state,
@@ -16,6 +18,7 @@ from qhistories.weak import (
     two_state_vector,
     weak_value,
 )
+from test_histories import block_dynamics, haar_dynamics
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
@@ -226,3 +229,44 @@ class TestPresence:
         overlaps = [two_state_vector(dyn, s0, f4, t).overlap() for t in range(5)]
         for o in overlaps[1:]:
             assert abs(o - overlaps[0]) <= 1e-12
+
+
+def dense_weak_value(b, f, q):
+    """<b|Q|f> / <b|f> by the dense product, as `weak_value` divides."""
+    return complex(np.vdot(b, q.matrix @ f)) / complex(np.vdot(b, f))
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestDenseOracle:
+    """Label events applied by their support give the dense product's weak
+    values bit for bit.  The block model's backward kets vanish outside one
+    block, so many numerators are sums of exact zeros."""
+
+    @pytest.mark.parametrize("steps, dim", [(haar_dynamics, 8), (block_dynamics, 64)],
+                             ids=["haar-8", "block-64"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_weak_values_and_presence_table(self, steps, dim, seed):
+        dyn, s0 = steps(seed, dim=dim)
+        rng = np.random.default_rng([seed, 5])
+        channels = []
+        for slc in dyn.slices[1:-1]:
+            channels += [identity_projector(slc), identity_projector(slc).complement()]
+            channels += [projector_from_labels(slc, {lab}) for lab in slc.basis[:: dim // 8]]
+            for _ in range(4):
+                on = rng.random(dim) < rng.random()
+                labels = {lab for lab, kept in zip(slc.basis, on) if kept} or {slc.basis[0]}
+                p = projector_from_labels(slc, labels)
+                channels += [p, p.complement()]
+        final = basis_ket(dyn.slices[-1], "c1")
+        table = presence_table(dyn, s0, final, channels)
+        assert len(table) == len(channels)
+        for q, row in zip(channels, table):
+            t = q.slice.time_index
+            want = dense_weak_value(
+                transport(dyn, final, t).amplitudes, transport(dyn, s0, t).amplitudes, q
+            )
+            assert bits(row.weak_value) == bits(want)
+            assert bits(weak_value(dyn, s0, final, q)) == bits(want)
