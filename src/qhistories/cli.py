@@ -421,16 +421,9 @@ def _expected_branches(cfg: RunConfig, probe_ids: tuple[str, ...], epsilon: floa
     def scale(vec, factor):
         return {k: factor * v for k, v in vec.items()}
 
-    def plus(*vecs):
-        out: dict[str, float] = {}
-        for vec in vecs:
-            for k, v in vec.items():
-                out[k] = out.get(k, 0.0) + v
-        return out
-
     if probe_ids == ("a", "d", "e", "w"):
         return {
-            "o": plus(scale(abar, z), {"H": z * z * b}),
+            "o": scale(abar, z) | {"H": z * z * b},
             "a": scale(abar, e),
             "d": {"H": z * e * b},
             "w": {"H": z * e * b},
@@ -439,13 +432,13 @@ def _expected_branches(cfg: RunConfig, probe_ids: tuple[str, ...], epsilon: floa
     if probe_ids == ("a", "d", "b", "c", "e"):
         half = 0.5 * z * e * b
         return {
-            "o": plus(scale(abar, z), {"H": z * z * b}),
+            "o": scale(abar, z) | {"H": z * z * b},
             "a": scale(abar, e),
             "d": {"H": z * e * b},
-            "b": plus(scale(ebar, -half * z), {"H": half}),
-            "c": plus(scale(ebar, half * z), {"H": half}),
-            "db": plus(scale(ebar, -half * e), {"H": half * e / z}),
-            "dc": plus(scale(ebar, half * e), {"H": half * e / z}),
+            "b": scale(ebar, -half * z) | {"H": half},
+            "c": scale(ebar, half * z) | {"H": half},
+            "db": scale(ebar, -half * e) | {"H": half * e / z},
+            "dc": scale(ebar, half * e) | {"H": half * e / z},
             "be": scale(ebar, -0.5 * z * e * e * b),
             "ce": scale(ebar, 0.5 * z * e * e * b),
             "dbe": scale(ebar, -0.5 * e * e * e * b),

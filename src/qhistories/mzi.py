@@ -9,11 +9,11 @@ through instead.
 What does not depend on the splitting ratio is built once, at import, and
 is read-only: the label projector of every non-empty channel set of each
 slice (`_label_projector`), the two readout decompositions of the final
-slice built from them, each variant's step matrices as coefficient
-tables affine in the two splitter amplitudes, and every named family but
-EQ25_BACKWARD, whose ray depends on the ratio.  A build then evaluates the
-tables at the ratio and still checks the result (`Dynamics(...)` and
-`step_validate`); `named_family` hands out the shared, immutable family.
+slice, and every named family but EQ25_BACKWARD, whose ray depends on the
+ratio.  A build writes each variant's steps out as one matrix literal at
+the ratio (`_nested_steps`, `_no_bs34_steps`) and still checks the result
+(`Dynamics(...)` and `step_validate`); `named_family` hands out the
+shared, immutable family.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .dynamics import Dynamics, StepUnitary, step_validate
 from .histories import Family, History
 from .statespace import (
     PDI, Ket, Projector, TimeSlice, _trusted, basis_ket, projector_from_labels,
-    projector_from_ket,
+    projector_from_ket, slice_pdi,
 )
 from .weak import backward_state
 
@@ -100,72 +100,44 @@ def _label_projector(t: int, labels: Iterable[str]) -> Projector:
     return _LABELS[t, frozenset(labels)]
 
 
-#: The readouts of the final slice, from the shared label projectors: one
-#: part per detector (as `slice_pdi` builds it), and F+G against H.
-_DETECTORS = _trusted(
-    PDI, slice=_SLICES[4], parts=tuple(_label_projector(4, lab) for lab in _SLICES[4].basis)
-)
+#: The readouts of the final slice: one part per detector, and F+G
+#: against H from the shared label projectors.
+_DETECTORS = slice_pdi(_SLICES[4])
 _FG_H = PDI(_SLICES[4], (_label_projector(4, "FG"), _label_projector(4, "H")))
 
 
-def _nested_columns(a: float, b: float) -> tuple[dict[str, dict[str, float]], ...]:
-    """The four steps of the full model at amplitudes (a, b): column `src`
-    of a step sends amplitude `amp` to each `dst`.  The source splitter,
-    the inner-loop entry and exit, and the last splitter."""
-    return (
-        {"S": {"A": a, "D": b}, "R": {"A": -b, "D": a}, "Q": {"Q": 1}},
-        {"A": {"A": 1}, "D": {"B": R, "C": R}, "Q": {"B": R, "C": -R}},
-        {"A": {"A": 1}, "B": {"E": -R, "H": R}, "C": {"E": R, "H": R}},
-        {"A": {"F": a, "G": b}, "E": {"F": b, "G": -a}, "H": {"H": 1}},
-    )
+def _nested_steps(a: float, b: float) -> np.ndarray:
+    """The four steps of the full model at amplitudes (a, b): in each row
+    of three, a target channel's amplitudes from the source channels, both
+    in slice-basis order.  Made real first: one cast to complex is quicker
+    than converting each entry."""
+    return np.array([
+        a, -b, 0,   b, a, 0,    0, 0, 1,   # S,R,Q -> A,D,Q: the source splitter
+        1, 0, 0,    0, R, R,    0, R, -R,  # A,D,Q -> A,B,C: the inner-loop entry
+        1, 0, 0,    0, -R, R,   0, R, R,   # A,B,C -> A,E,H: the inner-loop exit
+        a, b, 0,    b, -a, 0,   0, 0, 1,   # A,E,H -> F,G,H: the last splitter
+    ], dtype=float).astype(complex).reshape(4, 3, 3)
 
 
-def _no_bs34_columns(a: float, b: float) -> tuple[dict[str, dict[str, float]], ...]:
-    """The steps of `build_no_bs34`, as columns like `_nested_columns`."""
-    return _nested_columns(a, b)[:2] + (
-        {"A": {"A": 1}, "B": {"H": 1}, "C": {"E": 1}},
-        {"A": {"G": 1}, "E": {"F": 1}, "H": {"H": 1}},
-    )
+def _no_bs34_steps(a: float, b: float) -> np.ndarray:
+    """The steps of `build_no_bs34`, written like `_nested_steps`."""
+    return np.array([
+        a, -b, 0,   b, a, 0,    0, 0, 1,   # S,R,Q -> A,D,Q: the source splitter
+        1, 0, 0,    0, R, R,    0, R, -R,  # A,D,Q -> A,B,C: the inner-loop entry
+        1, 0, 0,    0, 0, 1,    0, 1, 0,   # A,B,C -> A,E,H: B -> H, C -> E
+        0, 1, 0,    1, 0, 0,    0, 0, 1,   # A,E,H -> F,G,H: A -> G, E -> F
+    ], dtype=float).astype(complex).reshape(4, 3, 3)
 
 
-def _matrices(columns: tuple[dict[str, dict[str, float]], ...]) -> np.ndarray:
-    """The (4, 3, 3) step matrices of four column maps over the slices."""
-    m = np.zeros((len(columns), 3, 3), dtype=complex)
-    for j, cols in enumerate(columns):
-        frm, to = _SLICES[j], _SLICES[j + 1]
-        for src, images in cols.items():
-            for dst, amp in images.items():
-                m[j, to.axis(dst), frm.axis(src)] = amp
-    return m
-
-
-def _coefficients(columns: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K0, Ka, Kb), read-only, with steps(a, b) = K0 + a Ka + b Kb.  Every
-    entry of a step is one of 0, +-1, +-R, +-a or +-b, so K0 holds the
-    constants and Ka, Kb the signs; for a, b > 0 the sum is each entry's
-    value bit for bit (y * 0 = +0 and x + (+0) = x)."""
-    k0 = _matrices(columns(0.0, 0.0))
-    tables = (k0, _matrices(columns(1.0, 0.0)) - k0, _matrices(columns(0.0, 1.0)) - k0)
-    for k in tables:
-        k.setflags(write=False)
-    return tables
-
-
-_NESTED = _coefficients(_nested_columns)
-_NO_BS34 = _coefficients(_no_bs34_columns)
-
-
-def _build(p: BeamSplitterParams, tables: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Dynamics:
-    """The model whose steps are `tables` (as `_coefficients` gives them)
-    at the ratio `p`, built trusted: the entries are finite and the shapes
-    the slices'; unitarity is left to `step_validate`."""
-    k0, ka, kb = tables
-    u = k0 + p.alpha * ka + p.beta * kb
-    steps = tuple(
+def _build(p: BeamSplitterParams, steps: Callable[[float, float], np.ndarray]) -> Dynamics:
+    """The model whose steps are `steps` at the ratio `p`, built trusted:
+    the entries are finite and the shapes the slices'; unitarity is left to
+    `step_validate`."""
+    u = steps(p.alpha, p.beta)
+    dyn = Dynamics(_SLICES, tuple(
         _trusted(StepUnitary, from_slice=_SLICES[j], to_slice=_SLICES[j + 1], matrix=u[j])
         for j in range(len(u))
-    )
-    dyn = Dynamics(_SLICES, steps)
+    ))
     report = step_validate(dyn)
     if not report.ok:
         raise AssertionError(f"construction produced a non-unitary step: {report}")
@@ -174,7 +146,7 @@ def _build(p: BeamSplitterParams, tables: tuple[np.ndarray, np.ndarray, np.ndarr
 
 def build_nested_mzi(p: BeamSplitterParams) -> Dynamics:
     """The full model: four splitter steps over the five slices."""
-    return _build(p, _NESTED)
+    return _build(p, _nested_steps)
 
 
 def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
@@ -182,7 +154,7 @@ def build_no_bs34(p: BeamSplitterParams) -> Dynamics:
     through their crossing points (B->H, C->E, then A->G, E->F), following
     the layout geometry.  The first two steps are unchanged.
     """
-    return _build(p, _NO_BS34)
+    return _build(p, _no_bs34_steps)
 
 
 def source_ket(dyn: Dynamics) -> Ket:

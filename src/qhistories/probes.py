@@ -244,11 +244,13 @@ def evolve_with_probes(
     n = len(probes)
     amps = np.zeros((initial.slice.dim, 1 << n), dtype=complex)
     amps[:, 0] = initial.amplitudes
-    for t in range(stop + 1):
-        for pos, axis in by_time.get(t, []):
-            _apply_coupling(amps, axis, pos, strength)
-        if t < stop:
-            amps = dyn.steps[t].matrix @ amps
+    # A non-unitary step can overflow; the scan below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(stop + 1):
+            for pos, axis in by_time.get(t, []):
+                _apply_coupling(amps, axis, pos, strength)
+            if t < stop:
+                amps = dyn.steps[t].matrix @ amps
     _require_finite(amps)
     return _trusted(JointState, slice=dyn.slices[stop], probes=probes, amplitudes=amps)
 

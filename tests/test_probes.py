@@ -859,6 +859,16 @@ class TestOverflow:
         np.testing.assert_array_equal(branches[0].phi.amplitudes, [1e200, 1.0])
         assert branches[0].phi.norm() == 1e200
 
+    @pytest.mark.parametrize("eps", [0.1, 0.0])
+    def test_evolution_through_overflowing_steps_is_rejected(self, eps):
+        # two steps scaling by 1e300 make the amplitude at t2 infinite
+        s = tuple(TimeSlice(t, ("X", "Y")) for t in range(3))
+        steps = (StepUnitary(s[0], s[1], np.eye(2) * 1e300),
+                 StepUnitary(s[1], s[2], np.eye(2) * 1e300))
+        probes = (ProbeSpec("p", frozenset({(2, "X")})),)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            evolve_with_probes(Dynamics(s, steps), probes, ProbeStrength(eps), Ket(s[0], [1, 0]))
+
 
 class TestSampling:
     def test_fixed_seed_reproduces_counts(self):
