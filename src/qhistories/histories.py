@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
     DEFAULT_TOL, Ket, Projector, TimeSlice, _apply, _computed_ket, _distance, _overlap,
-    _require_slice, _trusted, identity_projector,
+    _require_finite, _require_slice, _trusted, identity_projector,
 )
 
 
@@ -129,13 +129,6 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
-def _project(dyn: Dynamics, k: Ket, t: int, p: Projector) -> Ket:
-    """Carry `k` to time `t` and apply the event `p` there."""
-    slc = _require_slice(p, dyn.slice_at(t), "event")
-    amps = _apply(p, _carry(dyn, k.amplitudes, k.slice.time_index, t))
-    return _computed_ket(slc, amps)
-
-
 def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> list[Ket]:
     """The chain ket of each history's events but its last, carried to the
     time of its last event (`initial` for an event-free history), in
@@ -145,11 +138,12 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
     on raw amplitudes: each distinct proper prefix is checked and projected
     once (`_apply`), from its parent's amplitudes carried once to each later
     time its children need, by an independent chain's products, so bit for
-    bit.  Kets are built only for `chain_ket`, once per node and time.  No
-    node is scanned: along every path through it a non-finite amplitude
-    stays non-finite (a step's product carries it on, and an event keeps
-    it or drops it to NaN, inf * 0), so the scan of each chain ket through
-    it raises.
+    bit.  Kets are built only for `chain_ket`, once per node and time, and
+    their arrays are stacked and scanned for finiteness once, so every ket
+    handed out is finite.  No other node is scanned: along every path
+    through it a non-finite amplitude stays non-finite (a step's product
+    carries it on, and an event keeps it or drops it to NaN, inf * 0), so
+    it reaches that stack.
     """
     _require_on(dyn, initial)
 
@@ -161,7 +155,7 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
 
     # a node: (amplitudes, time, children by (time, projector), carried and kets by time)
     root = (initial.amplitudes, initial.slice.time_index, {}, {}, {})
-    out = []
+    out, handed = [], []
     for h in histories:
         node = root
         for t, p in h.events[:-1]:
@@ -171,8 +165,11 @@ def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> l
                 children[t, p] = (_apply(p, carry(node, t)), t, {}, {}, {})
             node = children[t, p]
         if h.events and (t := h.events[-1][0]) not in node[4]:
-            node[4][t] = _trusted(Ket, slice=dyn.slice_at(t), amplitudes=carry(node, t), name="")
+            handed.append(carry(node, t))
+            node[4][t] = _trusted(Ket, slice=dyn.slice_at(t), amplitudes=handed[-1], name="")
         out.append(node[4][t] if h.events else initial)
+    if handed:
+        _require_finite(np.array(handed))
     return out
 
 
@@ -184,12 +181,27 @@ def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
     sub-normalized; its squared norm is the history's extended Born weight.
     An event-free history returns `initial` itself.  Whole families share
     their event prefixes instead (`_prefix_kets`).
+
+    Only a matrix product can make a finite ket non-finite: a carry between
+    times, or a projector without a recorded support.  A label event at the
+    ket's own time (x * 1 = x, x * 0 + 0.0 = +0) is applied without a scan.
+    Any other history runs its products under one errstate and scans the
+    result once, so an overflow raises a ValueError with no RuntimeWarning.
     """
     _require_on(dyn, initial)
-    k = initial
-    for t, p in h.events:
-        k = _project(dyn, k, t, p)
-    return k
+    if not h.events:
+        return initial
+    v, s = initial.amplitudes, initial.slice.time_index
+    t, p = h.events[0]
+    if len(h.events) == 1 and t == s and p._on is not None:
+        slc = _require_slice(p, dyn.slice_at(t), "event")
+        return _trusted(Ket, slice=slc, amplitudes=_apply(p, v), name="")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, p in h.events:
+            slc = _require_slice(p, dyn.slice_at(t), "event")
+            v = _apply(p, _carry(dyn, v, s, t))
+            s = t
+    return _computed_ket(slc, v)
 
 
 @dataclass(frozen=True)
@@ -243,18 +255,22 @@ def _decoherence(
     history then takes its own last event with `chain_ket`, one call
     per history with no transport step, so a tracer of the public functions
     (perfbench's `histories.chain_ket_*` metrics) sees one chain ket per
-    history, and their scans are the walk's only finiteness check.  Only
-    chain kets that end before the latest event time are transported.  The
-    weights are the squared norms of the un-carried chain kets; D's
-    diagonal differs in the last bit.  Under one errstate, an infinite
-    amplitude, or a weight or diagonal entry of D that overflows, raises a
-    ValueError before any report is built, with no RuntimeWarning.
+    history.  The walk's finiteness check is the one stacked scan of the
+    prefix kets, plus `chain_ket`'s scan after a last event without a
+    recorded support; a label last event cannot make a finite ket
+    non-finite.  Only chain kets that end before the latest event time are
+    transported, and `transport` scans them.  The weights are the squared
+    norms of the un-carried chain kets; D's diagonal differs in the last
+    bit.  Under one errstate, an infinite amplitude, or a weight or
+    diagonal entry of D that overflows, raises a ValueError before any
+    report is built, with no RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        chains = [
-            chain_ket(dyn, k, _trusted(History, events=h.events[-1:]))
-            for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories)
-        ]
+        chains = []
+        for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories):
+            last = object.__new__(History)  # holds no array, so `_trusted` has nothing to freeze
+            last.__dict__["events"] = h.events[-1:]
+            chains.append(chain_ket(dyn, k, last))
         t_max = max(k.slice.time_index for k in chains)
         ends = [k.slice.time_index == t_max for k in chains]
         c = np.array([

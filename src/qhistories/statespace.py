@@ -13,10 +13,12 @@ pass (`_trusted`): basis kets, label and identity projectors and
 `slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
 library is already checked.  Kets computed with caller-supplied step
 matrices (chain kets, transport results) keep the one check those products
-do not imply, the finiteness scan (`_computed_ket`).  The decoherence walk
-builds its prefix kets trusted, from raw amplitudes that only reach a
-caller through a chain ket, which is scanned.  Probe branch kets are rows
-of a joint state that ran that scan once, over all its amplitudes.
+do not imply, the finiteness scan (`_computed_ket`), and run it once, after
+the products.  A label event applied to a finite ket keeps it finite, so a
+chain ket whose one event is a label event at the ket's own time is built
+unscanned.  The decoherence walk builds its prefix kets trusted and scans
+them together, once per family.  Probe branch kets are rows of a joint
+state that ran that scan once, over all its amplitudes.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity

@@ -101,6 +101,17 @@ class TestChainKets:
         dyn, s0 = model(0.4)
         assert chain_ket(dyn, s0, History(())) is s0
 
+    @pytest.mark.parametrize("labels", ["A", "BC", "ABC"])
+    def test_label_event_at_the_kets_own_time_is_the_dense_product(self, labels):
+        # built without a scan or a product, from the event's support
+        dyn, _ = model(0.4)
+        k = Ket(dyn.slices[2], [complex(-0.0, 0.6), complex(0.8, -0.0), -1e-300])
+        p = proj(dyn, 2, set(labels))
+        got = chain_ket(dyn, k, History(((2, p),)))
+        assert got.slice is dyn.slices[2]
+        assert got.amplitudes.tobytes() == (p.matrix @ k.amplitudes).tobytes()
+        assert got.amplitudes.flags.writeable is False
+
     def test_family_walk_rejects_kets_and_events_foreign_to_the_dynamics(self):
         dyn, s0 = model(0.4)
         foreign = TimeSlice(2, ("X", "Y", "Z"))
@@ -740,8 +751,8 @@ class TestOverflow:
 
     @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities", "infer", "transport"])
     def test_infinite_prefix_amplitude(self, query):
-        # the walk's shared t2 prefix is infinite; no node is scanned, so the
-        # chain kets through it raise, and no RuntimeWarning escapes before
+        # the walk's shared t2 prefix is infinite; the one stacked scan of the
+        # prefix kets raises, and no RuntimeWarning escapes before
         dyn, k = self.deep_model()
         x2, y2 = proj(dyn, 2, {"x"}), proj(dyn, 2, {"y"})
         fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
@@ -752,6 +763,31 @@ class TestOverflow:
             "born_probabilities": lambda: born_probabilities(dyn, fam),
             "infer": lambda: infer(dyn, k, proj(dyn, 3, {"x"}), x2),
             "transport": lambda: transport(dyn, k, 2),
+        }
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            calls[query]()
+
+    def test_public_chain_ket_through_overflowing_steps(self):
+        dyn, k = self.deep_model()
+        h = History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"}))))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            chain_ket(dyn, k, h)
+
+    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities",
+                                       "conditional_probability"])
+    def test_infinite_node_shared_by_two_of_three_histories(self, query):
+        # x2 is the last prefix of two histories and infinite carried to t3;
+        # the third history's chain ket stays finite (y1 drops the 1e300)
+        dyn, k = self.deep_model()
+        x2 = proj(dyn, 2, {"x"})
+        fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
+                         History(((2, x2), (3, proj(dyn, 3, {"y"})))),
+                         History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"y"}))))))
+        calls = {
+            "consistency_check": lambda: consistency_check(dyn, fam),
+            "born_probabilities": lambda: born_probabilities(dyn, fam),
+            "conditional_probability": lambda: conditional_probability(
+                dyn, fam, [(2, x2)], [(2, x2)]),
         }
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             calls[query]()
@@ -770,7 +806,8 @@ class TestOverflow:
     @pytest.mark.parametrize("where", ["last", "prefix"])
     def test_infinite_amplitude_masked_away_by_an_event(self, where, query):
         # y2 drops the infinite channel, as the last event or as a prefix;
-        # inf * 0 leaves a NaN there, which a chain ket's scan sees
+        # the stacked scan of the prefix kets sees the inf that y2 would
+        # drop, or the NaN that inf * 0 leaves there
         dyn, k = self.masked_model()
         y2 = proj(dyn, 2, {"y"})
         events = ((2, y2),) if where == "last" else ((2, y2), (3, proj(dyn, 3, {"y"})))
