@@ -51,7 +51,6 @@ from .weak import (
     PresenceVerdict,
     TwoStateVector,
     backward_state,
-    chain_weak_identity_residual,
     presence_table,
     two_state_vector,
     weak_value,

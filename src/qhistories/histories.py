@@ -129,79 +129,56 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
-def _prefix_kets(dyn: Dynamics, initial: Ket, histories: Sequence[History]) -> list[Ket]:
-    """The chain ket of each history's events but its last, carried to the
-    time of its last event (`initial` for an event-free history), in
-    history order.
+def _walk(dyn: Dynamics, node: tuple, events: Sequence[tuple[int, Projector]]) -> np.ndarray:
+    """The raw amplitudes of `events` applied from `node`, a prefix-tree
+    node `(amplitudes, time, children by (time, projector), carried by
+    time)`.
 
-    The histories are walked as a prefix tree keyed by (time, projector),
-    on raw amplitudes: each distinct proper prefix is checked and projected
-    once (`_apply`), from its parent's amplitudes carried once to each later
-    time its children need, by an independent chain's products, so bit for
-    bit.  Kets are built only for `chain_ket`, once per node and time, and
-    their arrays are stacked and scanned for finiteness once, so every ket
-    handed out is finite.  No other node is scanned: along every path
-    through it a non-finite amplitude stays non-finite (a step's product
-    carries it on, and an event keeps it or drops it to NaN, inf * 0), so
-    it reaches that stack.
+    The first visit to a child checks its event's slice, carries the
+    parent's amplitudes to the child's time once per time (`_carry`, kept
+    in `carried`) and applies the event (`_apply`): the products of an
+    independent chain, bit for bit.  Later visits reuse the child, so
+    histories walked from one root share their event prefixes.  Callers
+    run it under `np.errstate(over="ignore", invalid="ignore")` and scan
+    what it returns: along every path a non-finite amplitude stays
+    non-finite (a step's product carries it on, and an event keeps it or
+    drops it to NaN, inf * 0).
     """
-    _require_on(dyn, initial)
-
-    def carry(node, t: int) -> np.ndarray:
-        v, s, _, carried, _ = node
-        if t not in carried:
-            carried[t] = _carry(dyn, v, s, t)
-        return carried[t]
-
-    # a node: (amplitudes, time, children by (time, projector), carried and kets by time)
-    root = (initial.amplitudes, initial.slice.time_index, {}, {}, {})
-    out, handed = [], []
-    for h in histories:
-        node = root
-        for t, p in h.events[:-1]:
-            children = node[2]
-            if (t, p) not in children:
-                _require_slice(p, dyn.slice_at(t), "event")
-                children[t, p] = (_apply(p, carry(node, t)), t, {}, {}, {})
-            node = children[t, p]
-        if h.events and (t := h.events[-1][0]) not in node[4]:
-            handed.append(carry(node, t))
-            node[4][t] = _trusted(Ket, slice=dyn.slice_at(t), amplitudes=handed[-1], name="")
-        out.append(node[4][t] if h.events else initial)
-    if handed:
-        _require_finite(np.array(handed))
-    return out
+    for t, p in events:
+        v, s, children, carried = node
+        if (t, p) not in children:
+            _require_slice(p, dyn.slice_at(t), "event")
+            if t not in carried:
+                carried[t] = _carry(dyn, v, s, t)
+            children[t, p] = (_apply(p, carried[t]), t, {}, {})
+        node = children[t, p]
+    return node[0]
 
 
-def chain_ket(dyn: Dynamics, initial: Ket, h: History) -> Ket:
+def chain_ket(dyn: Dynamics, initial: Ket, h: History, *, _tree: tuple | None = None) -> Ket:
     """Alternate unitary transport and event projection (`_apply`) along a
     history.
 
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
-    An event-free history returns `initial` itself.  Whole families share
-    their event prefixes instead (`_prefix_kets`).
+    An event-free history returns `initial` itself.  The products run under
+    one errstate and the result is scanned once, so an overflow raises a
+    ValueError with no RuntimeWarning.
 
-    Only a matrix product can make a finite ket non-finite: a carry between
-    times, or a projector without a recorded support.  A label event at the
-    ket's own time (x * 1 = x, x * 0 + 0.0 = +0) is applied without a scan.
-    Any other history runs its products under one errstate and scans the
-    result once, so an overflow raises a ValueError with no RuntimeWarning.
+    `_tree` is the root of a prefix tree grown from `initial` (see
+    `_walk`), shared by the histories of one family; the ket is then built
+    unscanned, and the caller runs the errstate and the scan.  Only
+    `_decoherence` passes it.
     """
     _require_on(dyn, initial)
     if not h.events:
         return initial
-    v, s = initial.amplitudes, initial.slice.time_index
-    t, p = h.events[0]
-    if len(h.events) == 1 and t == s and p._on is not None:
-        slc = _require_slice(p, dyn.slice_at(t), "event")
-        return _trusted(Ket, slice=slc, amplitudes=_apply(p, v), name="")
+    if _tree is not None:
+        v = _walk(dyn, _tree, h.events)
+        return _trusted(Ket, slice=dyn.slice_at(h.events[-1][0]), amplitudes=v, name="")
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, p in h.events:
-            slc = _require_slice(p, dyn.slice_at(t), "event")
-            v = _apply(p, _carry(dyn, v, s, t))
-            s = t
-    return _computed_ket(slc, v)
+        v = _walk(dyn, (initial.amplitudes, initial.slice.time_index, {}, {}), h.events)
+    return _computed_ket(dyn.slice_at(h.events[-1][0]), v)
 
 
 @dataclass(frozen=True)
@@ -250,33 +227,28 @@ def _decoherence(
     functional D = C* C^T, where row i of C is the chain ket of history i
     carried to the family's latest event time.
 
-    The proper prefixes come from one prefix-tree walk (`_prefix_kets`).
-    Both apply events by `_apply`, a label event by its support.  Each
-    history then takes its own last event with `chain_ket`, one call
-    per history with no transport step, so a tracer of the public functions
-    (perfbench's `histories.chain_ket_*` metrics) sees one chain ket per
-    history.  The walk's finiteness check is the one stacked scan of the
-    prefix kets, plus `chain_ket`'s scan after a last event without a
-    recorded support; a label last event cannot make a finite ket
-    non-finite.  Only chain kets that end before the latest event time are
-    transported, and `transport` scans them.  The weights are the squared
-    norms of the un-carried chain kets; D's diagonal differs in the last
-    bit.  Under one errstate, an infinite amplitude, or a weight or
-    diagonal entry of D that overflows, raises a ValueError before any
-    report is built, with no RuntimeWarning.
+    The chain kets come from one prefix-tree walk (`_walk`): every history
+    takes one `chain_ket` call on a shared root, so each distinct event
+    prefix is checked and projected once, and a tracer of the public
+    functions (perfbench's `histories.chain_ket_*` metrics) sees one chain
+    ket per history.  Only chain kets that end before the latest event time
+    are transported, and `transport` scans them; C is then scanned for
+    finiteness once, which no walked amplitude escapes (see `_walk`).  The
+    weights are the squared norms of the un-carried chain kets; D's
+    diagonal differs in the last bit.  Under one errstate, an infinite
+    amplitude, or a weight or diagonal entry of D that overflows, raises a
+    ValueError before any report is built, with no RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        chains = []
-        for k, h in zip(_prefix_kets(dyn, fam.initial, fam.histories), fam.histories):
-            last = object.__new__(History)  # holds no array, so `_trusted` has nothing to freeze
-            last.__dict__["events"] = h.events[-1:]
-            chains.append(chain_ket(dyn, k, last))
+        root = (fam.initial.amplitudes, fam.initial.slice.time_index, {}, {})
+        chains = [chain_ket(dyn, fam.initial, h, _tree=root) for h in fam.histories]
         t_max = max(k.slice.time_index for k in chains)
         ends = [k.slice.time_index == t_max for k in chains]
         c = np.array([
             k.amplitudes if end else transport(dyn, k, t_max).amplitudes
             for k, end in zip(chains, ends)
         ])
+        _require_finite(c)
         d = c.conj() @ c.T
         re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
         norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Dynamics, transport
-from .histories import History, VanishingProbabilityError, chain_ket
+from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, _apply, _require_slice, _trusted, inner, projector_from_ket,
+    DEFAULT_TOL, Ket, Projector, _apply, _require_slice, _trusted, inner,
 )
 
 
@@ -71,22 +71,6 @@ def weak_value(dyn: Dynamics, initial: Ket, final: Ket, q: Projector) -> complex
     on `initial` and post-selected on `final`."""
     tsv = two_state_vector(dyn, initial, final, q.slice.time_index)
     return tsv.weak_value(q)
-
-
-def chain_weak_identity_residual(
-    dyn: Dynamics, initial: Ket, final: Ket, p: Projector
-) -> float:
-    """Residual of the identity tying the single-event chain ket to the weak
-    value: <final | chain(initial, P, final)> = <backward|forward> <P>_w.
-    Algebraically zero; returned for numerical verification.
-    """
-    t = p.slice.time_index
-    tsv = two_state_vector(dyn, initial, final, t)
-    wv = tsv.weak_value(p)
-    h = History(((t, p), (dyn.final_index, projector_from_ket(final))))
-    chain = chain_ket(dyn, initial, h)
-    lhs = inner(final, chain)
-    return abs(lhs - tsv.overlap() * wv)
 
 
 class PresenceVerdict(Enum):

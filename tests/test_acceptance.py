@@ -14,6 +14,7 @@ from _closedforms import (
     expected_split_watcher_branches,
 )
 from test_dynamics import unitarity_residual
+from test_weak import chain_weak_identity_residual
 from test_probes import full_rotation_evolution
 
 from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
@@ -57,7 +58,7 @@ from qhistories.statespace import (
     projector_from_ket,
     projector_from_labels,
 )
-from qhistories.weak import chain_weak_identity_residual, weak_value
+from qhistories.weak import weak_value
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 THIRD = 1 / 3

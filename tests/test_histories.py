@@ -126,6 +126,14 @@ class TestChainKets:
         with pytest.raises(ValueError, match=re.escape(want)):
             consistency_check(dyn, Family(stray, (History(((2, a2),)),)))
 
+    def test_family_walk_rejects_an_event_past_the_last_slice(self):
+        # checked before the walk carries anything, so no IndexError
+        dyn, s0 = model(0.4)
+        past = projector_from_labels(TimeSlice(7, ("X", "Y")), {"X"})
+        fam = Family(s0, (History(((2, proj(dyn, 2, {"A"})),)), History(((7, past),))))
+        with pytest.raises(ValueError, match="time index 7 outside range 0..4"):
+            consistency_check(dyn, fam)
+
 
 class TestConsistency:
     @pytest.mark.parametrize("alpha2", GRID)
@@ -471,6 +479,17 @@ class TestPairBookkeeping:
         assert not report.consistent
         assert [(i, j) for i, j, _ in report.offending_pairs] == [(0, 1)]
 
+    @pytest.mark.parametrize("alpha2", [0.001, 1 / 3, 0.5, 0.999])
+    def test_prefix_duplicate_event_free_and_later_start_histories(self, alpha2):
+        # A2 is a leaf and also the inner node of A2 -> F4, and it comes
+        # twice; the event-free history is the root; D1 -> B2+C2 leaves the
+        # root at another time
+        dyn, s0 = model(alpha2)
+        events = [[(2, "A")], [(2, "A"), (4, "F")], [(2, "A")], [], [(1, "D"), (2, "BC")]]
+        fam = Family(s0, build_histories(dyn, events))
+        assert fam.histories[0].events == fam.histories[2].events
+        self.assert_matches_oracle(dyn, fam)
+
     @pytest.mark.parametrize("seed", [5, 17])
     def test_inconsistent_refined_haar_tree(self, seed):
         dyn, s0 = haar_dynamics(seed)
@@ -751,8 +770,9 @@ class TestOverflow:
 
     @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities", "infer", "transport"])
     def test_infinite_prefix_amplitude(self, query):
-        # the walk's shared t2 prefix is infinite; the one stacked scan of the
-        # prefix kets raises, and no RuntimeWarning escapes before
+        # the walk's shared t2 prefix is infinite; the scan of C, or that of
+        # `transport` for a row carried on, raises, and no RuntimeWarning
+        # escapes before
         dyn, k = self.deep_model()
         x2, y2 = proj(dyn, 2, {"x"}), proj(dyn, 2, {"y"})
         fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
@@ -772,6 +792,19 @@ class TestOverflow:
         h = History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"}))))
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             chain_ket(dyn, k, h)
+
+    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
+                             ids=lambda f: f.__name__)
+    def test_slice_checks_run_before_the_finiteness_scan(self, query):
+        # the first chain ket is infinite, the second history's event is
+        # foreign: every event is checked during the walk, before C's one
+        # scan, so the slice error wins
+        dyn, k = self.deep_model()
+        foreign = TimeSlice(3, ("u", "v"))
+        fam = Family(k, (History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"})))),
+                         History(((3, projector_from_labels(foreign, {"u"})),))))
+        with pytest.raises(ValueError, match=re.escape(f"event lives on {foreign}")):
+            query(dyn, fam)
 
     @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities",
                                        "conditional_probability"])
@@ -806,8 +839,7 @@ class TestOverflow:
     @pytest.mark.parametrize("where", ["last", "prefix"])
     def test_infinite_amplitude_masked_away_by_an_event(self, where, query):
         # y2 drops the infinite channel, as the last event or as a prefix;
-        # the stacked scan of the prefix kets sees the inf that y2 would
-        # drop, or the NaN that inf * 0 leaves there
+        # the one scan of C sees the NaN that inf * 0 leaves there
         dyn, k = self.masked_model()
         y2 = proj(dyn, 2, {"y"})
         events = ((2, y2),) if where == "last" else ((2, y2), (3, proj(dyn, 3, {"y"})))

@@ -139,7 +139,7 @@ def test_no_public_callable_takes_a_tolerance():
     assert {
         "Projector", "PDI", "pdi_validate", "step_validate", "consistency_check",
         "born_probabilities", "conditional_probability", "refine", "infer",
-        "TwoStateVector.weak_value", "weak_value", "chain_weak_identity_residual",
+        "TwoStateVector.weak_value", "weak_value",
         "presence_table", "branch_components", "coincidence_support",
     } <= checked
 

@@ -5,15 +5,17 @@ import pytest
 
 import qhistories.weak as weak_module
 from qhistories.dynamics import transport
-from qhistories.histories import Defined, Incommensurate, VanishingProbabilityError, infer
+from qhistories.histories import (
+    Defined, History, Incommensurate, VanishingProbabilityError, chain_ket, infer,
+)
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.statespace import (
-    Ket, Projector, basis_ket, identity_projector, projector_from_labels,
+    Ket, Projector, basis_ket, identity_projector, inner, projector_from_ket,
+    projector_from_labels,
 )
 from qhistories.weak import (
     PresenceVerdict,
     backward_state,
-    chain_weak_identity_residual,
     presence_table,
     two_state_vector,
     weak_value,
@@ -119,6 +121,16 @@ class TestWeakValue:
                 for lab in dyn.slices[t].basis
             )
             assert abs(total - 1.0) <= 1e-12
+
+
+def chain_weak_identity_residual(dyn, initial, final, p):
+    """Residual of the identity tying the single-event chain ket to the
+    weak value: <final | chain(initial, P, final)> = <backward|forward> <P>_w.
+    Algebraically zero."""
+    t = p.slice.time_index
+    tsv = two_state_vector(dyn, initial, final, t)
+    h = History(((t, p), (dyn.final_index, projector_from_ket(final))))
+    return abs(inner(final, chain_ket(dyn, initial, h)) - tsv.overlap() * tsv.weak_value(p))
 
 
 class TestChainWeakIdentity:
