@@ -129,55 +129,99 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
 
 
-def _walk(dyn: Dynamics, node: tuple, events: Sequence[tuple[int, Projector]]) -> np.ndarray:
-    """The raw amplitudes of `events` applied from `node`, a prefix-tree
-    node `(amplitudes, time, children by (time, projector), carried by
-    time)`.
+#: The fewest carries (or label events) at one depth that the walk stacks.
+#: Below it, lone products cost less: at d = 3 and d = 64, two stacked rows
+#: cost more than two lone ones once the stack is built and split again.
+_STACK = 3
 
-    The first visit to a child checks its event's slice, carries the
-    parent's amplitudes to the child's time once per time (`_carry`, kept
-    in `carried`) and applies the event (`_apply`): the products of an
-    independent chain, bit for bit.  Later visits reuse the child, so
-    histories walked from one root share their event prefixes.  Callers
-    run it under `np.errstate(over="ignore", invalid="ignore")` and scan
+
+def _walk(
+    dyn: Dynamics, v0: np.ndarray, t0: int, histories: Sequence[Sequence[tuple[int, Projector]]]
+) -> list[np.ndarray]:
+    """The raw chain-ket amplitudes of each event sequence in `histories`,
+    walked from the amplitudes `v0` at time `t0`, one row per sequence.
+
+    An index pass first files every event into a prefix tree, one level per
+    depth: a node's children by (time, projector), and the distinct carries
+    (parent, parent's time, time) its children need.  Each new child's
+    event is checked against its slice, so every check precedes every
+    product.  The walk then goes down the tree one depth at a time:
+    - It carries each parent to each time once (`_carry`).  Carries over
+      the same steps are stacked as `x` of shape (k, d, 1) and carried with
+      `steps[j].matrix @ x`, which numpy runs as one gemv per row: the bits
+      of a lone `U @ v`.  A carry runs backward through the adjoints only
+      for a public `chain_ket` whose first event lies before its ket's time.
+    - It applies the depth's events: label events with one masked product,
+      `x[slot] * ons + 0.0`, the elementwise arithmetic of `_apply`, and
+      any depth with a dense event through `_apply`.
+    A depth with fewer than `_STACK` carries or events takes lone products.
+    Every amplitude thus has the bits of an independent chain.  Callers run
+    the walk under `np.errstate(over="ignore", invalid="ignore")` and scan
     what it returns: along every path a non-finite amplitude stays
     non-finite (a step's product carries it on, and an event keeps it or
     drops it to NaN, inf * 0).
     """
-    for t, p in events:
-        v, s, children, carried = node
-        if (t, p) not in children:
-            _require_slice(p, dyn.slice_at(t), "event")
-            if t not in carried:
-                carried[t] = _carry(dyn, v, s, t)
-            children[t, p] = (_apply(p, carried[t]), t, {}, {})
-        node = children[t, p]
-    return node[0]
+    levels = [({}, {}, []) for _ in range(max(map(len, histories)))]
+    leaves = []
+    for events in histories:
+        node, s = 0, t0
+        for (children, carries, kids), (t, p) in zip(levels, events):
+            key = (node, t, p)
+            child = children.get(key)
+            if child is None:
+                _require_slice(p, dyn.slice_at(t), "event")
+                child = children[key] = len(kids)
+                kids.append((carries.setdefault((node, s, t), len(carries)), p))
+            node, s = child, t
+        leaves.append((len(events), node))
+    x = [v0]
+    nodes = [x]
+    for _, carries, kids in levels:
+        if len(carries) < _STACK:
+            y = [_carry(dyn, x[parent], s, t) for parent, s, t in carries]
+        else:
+            spans = {}
+            for slot, (parent, s, t) in enumerate(carries):
+                spans.setdefault((s, t), []).append((slot, parent))
+            y = [None] * len(carries)
+            for (s, t), group in spans.items():
+                stack = np.array([x[parent] for _, parent in group])[..., None]
+                for (slot, _), row in zip(group, _carry(dyn, stack, s, t)[..., 0]):
+                    y[slot] = row
+        if len(kids) < _STACK or any(p._on is None for _, p in kids):
+            x = [_apply(p, y[slot]) for slot, p in kids]
+        else:
+            x = np.array([y[slot] for slot, _ in kids]) * np.array([p._on for _, p in kids]) + 0.0
+        nodes.append(x)
+    return [nodes[depth][node] for depth, node in leaves]
 
 
-def chain_ket(dyn: Dynamics, initial: Ket, h: History, *, _tree: tuple | None = None) -> Ket:
+def chain_ket(
+    dyn: Dynamics, initial: Ket, h: History, *, _tree: dict[History, np.ndarray] | None = None
+) -> Ket:
     """Alternate unitary transport and event projection (`_apply`) along a
     history.
 
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
-    An event-free history returns `initial` itself.  The products run under
-    one errstate and the result is scanned once, so an overflow raises a
-    ValueError with no RuntimeWarning.
+    An event-free history returns `initial` itself.  The products (`_walk`
+    on one history) run under one errstate and the result is scanned once,
+    so an overflow raises a ValueError with no RuntimeWarning.
 
-    `_tree` is the root of a prefix tree grown from `initial` (see
-    `_walk`), shared by the histories of one family; the ket is then built
-    unscanned, and the caller runs the errstate and the scan.  Only
-    `_decoherence` passes it.
+    `_tree` maps the histories of a family to their raw amplitudes, walked
+    by `_decoherence`, which is the only caller that passes it; the call
+    then returns `h`'s row as it is, with no `Ket`, check or errstate.  It
+    exists so that a tracer of the public functions (perfbench's
+    `histories.chain_ket_*` metrics) still sees one chain ket per history,
+    and goes with ROADMAP item "One benchmark-only change".
     """
+    if _tree is not None:
+        return _tree[h]
     _require_on(dyn, initial)
     if not h.events:
         return initial
-    if _tree is not None:
-        v = _walk(dyn, _tree, h.events)
-        return _trusted(Ket, slice=dyn.slice_at(h.events[-1][0]), amplitudes=v, name="")
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _walk(dyn, (initial.amplitudes, initial.slice.time_index, {}, {}), h.events)
+        (v,) = _walk(dyn, initial.amplitudes, initial.slice.time_index, [h.events])
     return _computed_ket(dyn.slice_at(h.events[-1][0]), v)
 
 
@@ -227,36 +271,41 @@ def _decoherence(
     functional D = C* C^T, where row i of C is the chain ket of history i
     carried to the family's latest event time.
 
-    The chain kets come from one prefix-tree walk (`_walk`): every history
-    takes one `chain_ket` call on a shared root, so each distinct event
-    prefix is checked and projected once, and a tracer of the public
-    functions (perfbench's `histories.chain_ket_*` metrics) sees one chain
-    ket per history.  Only chain kets that end before the latest event time
-    are transported, and `transport` scans them; C is then scanned for
+    The chain kets come from one walk of the family's prefix tree
+    (`_walk`), so each distinct event prefix is checked and projected once;
+    the initial ket is checked once, and no `Ket` is built for a history
+    that ends at the latest event time.  Each history still takes one
+    `chain_ket` call, which returns its walked row (see `chain_ket`'s
+    `_tree`).  Only rows that end before the latest event time are
+    transported, and `transport` scans them; C is then scanned for
     finiteness once, which no walked amplitude escapes (see `_walk`).  The
-    weights are the squared norms of the un-carried chain kets; D's
-    diagonal differs in the last bit.  Under one errstate, an infinite
-    amplitude, or a weight or diagonal entry of D that overflows, raises a
-    ValueError before any report is built, with no RuntimeWarning.
+    weights are the squared norms of the un-carried rows; D's diagonal
+    differs in the last bit.  Under one errstate, an infinite amplitude, or
+    a weight or diagonal entry of D that overflows, raises a ValueError
+    before any report is built, with no RuntimeWarning.
     """
+    initial, hists = fam.initial, fam.histories
+    _require_on(dyn, initial)
+    t0 = initial.slice.time_index
+    ends = [h.events[-1][0] if h.events else t0 for h in hists]
+    t_max = max(ends)
     with np.errstate(over="ignore", invalid="ignore"):
-        root = (fam.initial.amplitudes, fam.initial.slice.time_index, {}, {})
-        chains = [chain_ket(dyn, fam.initial, h, _tree=root) for h in fam.histories]
-        t_max = max(k.slice.time_index for k in chains)
-        ends = [k.slice.time_index == t_max for k in chains]
+        tree = dict(zip(hists, _walk(dyn, initial.amplitudes, t0, [h.events for h in hists])))
+        rows = [chain_ket(dyn, initial, h, _tree=tree) for h in hists]
         c = np.array([
-            k.amplitudes if end else transport(dyn, k, t_max).amplitudes
-            for k, end in zip(chains, ends)
+            v if t == t_max else
+            transport(dyn, _trusted(Ket, slice=dyn.slices[t], amplitudes=v, name=""), t_max).amplitudes
+            for v, t in zip(rows, ends)
         ])
         _require_finite(c)
         d = c.conj() @ c.T
         re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
         norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())
-        weights = [float(n if end else np.linalg.norm(k.amplitudes)) ** 2
-                   for k, n, end in zip(chains, norms, ends)]
-    if not (np.isfinite(d.diagonal()).all() and np.isfinite(weights).all()):
+        weights = [float(n if t == t_max else np.linalg.norm(v)) ** 2
+                   for v, n, t in zip(rows, norms, ends)]
+    if not (np.isfinite(d.diagonal()).all() and all(map(math.isfinite, weights))):
         raise ValueError("squared chain-ket norms overflow; they must be finite")
-    pairs = ~np.tri(len(chains), dtype=bool)  # i < j
+    pairs = ~np.tri(len(hists), dtype=bool)  # i < j
     ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
     max_overlap = float(ratio[pairs].max(initial=0.0))
     i, j = np.nonzero(pairs & (ratio > DEFAULT_TOL))  # row-major

@@ -14,8 +14,8 @@ pass (`_trusted`): basis kets, label and identity projectors and
 library is already checked.  Kets computed with caller-supplied step
 matrices (chain kets, transport results) keep the one check those products
 do not imply, the finiteness scan (`_computed_ket`), and run it once, after
-the products.  The decoherence walk builds its chain kets trusted and
-scans them together, once per family, as the rows of C.  Probe branch
+the products.  The decoherence walk builds no `Ket` for its chain kets:
+it scans them together, once per family, as the rows of C.  Probe branch
 kets are rows of a joint state that ran that scan once, over all its
 amplitudes.
 
@@ -232,11 +232,11 @@ class Projector:
         """The projector I - P onto the orthogonal complement.  A label
         projector's complement is the label projector of the other channels;
         any other is checked at `DEFAULT_TOL` like a caller's projector."""
-        m = np.eye(self.slice.dim, dtype=complex) - self.matrix
         name = _complement_name(self)
         if self._on is None:
-            return Projector(self.slice, m, name)
-        return _trusted(Projector, slice=self.slice, matrix=m, name=name, _on=~self._on)
+            return Projector(self.slice, np.eye(self.slice.dim, dtype=complex) - self.matrix, name)
+        on = ~self._on
+        return _trusted(Projector, slice=self.slice, matrix=_label_matrix(on), name=name, _on=on)
 
 
 def _label_mask(m: np.ndarray) -> np.ndarray | None:
@@ -245,6 +245,14 @@ def _label_mask(m: np.ndarray) -> np.ndarray | None:
     otherwise.  Exact: no entry is compared to a cut-off."""
     on = m.diagonal() == 1
     return on if np.count_nonzero(m) == np.count_nonzero(on) else None
+
+
+def _label_matrix(on: np.ndarray) -> np.ndarray:
+    """The 0/1 diagonal matrix with the boolean diagonal `on`: I - P for a
+    label projector P, bit for bit, and every zero +0."""
+    m = np.zeros((len(on), len(on)), dtype=complex)
+    m.flat[:: len(on) + 1] = on
+    return m
 
 
 def _apply(p: Projector, v: np.ndarray) -> np.ndarray:
@@ -277,10 +285,9 @@ def _overlap(a: Projector, b: Projector) -> float:
 def _complement_name(p: Projector) -> str:
     if p._on is None:
         return f"~{p.name}" if p.name else ""
-    rest = [lab for lab, kept in zip(p.slice.basis, p._on.tolist()) if not kept]
-    if rest:
-        return "+".join(f"{lab}{p.slice.time_index}" for lab in rest)
-    return f"0@t{p.slice.time_index}"
+    t = str(p.slice.time_index)
+    rest = [lab + t for lab, kept in zip(p.slice.basis, p._on.tolist()) if not kept]
+    return "+".join(rest) if rest else f"0@t{t}"
 
 
 def identity_projector(slc: TimeSlice) -> Projector:
@@ -298,11 +305,9 @@ def projector_from_labels(
         raise ValueError("label set must be non-empty")
     on = np.zeros(slc.dim, dtype=bool)
     on[axes] = True
-    m = np.zeros((slc.dim, slc.dim), dtype=complex)
-    m.flat[:: slc.dim + 1] = on  # the diagonal
     if name is None:
         name = "+".join(f"{slc.basis[ax]}{slc.time_index}" for ax in axes)
-    return _trusted(Projector, slice=slc, matrix=m, name=name, _on=on)
+    return _trusted(Projector, slice=slc, matrix=_label_matrix(on), name=name, _on=on)
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:

@@ -1,8 +1,11 @@
+import functools
 import re
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhistories.dynamics import Dynamics, StepUnitary, transport
 from qhistories.histories import (
@@ -14,6 +17,7 @@ from qhistories.histories import (
     InconsistentFamilyError,
     InexpressibleEventError,
     _decoherence,
+    _walk,
     born_probabilities,
     chain_ket,
     conditional_probability,
@@ -111,6 +115,26 @@ class TestChainKets:
         assert got.slice is dyn.slices[2]
         assert got.amplitudes.tobytes() == (p.matrix @ k.amplitudes).tobytes()
         assert got.amplitudes.flags.writeable is False
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_events_before_the_kets_time_carry_it_back_then_forth(self, seed):
+        # a ket at t4 and events at t2 then t3: transport back to t2, the
+        # projector, transport forward to t3, the projector, bit for bit
+        if seed is None:
+            dyn, s0 = model(0.4)
+            p2, p3 = proj(dyn, 2, {"A", "B"}), proj(dyn, 3, {"A", "E"})
+        else:
+            dyn, s0 = haar_dynamics(seed)
+            rng = np.random.default_rng(seed)
+            p2 = label_parts(dyn.slices[2], range(5))[0]
+            p3 = projector_from_ket(Ket(dyn.slices[3], rng.normal(size=8) + 1j * rng.normal(size=8)))
+        k4 = transport(dyn, s0, 4)
+        got = chain_ket(dyn, k4, History(((2, p2), (3, p3))))
+        back = Ket(dyn.slices[2], p2.matrix @ transport(dyn, k4, 2).amplitudes)
+        want = p3.matrix @ transport(dyn, back, 3).amplitudes
+        assert got.slice is dyn.slices[3]
+        assert got.amplitudes.tobytes() == want.tobytes()
+        assert got.norm() > 0.1
 
     def test_family_walk_rejects_kets_and_events_foreign_to_the_dynamics(self):
         dyn, s0 = model(0.4)
@@ -441,6 +465,99 @@ class TestBenchmarkSizeWalk:
         assert [w.hex() for w in got_weights] == [w.hex() for w in ref_weights]
         assert got_report == ref_report
         assert got_report.consistent is (steps is block_dynamics)
+
+
+class TestDepthWalk:
+    """The walk goes down a family's prefix tree one depth at a time.  It
+    stacks the carries that span the same steps into one product and
+    applies a depth's label events with one masked product; every row
+    keeps the bits of a lone product."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("k", [1, 2, 18])
+    def test_stacked_step_products_are_lone_products_bit_for_bit(self, d, k):
+        # numpy runs a (d, d) @ (k, d, 1) product as one gemv per row, the
+        # gemv of a lone U @ v; a matrix-matrix product would not keep the bits
+        rng = np.random.default_rng([d, k])
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+        for u in (z, np.asfortranarray(z), z.conj().T, np.asfortranarray(z).conj().T):
+            stacked = (u @ x[..., None])[..., 0]
+            for i in range(k):
+                assert stacked[i].tobytes() == (u @ x[i]).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_masked_label_events_are_lone_events_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        slc = TimeSlice(2, tuple(f"c{i}" for i in range(d)))
+        x = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        x[0, 0], x[1, -1], x[2, 0] = complex(-0.0, 0.5), complex(0.25, -0.0), -1e-300
+        parts = [projector_from_labels(slc, {f"c{i}" for i in range(d) if rng.random() < 0.6} or {"c0"})
+                 for _ in range(6)]
+        slots = [0, 0, 1, 2, 3, 3]
+        masked = x[slots] * np.array([p._on for p in parts]) + 0.0
+        for row, slot, p in zip(masked, slots, parts):
+            assert row.tobytes() == (p.matrix @ x[slot]).tobytes()
+
+    def test_first_events_before_the_kets_time_stack_like_lone_chain_kets(self):
+        # three first events at t1, t2 and t3 from a ket at t4: three
+        # backward carries at depth one, each over its own steps
+        dyn, s0 = haar_dynamics(5)
+        k4 = transport(dyn, s0, 4)
+        parts = {t: label_parts(dyn.slices[t], range(3), range(3, 8)) for t in (1, 2, 3, 4)}
+        histories = [History(((t, parts[t][i]), (4, parts[4][j])))
+                     for t in (1, 2, 3) for i in range(2) for j in range(2)]
+        rows = _walk(dyn, k4.amplitudes, 4, [h.events for h in histories])
+        for h, row in zip(histories, rows):
+            assert row.tobytes() == chain_ket(dyn, k4, h).amplitudes.tobytes()
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_matches_the_per_history_oracle_on_random_families(self, data):
+        # random trees on Haar steps: skipped times (carries of one depth to
+        # different times), unequal lengths, event-free histories, label and
+        # dense events at one depth, shared and duplicate prefixes
+        dyn, fam = data.draw(_random_family())
+        got, got_weights, got_d = _decoherence(dyn, fam)
+        ref, ref_weights, ref_d = per_history_decoherence(dyn, fam)
+        assert got_d.tobytes() == ref_d.tobytes()
+        assert [w.hex() for w in got_weights] == [w.hex() for w in ref_weights]
+        assert got.max_overlap.hex() == ref.max_overlap.hex()
+        assert got.consistent is ref.consistent
+        assert _pair_bits(got) == _pair_bits(ref)
+
+
+@functools.cache
+def _seeded_haar_dynamics(dim, seed):
+    return haar_dynamics(seed, dim=dim)
+
+
+@st.composite
+def _random_family(draw):
+    """A family on seeded Haar dynamics of d <= 8 channels: a few events per
+    time t1..t4, label or dense, and histories that each pick a subset of
+    the times (none at all included) and one of that time's events."""
+    d = draw(st.sampled_from([1, 2, 3, 8]), label="d")
+    dyn, s0 = _seeded_haar_dynamics(d, draw(st.integers(0, 2), label="seed"))
+    rng = np.random.default_rng(d)
+    pools = {}
+    for t in range(1, 5):
+        slc = dyn.slices[t]
+        pools[t] = []
+        for kind in draw(st.lists(st.booleans(), min_size=1, max_size=4), label=f"kinds t{t}"):
+            if kind:
+                on = draw(st.sets(st.integers(0, d - 1), min_size=1), label="channels")
+                pools[t].append(projector_from_labels(slc, {f"c{i}" for i in on}))
+            else:
+                v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                pools[t].append(projector_from_ket(Ket(slc, v)))
+    histories = []
+    for _ in range(draw(st.integers(1, 12), label="histories")):
+        times = sorted(draw(st.sets(st.integers(1, 4)), label="times"))
+        histories.append(History(tuple((t, draw(st.sampled_from(pools[t]))) for t in times)))
+    if draw(st.booleans(), label="repeat a history"):
+        histories.append(draw(st.sampled_from(histories)))
+    return dyn, Family(s0, tuple(histories))
 
 
 def _pair_bits(report):

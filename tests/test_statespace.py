@@ -254,6 +254,23 @@ def test_label_projector_plus_complement_is_identity_exactly(labels):
     assert np.array_equal(total, np.eye(3, dtype=complex))
 
 
+@settings(max_examples=60)
+@given(st.lists(st.booleans(), min_size=1, max_size=8), st.booleans())
+def test_label_complement_is_the_dense_complement_bit_for_bit(on, signed_zeros):
+    # I - P, built from the other channels' mask, has the bits of
+    # np.eye - P.matrix, also for a caller's 0/1 diagonal matrix whose zeros
+    # carry a minus sign
+    slc = TimeSlice(1, tuple(f"c{i}" for i in range(len(on))))
+    m = np.diag(np.array(on, dtype=complex))
+    if signed_zeros:
+        m = np.where(m == 0, complex(-0.0, -0.0), complex(1.0, -0.0) * m)
+    p = Projector(slc, m, "P")
+    assert p._on is not None
+    for q in (p, p.complement()):
+        dense = np.eye(len(on), dtype=complex) - q.matrix
+        assert q.complement().matrix.tobytes() == dense.tobytes()
+
+
 @given(
     st.lists(
         st.tuples(
