@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import Dynamics, _require_on
+from .dynamics import Dynamics, _carry, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
     DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_finite, _require_slice,
@@ -165,9 +165,6 @@ class JointState:
 
     __reduce__ = _reduce
 
-    def total_norm2(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
     @functools.cached_property
     def _labels(self) -> tuple[str, ...]:
         """`_kappa_labels` of the probes, built when first read."""
@@ -181,27 +178,6 @@ class BranchComponent:
 
     kappa: str
     phi: Ket
-
-
-def _couplings_by_time(
-    dyn: Dynamics, probes: Sequence[ProbeSpec]
-) -> dict[int, list[tuple[int, int]]]:
-    """time -> [(probe position, channel axis)], ordered by probe id then
-    channel label so that same-time applications are deterministic.  The
-    maps commute (disjoint control channels or distinct probe factors), so
-    the order is immaterial to the result.  Rejects couplings at times or
-    channels foreign to `dyn`.
-    """
-    by_time: dict[int, list[tuple[int, str]]] = {}
-    for pos, spec in enumerate(probes):
-        for t, label in spec.couplings:
-            by_time.setdefault(t, []).append((pos, label))
-    resolved = {}
-    for t, pcs in by_time.items():
-        slc = dyn.slice_at(t)
-        pcs.sort(key=lambda pc: (probes[pc[0]].probe_id, pc[1]))
-        resolved[t] = [(pos, slc.axis(label)) for pos, label in pcs]
-    return resolved
 
 
 def _apply_coupling(amps: np.ndarray, channel_axis: int, bit: int, strength: ProbeStrength) -> None:
@@ -227,30 +203,43 @@ def evolve_with_probes(
     *,
     upto: int | None = None,
 ) -> JointState:
-    """Evolve `initial` (x) |0...0> to the final slice (or to `upto`),
-    alternating step unitaries (identity on the probes) with the probe
-    couplings registered at each arrival time.
+    """Evolve `initial` (x) |0...0> to the final slice (or to `upto`).
+
+    The joint (d, 2^n) array is carried from one coupling time to the next
+    by the step loop of `transport` (`_carry`), whose products are the
+    identity on the probes; couplings at `upto` apply, later ones do not.
+    The couplings run by time, then probe id, then channel label.  Every
+    coupling is resolved against `dyn` first, those after `upto` too; of
+    several foreign ones, the first in that order is named.
     """
     probes = tuple(probes)
     if len(set(p.probe_id for p in probes)) != len(probes):
         raise ValueError("probe ids must be distinct")
-    by_time = _couplings_by_time(dyn, probes)
+    couplings = [
+        (t, pos, dyn.slice_at(t).axis(label))
+        for t, _, label, pos in sorted(
+            (t, p.probe_id, label, pos) for pos, p in enumerate(probes) for t, label in p.couplings
+        )
+    ]
     _require_on(dyn, initial)
     if initial.slice.time_index != 0:
         raise ValueError("probe evolution starts at time 0")
     stop = dyn.final_index if upto is None else upto
     dyn.slice_at(stop)
 
-    n = len(probes)
-    amps = np.zeros((initial.slice.dim, 1 << n), dtype=complex)
+    amps = np.zeros((initial.slice.dim, 1 << len(probes)), dtype=complex)
     amps[:, 0] = initial.amplitudes
-    # A non-unitary step can overflow; the scan below reports it.
+    t = 0
+    # A non-unitary step can overflow; the scan below reports it.  `_carry`
+    # hands back `amps` itself or a fresh C-contiguous product, so each
+    # coupling writes its row in place.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(stop + 1):
-            for pos, axis in by_time.get(t, []):
-                _apply_coupling(amps, axis, pos, strength)
-            if t < stop:
-                amps = dyn.steps[t].matrix @ amps
+        for tc, pos, axis in couplings:
+            if tc > stop:
+                break
+            amps, t = _carry(dyn, amps, t, tc), tc
+            _apply_coupling(amps, axis, pos, strength)
+        amps = _carry(dyn, amps, t, stop)
     _require_finite(amps)
     return _trusted(JointState, slice=dyn.slices[stop], probes=probes, amplitudes=amps)
 

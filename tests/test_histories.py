@@ -804,9 +804,9 @@ def one_time_merges(fam):
 
 class TestCoarseGraining:
     """Merging two histories of a consistent family into their sum keeps
-    the family consistent and adds their weights (ROADMAP item "Gauge
-    covariance as the oracle for the fast paths"), within
-    the rounding bound of `assert_gauge_invariant`."""
+    the family consistent and adds their weights (ROADMAP item "An exact
+    oracle in the tests"), within the rounding bound of
+    `assert_gauge_invariant`."""
 
     def assert_additive(self, dyn, fam):
         bound = 20 * max(slc.dim for slc in dyn.slices) * len(dyn.slices) * np.finfo(float).eps

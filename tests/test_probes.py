@@ -165,18 +165,41 @@ class TestEvolution:
         )
 
     def test_norm_conserved_at_every_time(self):
+        # Probes at the first (S) and last (F) time as well: couplings at
+        # `upto` apply and later ones do not, which the norm alone misses.
         dyn, s0 = model(0.61)
+        probes = standard_probes("adbcew") + (
+            ProbeSpec("s", frozenset({(0, "S")})),
+            ProbeSpec("f", frozenset({(4, "F")})),
+        )
         for upto in range(5):
-            js = evolve_with_probes(
-                dyn, standard_probes("adbcew"), ProbeStrength(0.13), s0, upto=upto
-            )
-            assert js.total_norm2() == pytest.approx(1.0, abs=1e-12)
+            js = evolve_with_probes(dyn, probes, ProbeStrength(0.13), s0, upto=upto)
+            assert np.sum(np.abs(js.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+            ref = kron_oracle(dyn, probes, 0.13, s0, upto=upto)
+            np.testing.assert_allclose(js.amplitudes, ref, atol=1e-12)
 
     def test_unknown_coupling_channel_rejected(self):
         dyn, s0 = model()
         bad = ProbeSpec("x", frozenset({(1, "X")}))
         with pytest.raises(ValueError, match="unknown channel"):
             evolve_with_probes(dyn, (bad,), ProbeStrength(0.01), s0)
+        # a coupling after `upto` is checked too
+        late = ProbeSpec("x", frozenset({(4, "X")}))
+        with pytest.raises(ValueError, match=re.escape("unknown channel 'X' on slice t4")):
+            evolve_with_probes(dyn, (late,), ProbeStrength(0.01), s0, upto=1)
+
+    def test_earliest_foreign_coupling_is_named(self):
+        # Couplings are resolved by time, then probe id, then channel label,
+        # whatever the order of the probes.
+        dyn, s0 = model()
+        late = ProbeSpec("a", frozenset({(9, "A")}))
+        early = ProbeSpec("z", frozenset({(1, "Z")}))
+        for probes in [(late, early), (early, late)]:
+            with pytest.raises(ValueError, match=re.escape("unknown channel 'Z' on slice t1")):
+                evolve_with_probes(dyn, probes, ProbeStrength(0.01), s0)
+        same_time = (ProbeSpec("y", frozenset({(2, "Y")})), ProbeSpec("x", frozenset({(2, "X")})))
+        with pytest.raises(ValueError, match=re.escape("unknown channel 'X'")):
+            evolve_with_probes(dyn, same_time, ProbeStrength(0.01), s0)
 
     def test_probe_coupled_at_two_times_rejected(self):
         # such a probe is rotated twice on a path through both couplings, so
