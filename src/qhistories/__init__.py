@@ -20,7 +20,7 @@ from .statespace import (
     projector_from_labels,
     slice_pdi,
 )
-from .dynamics import Dynamics, StepReport, StepUnitary, step_validate, transport
+from .dynamics import Dynamics, StepUnitary, transport
 from .histories import (
     ConsistencyReport,
     Defined,

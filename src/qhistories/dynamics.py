@@ -9,20 +9,36 @@ happens at inner-product time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .statespace import (
-    DEFAULT_TOL, Ket, TimeSlice, _computed_ket, _frozen_array, _reduce, _require_slice,
+    DEFAULT_TOL, Ket, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
 )
+
+
+def _require_unitary(u: np.ndarray, joins: Iterable[tuple[TimeSlice, TimeSlice]]) -> None:
+    """Reject the step matrices stacked in `u`, shape (T, d, d), unless
+    each one's residual max |U^dagger U - I| is within `DEFAULT_TOL`; the
+    error names the first worst step by the (from, to) slices it joins,
+    listed in `joins`, and its residual.  One pass over the stack."""
+    gram = u.conj().transpose(0, 2, 1) @ u
+    residuals = np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2))
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > DEFAULT_TOL:
+        frm, to = list(joins)[worst]
+        raise ValueError(
+            f"step from {frm} to {to} is not unitary (residual {residuals[worst]:.3g})"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class StepUnitary:
     """One time step.  Rows are indexed by the target basis, columns by the
-    source basis.  Unitarity is an invariant but is checked by
-    :func:`step_validate` rather than at construction, so that defective
-    steps can be diagnosed by report.
+    source basis.  The matrix must be unitary: a residual
+    max |U^dagger U - I| above `DEFAULT_TOL` is rejected at construction,
+    and the error names the step and its residual.
     """
 
     from_slice: TimeSlice
@@ -36,7 +52,9 @@ class StepUnitary:
                 f"step from {self.from_slice} to {self.to_slice} joins slices "
                 "of different dimension"
             )
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix, shape, "step matrix"))
+        m = _frozen_array(self.matrix, shape, "step matrix")
+        _require_unitary(m[None], [(self.from_slice, self.to_slice)])
+        object.__setattr__(self, "matrix", m)
 
     __reduce__ = _reduce
 
@@ -94,16 +112,14 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
     """
     _require_on(dyn, k)
     slc = dyn.slice_at(target_index)
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = _carry(dyn, k.amplitudes, k.slice.time_index, target_index)
-    return _computed_ket(slc, amps)
+    amps = _carry(dyn, k.amplitudes, k.slice.time_index, target_index)
+    return _trusted(Ket, slice=slc, amplitudes=amps, name="")
 
 
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:
     """The step loop of :func:`transport` on raw amplitudes; both indices
-    must already be valid for `dyn`.  Callers run it under
-    `np.errstate(over="ignore", invalid="ignore")` and scan what it feeds
-    for finiteness: a non-unitary step can overflow."""
+    must already be valid for `dyn`.  The steps are unitary, so it keeps
+    every norm."""
     if target_index >= start:
         for j in range(start, target_index):
             v = dyn.steps[j].matrix @ v
@@ -112,23 +128,3 @@ def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.nd
             v = dyn.steps[j].matrix.conj().T @ v
     return v
 
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-step unitarity residuals; `ok` iff all are within `DEFAULT_TOL`."""
-
-    ok: bool
-    max_residual: float
-    worst_step: int
-    residuals: tuple[float, ...]
-
-
-def step_validate(dyn: Dynamics) -> StepReport:
-    """Each step's unitarity residual, max |U^dagger U - I|, computed for
-    all steps at once: the steps of a dynamics join slices of one
-    dimension, so their matrices stack into one (T, d, d) array."""
-    u = np.stack([st.matrix for st in dyn.steps])
-    gram = u.conj().transpose(0, 2, 1) @ u
-    residuals = tuple(np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2)).tolist())
-    worst = int(np.argmax(residuals))
-    return StepReport(max(residuals) <= DEFAULT_TOL, max(residuals), worst, residuals)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, TimeSlice, _apply, _computed_ket, _distance, _overlap,
-    _require_finite, _require_slice, _trusted, identity_projector,
+    DEFAULT_TOL, Ket, Projector, TimeSlice, _apply, _distance, _overlap, _require_slice,
+    _trusted, identity_projector,
 )
 
 
@@ -155,11 +155,7 @@ def _walk(
       `x[slot] * ons + 0.0`, the elementwise arithmetic of `_apply`, and
       any depth with a dense event through `_apply`.
     A depth with fewer than `_STACK` carries or events takes lone products.
-    Every amplitude thus has the bits of an independent chain.  Callers run
-    the walk under `np.errstate(over="ignore", invalid="ignore")` and scan
-    what it returns: along every path a non-finite amplitude stays
-    non-finite (a step's product carries it on, and an event keeps it or
-    drops it to NaN, inf * 0).
+    Every amplitude thus has the bits of an independent chain.
     """
     levels = [({}, {}, []) for _ in range(max(map(len, histories)))]
     leaves = []
@@ -204,25 +200,23 @@ def chain_ket(
 
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
-    An event-free history returns `initial` itself.  The products (`_walk`
-    on one history) run under one errstate and the result is scanned once,
-    so an overflow raises a ValueError with no RuntimeWarning.
+    An event-free history returns `initial` itself; any other runs `_walk`
+    on one history.
 
     `_tree` maps the histories of a family to their raw amplitudes, walked
     by `_decoherence`, which is the only caller that passes it; the call
-    then returns `h`'s row as it is, with no `Ket`, check or errstate.  It
-    exists so that a tracer of the public functions (perfbench's
-    `histories.chain_ket_*` metrics) still sees one chain ket per history,
-    and goes with ROADMAP item "One benchmark-only change".
+    then returns `h`'s row as it is, with no `Ket`.  It exists so that a
+    tracer of the public functions (perfbench's `histories.chain_ket_*`
+    metrics) still sees one chain ket per history, and goes with ROADMAP
+    item "One benchmark-only change".
     """
     if _tree is not None:
         return _tree[h]
     _require_on(dyn, initial)
     if not h.events:
         return initial
-    with np.errstate(over="ignore", invalid="ignore"):
-        (v,) = _walk(dyn, initial.amplitudes, initial.slice.time_index, [h.events])
-    return _computed_ket(dyn.slice_at(h.events[-1][0]), v)
+    (v,) = _walk(dyn, initial.amplitudes, initial.slice.time_index, [h.events])
+    return _trusted(Ket, slice=dyn.slice_at(h.events[-1][0]), amplitudes=v, name="")
 
 
 @dataclass(frozen=True)
@@ -277,34 +271,26 @@ def _decoherence(
     that ends at the latest event time.  Each history still takes one
     `chain_ket` call, which returns its walked row (see `chain_ket`'s
     `_tree`).  Only rows that end before the latest event time are
-    transported, and `transport` scans them; C is then scanned for
-    finiteness once, which no walked amplitude escapes (see `_walk`).  The
-    weights are the squared norms of the un-carried rows; D's diagonal
-    differs in the last bit.  Under one errstate, an infinite amplitude, or
-    a weight or diagonal entry of D that overflows, raises a ValueError
-    before any report is built, with no RuntimeWarning.
+    transported.  The weights are the squared norms of the un-carried rows;
+    D's diagonal differs in the last bit.
     """
     initial, hists = fam.initial, fam.histories
     _require_on(dyn, initial)
     t0 = initial.slice.time_index
     ends = [h.events[-1][0] if h.events else t0 for h in hists]
     t_max = max(ends)
-    with np.errstate(over="ignore", invalid="ignore"):
-        tree = dict(zip(hists, _walk(dyn, initial.amplitudes, t0, [h.events for h in hists])))
-        rows = [chain_ket(dyn, initial, h, _tree=tree) for h in hists]
-        c = np.array([
-            v if t == t_max else
-            transport(dyn, _trusted(Ket, slice=dyn.slices[t], amplitudes=v, name=""), t_max).amplitudes
-            for v, t in zip(rows, ends)
-        ])
-        _require_finite(c)
-        d = c.conj() @ c.T
-        re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
-        norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())
-        weights = [float(n if t == t_max else np.linalg.norm(v)) ** 2
-                   for v, n, t in zip(rows, norms, ends)]
-    if not (np.isfinite(d.diagonal()).all() and all(map(math.isfinite, weights))):
-        raise ValueError("squared chain-ket norms overflow; they must be finite")
+    tree = dict(zip(hists, _walk(dyn, initial.amplitudes, t0, [h.events for h in hists])))
+    rows = [chain_ket(dyn, initial, h, _tree=tree) for h in hists]
+    c = np.array([
+        v if t == t_max else
+        transport(dyn, _trusted(Ket, slice=dyn.slices[t], amplitudes=v, name=""), t_max).amplitudes
+        for v, t in zip(rows, ends)
+    ])
+    d = c.conj() @ c.T
+    re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
+    norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())
+    weights = [float(n if t == t_max else np.linalg.norm(v)) ** 2
+               for v, n, t in zip(rows, norms, ends)]
     pairs = ~np.tri(len(hists), dtype=bool)  # i < j
     ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
     max_overlap = float(ratio[pairs].max(initial=0.0))

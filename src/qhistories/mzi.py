@@ -12,8 +12,8 @@ slice (`_label_projector`), the two readout decompositions of the final
 slice, and every named family but EQ25_BACKWARD, whose ray depends on the
 ratio.  A build writes each variant's steps out as one matrix literal at
 the ratio (`_nested_steps`, `_no_bs34_steps`) and still checks the result
-(`Dynamics(...)` and `step_validate`); `named_family` hands out the
-shared, immutable family.
+(`Dynamics(...)` and one stacked unitarity check of all four steps);
+`named_family` hands out the shared, immutable family.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .dynamics import Dynamics, StepUnitary, step_validate
+from .dynamics import Dynamics, StepUnitary, _require_unitary
 from .histories import Family, History
 from .statespace import (
     PDI, Ket, Projector, TimeSlice, _trusted, basis_ket, projector_from_labels,
@@ -131,17 +131,14 @@ def _no_bs34_steps(a: float, b: float) -> np.ndarray:
 
 def _build(p: BeamSplitterParams, steps: Callable[[float, float], np.ndarray]) -> Dynamics:
     """The model whose steps are `steps` at the ratio `p`, built trusted:
-    the entries are finite and the shapes the slices'; unitarity is left to
-    `step_validate`."""
+    the entries are bounded and the shapes the slices'.  Unitarity gets the
+    check of `StepUnitary`, run once over the four stacked steps."""
     u = steps(p.alpha, p.beta)
-    dyn = Dynamics(_SLICES, tuple(
+    _require_unitary(u, zip(_SLICES, _SLICES[1:]))
+    return Dynamics(_SLICES, tuple(
         _trusted(StepUnitary, from_slice=_SLICES[j], to_slice=_SLICES[j + 1], matrix=u[j])
         for j in range(len(u))
     ))
-    report = step_validate(dyn)
-    if not report.ok:
-        raise AssertionError(f"construction produced a non-unitary step: {report}")
-    return dyn
 
 
 def build_nested_mzi(p: BeamSplitterParams) -> Dynamics:

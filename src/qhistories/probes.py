@@ -4,8 +4,7 @@ Each probe is a two-level ancilla starting in |0>.  When the particle
 crosses a coupled channel, the probe rotates by a small angle: |0> picks up
 amplitude sqrt(eps) on |1>.  The joint particle+probes state stays pure and
 small (d channels x 2^n probe patterns), so everything is dense.  A
-coupling writes only its probe's excited half, empty until then.  The joint
-state is checked for finite amplitudes once, when it is built, and readout
+coupling writes only its probe's excited half, empty until then.  Readout
 works on the whole amplitude array at once.  The outcome distribution is
 held as one read-only cell array that its accessors, support and sampling
 read.  Label-projector detectors (and `slice_pdi`) sum |amplitude|^2 by one
@@ -22,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import types
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -31,8 +31,7 @@ import numpy as np
 from .dynamics import Dynamics, _carry, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_finite, _require_slice,
-    _trusted,
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
 )
 
 
@@ -42,7 +41,8 @@ class ProbeSpec:
     fires, all at one time.  A multi-channel coupling set (like a probe
     watching two arms at the same time) rotates once per occupied channel.
     A probe coupled at two times would be rotated twice on a path through
-    both, so that is rejected.
+    both, so that is rejected.  Each time must be an integer (anything
+    `operator.index` accepts) and each channel label a string.
     """
 
     probe_id: str
@@ -54,6 +54,14 @@ class ProbeSpec:
         object.__setattr__(self, "couplings", frozenset(self.couplings))
         if not self.couplings:
             raise ValueError(f"probe {self.probe_id!r} has no couplings")
+        for t, label in self.couplings:
+            try:
+                operator.index(t)
+            except TypeError:
+                msg = f"probe {self.probe_id!r} has time {t!r}, not an integer"
+                raise ValueError(msg) from None
+            if not isinstance(label, str):
+                raise ValueError(f"probe {self.probe_id!r} has channel {label!r}, not a string")
         times = sorted({t for t, _ in self.couplings})
         if len(times) > 1:
             raise ValueError(f"probe {self.probe_id!r} couples at times {times}, not at one time")
@@ -148,9 +156,10 @@ class JointState:
     """Particle-plus-probes amplitudes at one slice.
 
     `amplitudes[i, m]` is the amplitude for the particle in channel i of the
-    slice with probe pattern mask m (bit k of m = probe k excited).  Every
-    amplitude must be finite: a non-unitary step can overflow, and a NaN
-    column would otherwise read as a branch of no weight.
+    slice with probe pattern mask m (bit k of m = probe k excited).  A
+    caller's array passes the one intake of every amplitude array, so each
+    entry is finite and bounded; `evolve_with_probes` builds the state from
+    an accepted ket by unitary steps and probe rotations.
     """
 
     slice: TimeSlice
@@ -230,32 +239,27 @@ def evolve_with_probes(
     amps = np.zeros((initial.slice.dim, 1 << len(probes)), dtype=complex)
     amps[:, 0] = initial.amplitudes
     t = 0
-    # A non-unitary step can overflow; the scan below reports it.  `_carry`
-    # hands back `amps` itself or a fresh C-contiguous product, so each
-    # coupling writes its row in place.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for tc, pos, axis in couplings:
-            if tc > stop:
-                break
-            amps, t = _carry(dyn, amps, t, tc), tc
-            _apply_coupling(amps, axis, pos, strength)
-        amps = _carry(dyn, amps, t, stop)
-    _require_finite(amps)
+    # `_carry` hands back `amps` itself or a fresh C-contiguous product, so
+    # each coupling writes its row in place.
+    for tc, pos, axis in couplings:
+        if tc > stop:
+            break
+        amps, t = _carry(dyn, amps, t, tc), tc
+        _apply_coupling(amps, axis, pos, strength)
+    amps = _carry(dyn, amps, t, stop)
     return _trusted(JointState, slice=dyn.slices[stop], probes=probes, amplitudes=amps)
 
 
 def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     """Decompose by probe pattern, dropping branches of norm at most
-    `DEFAULT_TOL`.  Ordered by excitation count, then probe position.  A
-    finite column whose squared norm overflows has norm inf and is kept."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
+    `DEFAULT_TOL`.  Ordered by excitation count, then probe position."""
+    norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
     labels = js._labels
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
-    # the joint state checked every entry, so the kets need no check.  Each
-    # ket and component is built as `_trusted` builds it, without its
-    # per-field flag loop.
+    # they are rows of accepted amplitudes, so they need no check.  Each ket
+    # and component is built as `_trusted` builds it, without its per-field
+    # flag loop.
     rows = js.amplitudes.T.copy()
     rows.setflags(write=False)
     new, slc = object.__new__, js.slice
@@ -278,9 +282,9 @@ class OutcomeDistribution:
     The cells are held once, as a read-only float64 array in the order of a
     tuple of keys; `probs` is a read-only mapping view built when first
     read.  A caller's mapping is checked here, once, for finite values
-    >= 0; `outcome_distribution` hands over squared norms of a checked
-    joint state instead.  The detector names, in order of first
-    appearance, are held from construction on.
+    >= 0; `outcome_distribution` hands over squared norms of a joint state
+    instead.  The detector names, in order of first appearance, are held
+    from construction on.
     """
 
     _keys: tuple[tuple[str, str], ...]
@@ -354,23 +358,20 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     # give, bit for bit.  A label projector keeps some terms and zeroes the
     # rest, as its 0/1 support times |.|^2 does (x*1 = x, x*0 = +0); with
     # at most two kept terms, a mask product sums them with one rounding in
-    # any order.  An overflowing |.|^2 makes an inf cell, or NaN (inf*0).
+    # any order.
     ons = [part._on for part in detector_pdi.parts]
     cols = js.amplitudes.T[list(order)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if all(on is not None for on in ons):
-            on, sq = np.array(ons, dtype=float), np.abs(cols) ** 2
-            if max(on.sum(axis=1).tolist()) <= 2:
-                cells = (on @ sq.T).ravel()
-            else:
-                cells = np.sum(on[:, None, :] * sq, axis=2).ravel()
+    if all(on is not None for on in ons):
+        on, sq = np.array(ons, dtype=float), np.abs(cols) ** 2
+        if max(on.sum(axis=1).tolist()) <= 2:
+            cells = (on @ sq.T).ravel()
         else:
-            # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
-            mats = np.stack([part.matrix for part in detector_pdi.parts])
-            prods = np.matmul(mats[:, None], cols[None, :, :, None])
-            cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
-    if not np.isfinite(cells).all():
-        raise ValueError("squared amplitudes overflow; they must be finite")
+            cells = np.sum(on[:, None, :] * sq, axis=2).ravel()
+    else:
+        # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
+        mats = np.stack([part.matrix for part in detector_pdi.parts])
+        prods = np.matmul(mats[:, None], cols[None, :, :, None])
+        cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 

@@ -6,18 +6,15 @@ decompositions of the identity (PDIs) all live on a single slice.
 Everything is an immutable value; the arrays inside are read-only.
 
 Inputs are validated where they enter: the public constructors copy every
-array through one intake, `_frozen_array` (exact shape, finite entries),
-then check their own invariants (Hermiticity, idempotence, PDI sums).
-Values the library builds from parts it already holds skip that second
-pass (`_trusted`): basis kets, label and identity projectors and
-`slice_pdi` are exact 0/1 arrays, and a ket renamed or carried back by the
-library is already checked.  Kets computed with caller-supplied step
-matrices (chain kets, transport results) keep the one check those products
-do not imply, the finiteness scan (`_computed_ket`), and run it once, after
-the products.  The decoherence walk builds no `Ket` for its chain kets:
-it scans them together, once per family, as the rows of C.  Probe branch
-kets are rows of a joint state that ran that scan once, over all its
-amplitudes.
+array through one intake, `_frozen_array` (exact shape, every amplitude
+finite and at most `_AMPLITUDE_BOUND` in modulus), then check their own
+invariants (Hermiticity, idempotence, PDI sums, and in `dynamics` the
+unitarity of a step).  Values the library builds from parts it already
+holds skip that second pass (`_trusted`): basis kets, label and identity
+projectors and `slice_pdi` are exact 0/1 arrays, and kets computed by the
+library (chain kets, transport results, probe branches) are products of
+accepted kets with unitary steps, projectors and probe rotations, none of
+which raises a norm.  So no product is scanned after the fact.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
@@ -30,8 +27,11 @@ Applying an event to amplitudes (`_apply`: chain kets, the decoherence
 walk, weak values) multiplies by its mask, with the dense product's bits.
 Rays and rotated projectors take the dense path.
 
-Every algebraic check and every verdict of the library compares against
-one cut-off, `DEFAULT_TOL`; no call takes a tolerance of its own.
+The algebraic checks and nearly every verdict compare against one cut-off,
+`DEFAULT_TOL`, and no call takes a tolerance of its own.  Two verdicts do
+not: `OutcomeDistribution.given_detector` treats a detector as vanishing
+only at mass 0.0, and `sample` accepts a distribution whose mass is 1
+within an absolute 1e-6.
 """
 
 from __future__ import annotations
@@ -41,25 +41,33 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: The library's one absolute cut-off: matrix max-norm for algebraic
-#: invariants, and the threshold of every verdict.
+#: The library's absolute cut-off: matrix max-norm for algebraic
+#: invariants, and the threshold of every verdict but the two named above.
 DEFAULT_TOL = 1e-10
+
+#: The largest modulus of an accepted amplitude.  A ket of d such
+#: amplitudes has |k|^2 <= d * 1e200, and unitary steps, Hermitian
+#: idempotent projectors and probe rotations raise no norm (by more than
+#: a factor 1 + DEFAULT_TOL each, from their residuals), so every
+#: chain ket, Born weight, D entry (at most |c_i| |c_j|), sum of n weights
+#: and outcome cell stays below n * d * 1e200: no product can overflow
+#: for any n * d below 1e108, far beyond what fits in memory.
+_AMPLITUDE_BOUND = 1e100
 
 
 def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     """The one intake of a caller's array: a read-only complex copy of
-    `data`, which must have exactly `shape` and finite entries."""
+    `data`, which must have exactly `shape` and every entry at most
+    `_AMPLITUDE_BOUND` in modulus (so finite: NaN fails the bound too)."""
     arr = np.array(data, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    _require_finite(arr)
+    if not (np.abs(arr) <= _AMPLITUDE_BOUND).all():
+        raise ValueError(
+            f"amplitudes must be finite and at most {_AMPLITUDE_BOUND:g} in modulus ({what})"
+        )
     arr.setflags(write=False)
     return arr
-
-
-def _require_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ValueError("amplitudes must be finite")
 
 
 def _reduce(self):
@@ -82,14 +90,6 @@ def _trusted(cls, **values):
     obj = object.__new__(cls)
     obj.__dict__.update(values)
     return obj
-
-
-def _computed_ket(slc: TimeSlice, amps: np.ndarray) -> Ket:
-    """A ket of complex amplitudes computed by the library on `slc`, so of
-    the right length and dtype.  Keeps only the finiteness scan: a product
-    with a non-unitary step matrix can overflow."""
-    _require_finite(amps)
-    return _trusted(Ket, slice=slc, amplitudes=amps, name="")
 
 
 def _require_slice(x, slc: TimeSlice, what: str) -> TimeSlice:
@@ -160,16 +160,8 @@ class Ket:
     __reduce__ = _reduce
 
     def norm(self) -> float:
-        """The 2-norm, as `np.linalg.norm` gives it.  When that overflows,
-        the amplitudes are first scaled by their largest component (as in
-        `projector_from_ket`)."""
-        amps = self.amplitudes
-        with np.errstate(over="ignore"):
-            n = np.linalg.norm(amps)
-            if np.isinf(n):
-                scale = np.abs(amps.view(float)).max()
-                n = np.linalg.norm(amps / scale) * scale
-        return float(n)
+        """The 2-norm, as `np.linalg.norm` gives it."""
+        return float(np.linalg.norm(self.amplitudes))
 
     def amplitude(self, label: str) -> complex:
         return complex(self.amplitudes[self.slice.axis(label)])
@@ -311,13 +303,9 @@ def projector_from_labels(
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
-    """Rank-one projector k k^dagger / |k|^2 onto the ray of a nonzero ket.
-    A ket whose |k|^2 overflows is first scaled by its largest component."""
+    """Rank-one projector k k^dagger / |k|^2 onto the ray of a nonzero ket."""
     amps = k.amplitudes
     n2 = float(np.vdot(amps, amps).real)
-    if np.isinf(n2):
-        amps = amps / np.abs(amps.view(float)).max()
-        n2 = float(np.vdot(amps, amps).real)
     if n2 <= DEFAULT_TOL**2:
         raise ValueError("cannot project onto a zero ket")
     m = np.outer(amps, amps.conj()) / n2

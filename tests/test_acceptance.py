@@ -17,7 +17,7 @@ from test_dynamics import unitarity_residual
 from test_weak import chain_weak_identity_residual
 from test_probes import full_rotation_evolution
 
-from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
+from qhistories.dynamics import Dynamics, StepUnitary, transport
 from qhistories.histories import (
     Defined,
     Family,
@@ -333,7 +333,8 @@ def test_criterion_13_property_suite():
     # unitarity of construction plus random unitary steps
     for _ in range(100):
         alpha2 = float(rng.uniform(0.01, 0.99))
-        assert step_validate(build_nested_mzi(BeamSplitterParams(alpha2))).ok
+        dyn = build_nested_mzi(BeamSplitterParams(alpha2))
+        assert max(unitarity_residual(st) for st in dyn.steps) <= 1e-10
     slices = time_slices()
     for _ in range(100):
         z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -1,12 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qhistories.dynamics import Dynamics, StepUnitary, step_validate, transport
-from qhistories.histories import Family, History, chain_ket, consistency_check
+from qhistories.dynamics import Dynamics, StepUnitary, _require_unitary, transport
+from qhistories.histories import History, chain_ket
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, build_no_bs34, time_slices
-from qhistories.statespace import Ket, TimeSlice, basis_ket, projector_from_labels
+from qhistories.statespace import DEFAULT_TOL, Ket, TimeSlice, basis_ket, projector_from_labels
 from test_golden import ALPHA2 as GOLDEN_ALPHA2
 from test_histories import haar_dynamics
 
@@ -58,79 +60,66 @@ def test_q_input_reaches_output_with_flipped_sign(dyn):
     np.testing.assert_allclose(out.amplitudes, [-b, a, 0], atol=1e-14)
 
 
-def test_step_validate_passes_for_model(dyn):
-    report = step_validate(dyn)
-    assert report.ok
-    assert report.max_residual <= 1e-12
-    assert len(report.residuals) == 4
-
-
-def test_step_validate_flags_non_unitary_step(dyn):
-    slices = time_slices()
-    bad = StepUnitary(slices[0], slices[1], np.diag([1.0, 1.0, 0.5]))
-    broken = Dynamics(slices, (bad,) + dyn.steps[1:])
-    report = step_validate(broken)
-    assert not report.ok
-    assert report.worst_step == 0
-    assert report.max_residual == pytest.approx(0.75)
-
-
 def unitarity_residual(step):
-    """One step's max |U^dagger U - I|, the per-step reference for the
-    stacked `step_validate`."""
+    """One step's max |U^dagger U - I|, computed alone: the per-step
+    reference for the stacked check `_require_unitary`."""
     u = step.matrix
     return float(np.max(np.abs(u.conj().T @ u - np.eye(step.from_slice.dim))))
 
 
-def _residual_bits(residuals):
-    return [r.hex() for r in residuals]
+def test_model_steps_are_unitary(dyn):
+    assert len(dyn.steps) == 4
+    assert max(unitarity_residual(st) for st in dyn.steps) <= 1e-12
+
+
+def _joins(slices):
+    return list(zip(slices, slices[1:]))
 
 
 @pytest.mark.parametrize("alpha2", [float(a2) for a2 in GOLDEN_ALPHA2])
 @pytest.mark.parametrize("build", [build_nested_mzi, build_no_bs34])
-def test_stacked_residuals_are_each_steps_own_on_the_models(build, alpha2):
-    dyn = build(BeamSplitterParams(alpha2))
-    report = step_validate(dyn)
-    assert _residual_bits(report.residuals) == _residual_bits(
-        unitarity_residual(st) for st in dyn.steps
-    )
+def test_each_model_step_passes_the_check_of_a_lone_step(build, alpha2):
+    # the build checks its four steps stacked; each one alone is accepted too
+    for st in build(BeamSplitterParams(alpha2)).steps:
+        StepUnitary(st.from_slice, st.to_slice, st.matrix)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 64])
 @pytest.mark.parametrize("seed", [3, 11])
-def test_stacked_residuals_are_each_steps_own_on_haar_dynamics(dim, seed):
+def test_stacked_check_accepts_haar_steps_checked_one_by_one(dim, seed):
     dyn, _ = haar_dynamics(seed, dim=dim)
-    report = step_validate(dyn)
-    assert report.ok
-    assert _residual_bits(report.residuals) == _residual_bits(
-        unitarity_residual(st) for st in dyn.steps
-    )
+    _require_unitary(np.stack([st.matrix for st in dyn.steps]), _joins(dyn.slices))
 
 
 @pytest.mark.parametrize("position", [0, 1, 2, 3])
-def test_stacked_check_reports_a_broken_step_at_its_own_position(dyn, position):
+def test_stacked_check_names_a_broken_step_at_its_own_position(dyn, position):
     slices = time_slices()
     frm, to = slices[position], slices[position + 1]
-    steps = list(dyn.steps)
-    steps[position] = StepUnitary(frm, to, dyn.steps[position].matrix * 1.5)
-    report = step_validate(Dynamics(slices, tuple(steps)))
-    assert not report.ok
-    assert report.worst_step == position
-    assert report.max_residual == report.residuals[position] == pytest.approx(1.25)
-    assert _residual_bits(report.residuals) == _residual_bits(
-        unitarity_residual(st) for st in steps
-    )
+    u = np.stack([st.matrix for st in dyn.steps])
+    u[position] *= 1.5
+    message = f"step from {frm} to {to} is not unitary (residual 1.25)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _require_unitary(u, _joins(slices))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StepUnitary(frm, to, u[position])
 
 
-@pytest.mark.parametrize("matrix, ok", [(np.diag([1.0, 1.0, 0.5]), False), (np.eye(3), True)])
-def test_stacked_check_of_a_one_step_dynamics(matrix, ok):
-    slices = time_slices()[:2]
-    step = StepUnitary(slices[0], slices[1], matrix)
-    report = step_validate(Dynamics(slices, (step,)))
-    assert report.ok is ok
-    assert report.worst_step == 0
-    assert report.residuals == (unitarity_residual(step),)
-    assert report.max_residual == report.residuals[0]
+@pytest.mark.parametrize(
+    "e, accepted",
+    [(np.nextafter(DEFAULT_TOL, 0.0), True), (DEFAULT_TOL, True),
+     (np.nextafter(DEFAULT_TOL, 1.0), False)],
+    ids=["just-under", "at", "just-over"],
+)
+def test_unitarity_cut_is_default_tol(e, accepted):
+    # U^dagger U - I of [[1, e], [0, 1]] holds e at (0, 1), exactly, and
+    # e**2 at (1, 1), which rounds away against 1: the residual is e
+    frm, to = TimeSlice(0, ("x", "y")), TimeSlice(1, ("x", "y"))
+    u = np.array([[1.0, e], [0.0, 1.0]])
+    if accepted:
+        StepUnitary(frm, to, u)
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"(residual {e:.3g})")):
+            StepUnitary(frm, to, u)
 
 
 def test_model_steps_are_read_only_and_equal_checked_ones(dyn):
@@ -204,46 +193,29 @@ def test_step_unitary_rejects_invalid_matrices(matrix, match):
 
 
 def test_step_unitary_joins_slices_of_one_dimension():
-    # a (3, 2) isometry would pass `step_validate`, but its adjoint would
-    # not carry kets back without loss
+    # a (3, 2) isometry has U^dagger U = I, but its adjoint would not
+    # carry kets back without loss
     frm, to = TimeSlice(0, ("a", "b")), TimeSlice(1, ("a", "b", "c"))
     with pytest.raises(ValueError, match="different dimension"):
         StepUnitary(frm, to, np.eye(3, 2))
 
 
-def overflowing_dynamics():
-    """Two non-unitary steps with 1e200 entries: each product is finite
-    after one step and overflows to inf after the second."""
-    slices = tuple(TimeSlice(t, ("x", "y")) for t in range(3))
-    big = np.full((2, 2), 1e200)
-    steps = tuple(StepUnitary(a, b, big) for a, b in zip(slices, slices[1:]))
-    return Dynamics(slices, steps)
+_BOUND = re.escape("amplitudes must be finite and at most 1e+100 in modulus (step matrix)")
 
 
-def test_overflowing_transport_raises():
-    dyn = overflowing_dynamics()
-    k = Ket(dyn.slices[0], [1.0, 1.0])
-    assert np.all(np.isfinite(transport(dyn, k, 1).amplitudes))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            transport(dyn, k, 2)
-
-
-def test_overflowing_chain_ket_raises():
-    dyn = overflowing_dynamics()
-    k = Ket(dyn.slices[0], [1.0, 1.0])
-    xy1 = projector_from_labels(dyn.slices[1], {"x", "y"})
-    x2, y2 = (projector_from_labels(dyn.slices[2], {lab}) for lab in "xy")
-    # both histories project from the one carry of the shared t1 node to t2
-    shared = Family(k, (History(((1, xy1), (2, x2))), History(((1, xy1), (2, y2)))))
-    for compute in (
-        lambda: chain_ket(dyn, k, History(((2, x2),))),
-        lambda: chain_ket(dyn, k, History(((1, xy1), (2, y2)))),
-        lambda: consistency_check(dyn, shared),
-    ):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="amplitudes must be finite"):
-                compute()
+@pytest.mark.parametrize(
+    "matrix, match",
+    [
+        (np.diag([1.0, 1.0, 0.5]), re.escape("is not unitary (residual 0.75)")),
+        (np.full((2, 2), 1e200), _BOUND),
+    ],
+    ids=["diag-half", "full-1e200"],
+)
+def test_non_unitary_steps_are_rejected_at_intake(matrix, match):
+    # a non-unitary step, and a step whose products overflow float64
+    frm, to = (TimeSlice(t, tuple("xyz"[: len(matrix)])) for t in (0, 1))
+    with pytest.raises(ValueError, match=match):
+        StepUnitary(frm, to, matrix)
 
 
 def test_transport_and_chain_kets_are_read_only(dyn):

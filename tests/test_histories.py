@@ -840,128 +840,25 @@ class TestCoarseGraining:
         assert self.assert_additive(dyn, tree) == 12
 
 
-class TestOverflow:
-    """Finite amplitudes whose squared norms overflow (non-unitary steps)
-    are rejected before any report, weight or verdict is built, and no
-    RuntimeWarning escapes (pytest turns one into an error)."""
+class TestIntake:
+    """Steps whose products would overflow float64, or that are not
+    unitary, are refused at construction: by the amplitude bound, or as
+    not unitary."""
 
-    def model(self, second=1.0):
-        """x, y channels over t0..t2: a step scaling by 1e160, then one by
-        `second`, from (1, 0)."""
-        s = tuple(TimeSlice(t, ("x", "y")) for t in range(3))
-        steps = (StepUnitary(s[0], s[1], np.eye(2) * 1e160),
-                 StepUnitary(s[1], s[2], np.eye(2) * second))
-        return Dynamics(s, steps), Ket(s[0], [1, 0])
-
-    @pytest.mark.parametrize("labels", ["xy", "x"])
-    def test_families(self, labels):
-        dyn, k = self.model()
-        fam = Family(k, tuple(History(((1, proj(dyn, 1, {lab})),)) for lab in labels))
-        for f in (consistency_check, born_probabilities):
-            with pytest.raises(ValueError, match="squared chain-ket norms overflow"):
-                f(dyn, fam)
-
-    @pytest.mark.parametrize("final", ["x", "xy"])
-    def test_infer(self, final):
-        dyn, k = self.model()
-        with pytest.raises(ValueError, match="squared chain-ket norms overflow"):
-            infer(dyn, k, proj(dyn, 2, set(final)), proj(dyn, 1, {"x"}))
-
-    def test_weight_of_an_earlier_chain(self):
-        # carried to t2 the x1 chain is back to norm 1, but its weight is not
-        dyn, k = self.model(second=1e-160)
-        fam = Family(k, (History(((1, proj(dyn, 1, {"x"})),)),
-                         History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"x"}))))))
-        with pytest.raises(ValueError, match="squared chain-ket norms overflow"):
-            born_probabilities(dyn, fam)
-
-
-    def deep_model(self):
-        """x, y channels over t0..t3: two steps scaling by 1e300, so the
-        amplitude at t2 is infinite, then the identity, from (1, 0)."""
-        s = tuple(TimeSlice(t, ("x", "y")) for t in range(4))
-        steps = (StepUnitary(s[0], s[1], np.eye(2) * 1e300),
-                 StepUnitary(s[1], s[2], np.eye(2) * 1e300),
-                 StepUnitary(s[2], s[3], np.eye(2)))
-        return Dynamics(s, steps), Ket(s[0], [1, 0])
-
-    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities", "infer", "transport"])
-    def test_infinite_prefix_amplitude(self, query):
-        # the walk's shared t2 prefix is infinite; the scan of C, or that of
-        # `transport` for a row carried on, raises, and no RuntimeWarning
-        # escapes before
-        dyn, k = self.deep_model()
-        x2, y2 = proj(dyn, 2, {"x"}), proj(dyn, 2, {"y"})
-        fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
-                         History(((2, x2), (3, proj(dyn, 3, {"y"})))),
-                         History(((2, y2),))))
-        calls = {
-            "consistency_check": lambda: consistency_check(dyn, fam),
-            "born_probabilities": lambda: born_probabilities(dyn, fam),
-            "infer": lambda: infer(dyn, k, proj(dyn, 3, {"x"}), x2),
-            "transport": lambda: transport(dyn, k, 2),
-        }
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            calls[query]()
-
-    def test_public_chain_ket_through_overflowing_steps(self):
-        dyn, k = self.deep_model()
-        h = History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"}))))
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            chain_ket(dyn, k, h)
-
-    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
-                             ids=lambda f: f.__name__)
-    def test_slice_checks_run_before_the_finiteness_scan(self, query):
-        # the first chain ket is infinite, the second history's event is
-        # foreign: every event is checked during the walk, before C's one
-        # scan, so the slice error wins
-        dyn, k = self.deep_model()
-        foreign = TimeSlice(3, ("u", "v"))
-        fam = Family(k, (History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"})))),
-                         History(((3, projector_from_labels(foreign, {"u"})),))))
-        with pytest.raises(ValueError, match=re.escape(f"event lives on {foreign}")):
-            query(dyn, fam)
-
-    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities",
-                                       "conditional_probability"])
-    def test_infinite_node_shared_by_two_of_three_histories(self, query):
-        # x2 is the last prefix of two histories and infinite carried to t3;
-        # the third history's chain ket stays finite (y1 drops the 1e300)
-        dyn, k = self.deep_model()
-        x2 = proj(dyn, 2, {"x"})
-        fam = Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
-                         History(((2, x2), (3, proj(dyn, 3, {"y"})))),
-                         History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"y"}))))))
-        calls = {
-            "consistency_check": lambda: consistency_check(dyn, fam),
-            "born_probabilities": lambda: born_probabilities(dyn, fam),
-            "conditional_probability": lambda: conditional_probability(
-                dyn, fam, [(2, x2)], [(2, x2)]),
-        }
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            calls[query]()
-
-    def masked_model(self):
-        """x, y channels over t0..t3: two steps scaling x by 1e300, so x is
-        infinite at t2 while y stays 1, then the identity, from (1, 1)."""
-        s = tuple(TimeSlice(t, ("x", "y")) for t in range(4))
-        big = np.diag([1e300, 1.0])
-        steps = (StepUnitary(s[0], s[1], big), StepUnitary(s[1], s[2], big),
-                 StepUnitary(s[2], s[3], np.eye(2)))
-        return Dynamics(s, steps), Ket(s[0], [1, 1])
-
-    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
-                             ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("where", ["last", "prefix"])
-    def test_infinite_amplitude_masked_away_by_an_event(self, where, query):
-        # y2 drops the infinite channel, as the last event or as a prefix;
-        # the one scan of C sees the NaN that inf * 0 leaves there
-        dyn, k = self.masked_model()
-        y2 = proj(dyn, 2, {"y"})
-        events = ((2, y2),) if where == "last" else ((2, y2), (3, proj(dyn, 3, {"y"})))
-        with pytest.raises(ValueError, match="amplitudes must be finite"):
-            query(dyn, Family(k, (History(events),)))
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            (np.eye(2) * 1e160, re.escape("at most 1e+100 in modulus")),
+            (np.eye(2) * 1e-160, re.escape("is not unitary (residual 1)")),
+            (np.eye(2) * 1e300, re.escape("at most 1e+100 in modulus")),
+            (np.diag([1e300, 1.0]), re.escape("at most 1e+100 in modulus")),
+        ],
+        ids=["scale-1e160", "scale-1e-160", "scale-1e300", "x-scale-1e300"],
+    )
+    def test_overflowing_steps_are_rejected(self, matrix, match):
+        s = (TimeSlice(0, ("x", "y")), TimeSlice(1, ("x", "y")))
+        with pytest.raises(ValueError, match=match):
+            StepUnitary(s[0], s[1], matrix)
 
 
 class TestBornProbabilities:

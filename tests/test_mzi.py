@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhistories import mzi
-from qhistories.dynamics import step_validate, transport
+from qhistories.dynamics import StepUnitary, transport
 from qhistories.histories import Family, History, born_probabilities, consistency_check
 from qhistories.mzi import (
     BeamSplitterParams,
@@ -85,7 +85,8 @@ def test_upper_loop_family_never_consistent(alpha2):
 class TestNoBS34:
     def test_steps_are_unitary(self):
         dyn = build_no_bs34(BeamSplitterParams(0.3))
-        assert step_validate(dyn).ok
+        for st in dyn.steps:
+            StepUnitary(st.from_slice, st.to_slice, st.matrix)  # checks unitarity
 
     def test_straight_through_output(self):
         alpha2 = 0.3

@@ -9,11 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_histories import haar_dynamics, haar_unitary
+
 import qhistories
 from qhistories.dynamics import transport
+from qhistories.histories import Family, History, born_probabilities, chain_ket, consistency_check
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
-from qhistories.probes import ProbeStrength, evolve_with_probes, standard_probes
+from qhistories.probes import (
+    ProbeSpec,
+    ProbeStrength,
+    branch_components,
+    evolve_with_probes,
+    outcome_distribution,
+    standard_probes,
+)
 from qhistories.statespace import (
+    _AMPLITUDE_BOUND,
     PDI,
     Ket,
     Projector,
@@ -30,6 +41,7 @@ from qhistories.statespace import (
 )
 
 T2 = TimeSlice(2, ("A", "B", "C"))
+XY = TimeSlice(0, ("x", "y"))
 
 
 def test_slice_rejects_duplicate_labels():
@@ -137,7 +149,7 @@ def test_no_public_callable_takes_a_tolerance():
             assert "tol" not in params, label
             checked.add(label)
     assert {
-        "Projector", "PDI", "pdi_validate", "step_validate", "consistency_check",
+        "Projector", "PDI", "pdi_validate", "consistency_check",
         "born_probabilities", "conditional_probability", "refine", "infer",
         "TwoStateVector.weak_value", "weak_value",
         "presence_table", "branch_components", "coincidence_support",
@@ -342,37 +354,68 @@ def test_projector_rejects_each_invalid_matrix(matrix, match):
         Projector(T2, matrix)
 
 
-def test_projector_from_ket_never_returns_non_finite_entries():
-    # |k|^2 overflows to inf here, so k k^dagger / |k|^2 holds NaN, which
-    # the Projector checks must catch
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            p = projector_from_ket(Ket(T2, [1e200, 1e200, 0.0]))
-        except ValueError as err:
-            assert "amplitudes must be finite" in str(err)
-        else:
-            assert np.all(np.isfinite(p.matrix))
+@pytest.mark.parametrize(
+    "slc, amps",
+    [(T2, [1e200, 1e200, 0.0]), (T2, [-1e300j, -1e300j, 0.0]), (T2, [1e155, 1e155, 0.0]),
+     (XY, [1e200, 1e200]), (XY, [-1e300j, -1e300j])],
+    ids=["1e200", "-1e300j", "1e155", "xy-1e200", "xy-1e300j"],
+)
+def test_kets_whose_squared_norm_overflows_are_rejected_at_intake(slc, amps):
+    # finite amplitudes whose squared norm overflows float64
+    message = "amplitudes must be finite and at most 1e+100 in modulus (ket)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Ket(slc, amps)
 
 
-@pytest.mark.parametrize("scale", [1e200, -1e300j, 1e155])
-def test_projector_from_ket_with_overflowing_norm_is_the_ray_projector(scale):
-    p = projector_from_ket(Ket(T2, [scale, scale, 0.0]))
-    half = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(p.matrix, half, rtol=0, atol=1e-15)
+def test_a_ket_at_the_amplitude_bound_keeps_every_result_finite():
+    # every amplitude exactly at the bound, on Haar dynamics (d = 64): no
+    # product, norm, weight, D entry or cell overflows, and no
+    # RuntimeWarning is raised (pytest turns one into an error)
+    d = 64
+    dyn, _ = haar_dynamics(17, dim=d)
+    k = Ket(dyn.slices[0], np.resize([1, -1, 1j, -1j], d) * _AMPLITUDE_BOUND)
+    assert (np.abs(k.amplitudes) == _AMPLITUDE_BOUND).all()
+    norm = np.sqrt(d) * _AMPLITUDE_BOUND
+
+    def finite(x):
+        assert np.isfinite(x).all()
+        return x
+
+    assert finite(k.norm()) == pytest.approx(norm, rel=1e-15)
+    assert np.trace(finite(projector_from_ket(k).matrix)).real == pytest.approx(1.0)
+    for t in range(len(dyn.slices)):
+        assert finite(transport(dyn, k, t).norm()) == pytest.approx(norm, rel=1e-13)
+
+    parts = {t: [projector_from_labels(slc, {f"c{i}" for i in range(j, d, 4)}) for j in range(4)]
+             for t, slc in enumerate(dyn.slices)}
+    deep = [History(((1, a), (3, b))) for a in parts[1][:2] for b in parts[3][:2]]
+    deep.append(History(((2, parts[2][0]),)))  # ends early: carried to t3 for D
+    report = consistency_check(dyn, Family(k, deep))
+    finite(report.max_overlap)
+    finite([v for *_, v in report.offending_pairs])
+    for h in deep:
+        finite(chain_ket(dyn, k, h).amplitudes)
+    weights = born_probabilities(dyn, Family(k, [History(((4, p),)) for p in parts[4]], True))
+    assert sum(finite(list(weights.values()))) == pytest.approx(norm**2, rel=1e-13)
+
+    probes = (ProbeSpec("a", frozenset({(1, "c0")})),
+              ProbeSpec("b", frozenset({(2, "c1"), (2, "c2")})),
+              ProbeSpec("c", frozenset({(3, "c5")})))
+    js = evolve_with_probes(dyn, probes, ProbeStrength(0.2), k)
+    finite(js.amplitudes)
+    for branch in branch_components(js):
+        finite(branch.phi.amplitudes)
+    final = dyn.slices[-1]
+    ray = projector_from_ket(Ket(final, haar_unitary(np.random.default_rng(2), d)[0]))
+    for pdi in (slice_pdi(final), PDI(final, parts[4]), PDI(final, (ray, ray.complement()))):
+        dist = outcome_distribution(js, pdi)
+        assert finite(dist.total()) == pytest.approx(norm**2, rel=1e-13)
 
 
 def test_projector_from_ket_keeps_its_bits_when_the_norm_is_finite():
     amps = np.array([0.3 + 0.1j, -0.7, 1e-9j])
     m = np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real)
     np.testing.assert_array_equal(projector_from_ket(Ket(T2, amps)).matrix, m)
-
-
-@pytest.mark.parametrize("scale", [1e200, -1e300j])
-def test_ket_norm_of_a_finite_ket_whose_square_overflows(scale):
-    # np.linalg.norm overflows to inf here, with a RuntimeWarning
-    n = Ket(TimeSlice(0, ("x", "y")), [scale, scale]).norm()
-    assert type(n) is float
-    assert n == pytest.approx(abs(scale) * np.sqrt(2), rel=1e-15)
 
 
 def test_ket_norm_keeps_the_bits_of_np_linalg_norm_when_finite():
