@@ -861,6 +861,164 @@ class TestIntake:
             StepUnitary(s[0], s[1], matrix)
 
 
+class TestAtTheBound:
+    """The family shapes that used to overflow (rows ending before the
+    latest time, a prefix shared by two of three histories, an event that
+    masks a channel away), walked on unitary steps from a ket scaled by
+    2**332, the largest power of two under the amplitude bound.  A power
+    of two scales every product exactly, so each query's numbers are the
+    unit ket's times 2**(332 p), bit for bit, where p is their degree in
+    the amplitudes, and no RuntimeWarning is raised (pytest turns one into
+    an error)."""
+
+    SCALE = 2.0**332
+    ROTATION = np.array([[0.6, -0.8], [0.8, 0.6]])
+
+    def model(self, *matrices):
+        """x, y channels over t0..t(len(matrices)), one step per matrix."""
+        s = tuple(TimeSlice(t, ("x", "y")) for t in range(len(matrices) + 1))
+        return Dynamics(s, tuple(StepUnitary(a, b, u) for a, b, u in zip(s, s[1:], matrices)))
+
+    def by_degree(self, x):
+        """The numbers of a query's result (or of its InconsistentFamilyError),
+        keyed by their degree in the initial ket's amplitudes."""
+        if isinstance(x, Ket):
+            return {1: x.amplitudes.tolist()}
+        if isinstance(x, dict):
+            return {2: list(x.values())}
+        if isinstance(x, Defined):
+            return {0: [x.probability]}
+        if isinstance(x, float):
+            return {0: [x]}
+        if isinstance(x, (Incommensurate, InconsistentFamilyError)):
+            x = x.report
+        assert isinstance(x, ConsistencyReport) and np.isfinite(x.max_overlap)
+        return {0: [x.consistent, *((i, j) for i, j, _ in x.offending_pairs)],
+                2: [v for *_, v in x.offending_pairs]}
+
+    def assert_scaled(self, query, dyn, amplitudes):
+        """`query(dyn, ket)` at the bound is its unit-ket result, scaled."""
+        def run(k):
+            try:
+                return self.by_degree(query(dyn, k))
+            except InconsistentFamilyError as e:
+                return self.by_degree(e)
+
+        want = run(Ket(dyn.slices[0], amplitudes))
+        got = run(Ket(dyn.slices[0], np.multiply(amplitudes, self.SCALE)))
+        assert got.keys() == want.keys()
+        for p, values in want.items():
+            assert got[p] == [v * self.SCALE**p if p else v for v in values]
+            assert p == 0 or np.isfinite(got[p]).all()
+
+    def families(self, fam):
+        """consistency_check and born_probabilities of `fam(dyn, k)`."""
+        return (lambda dyn, k: consistency_check(dyn, fam(dyn, k)),
+                lambda dyn, k: born_probabilities(dyn, fam(dyn, k)))
+
+    @pytest.mark.parametrize("labels", ["xy", "x"])
+    def test_families(self, labels):
+        dyn = self.model(self.ROTATION, self.ROTATION)
+        for query in self.families(lambda dyn, k: Family(
+                k, tuple(History(((1, proj(dyn, 1, {lab})),)) for lab in labels))):
+            self.assert_scaled(query, dyn, [1, 0])
+
+    @pytest.mark.parametrize("final", ["x", "xy"])
+    def test_infer(self, final):
+        dyn = self.model(self.ROTATION, self.ROTATION)
+        self.assert_scaled(
+            lambda dyn, k: infer(dyn, k, proj(dyn, 2, set(final)), proj(dyn, 1, {"x"})),
+            dyn, [1, 0])
+
+    def test_weight_of_an_earlier_chain(self):
+        # the x1 row ends before the latest time: D carries it to t2, its
+        # weight is the norm of the un-carried row
+        dyn = self.model(self.ROTATION, np.diag([1.0, -1.0]))
+        self.assert_scaled(
+            lambda dyn, k: born_probabilities(dyn, Family(k, (
+                History(((1, proj(dyn, 1, {"x"})),)),
+                History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"y"}))))))),
+            dyn, [1, 0])
+
+    def deep_model(self):
+        """x, y channels over t0..t3: two rotations, then the identity."""
+        return self.model(self.ROTATION, self.ROTATION, np.eye(2))
+
+    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities", "infer", "transport"])
+    def test_shared_prefix_of_a_three_history_family(self, query):
+        # x2 is the shared t2 prefix of two histories; y2 ends at t2 and is
+        # carried to t3 for D
+        dyn = self.deep_model()
+
+        def fam(dyn, k):
+            x2, y2 = proj(dyn, 2, {"x"}), proj(dyn, 2, {"y"})
+            return Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
+                              History(((2, x2), (3, proj(dyn, 3, {"y"})))),
+                              History(((2, y2),))))
+
+        consistency, born = self.families(fam)
+        calls = {
+            "consistency_check": consistency,
+            "born_probabilities": born,
+            "infer": lambda dyn, k: infer(dyn, k, proj(dyn, 3, {"x"}), proj(dyn, 2, {"x"})),
+            "transport": lambda dyn, k: transport(dyn, k, 2),
+        }
+        self.assert_scaled(calls[query], dyn, [1, 0])
+
+    def test_public_chain_ket(self):
+        dyn = self.deep_model()
+        h = History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"}))))
+        self.assert_scaled(lambda dyn, k: chain_ket(dyn, k, h), dyn, [1, 0])
+
+    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
+                             ids=lambda f: f.__name__)
+    def test_slice_checks_run_before_any_product(self, query):
+        # the second history's event is foreign: every event is checked
+        # during the walk's index pass, before the first product
+        dyn = self.deep_model()
+        k = Ket(dyn.slices[0], [self.SCALE, 0])
+        foreign = TimeSlice(3, ("u", "v"))
+        fam = Family(k, (History(((2, proj(dyn, 2, {"x"})), (3, proj(dyn, 3, {"x"})))),
+                         History(((3, projector_from_labels(foreign, {"u"})),))))
+        with pytest.raises(ValueError, match=re.escape(f"event lives on {foreign}")):
+            query(dyn, fam)
+
+    @pytest.mark.parametrize("query", ["consistency_check", "born_probabilities",
+                                       "conditional_probability"])
+    def test_node_shared_by_two_of_three_histories(self, query):
+        # x2 is the last prefix of two histories; the third ends at t2
+        dyn = self.deep_model()
+
+        def fam(dyn, k):
+            x2 = proj(dyn, 2, {"x"})
+            return Family(k, (History(((2, x2), (3, proj(dyn, 3, {"x"})))),
+                              History(((2, x2), (3, proj(dyn, 3, {"y"})))),
+                              History(((1, proj(dyn, 1, {"y"})), (2, proj(dyn, 2, {"y"}))))))
+
+        def conditional(dyn, k):
+            x2 = proj(dyn, 2, {"x"})
+            return conditional_probability(dyn, fam(dyn, k), [(2, x2)], [(3, proj(dyn, 3, {"x"}))])
+
+        consistency, born = self.families(fam)
+        calls = {"consistency_check": consistency, "born_probabilities": born,
+                 "conditional_probability": conditional}
+        self.assert_scaled(calls[query], dyn, [1, 0])
+
+    @pytest.mark.parametrize("query", [consistency_check, born_probabilities],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("where", ["last", "prefix"])
+    def test_amplitude_masked_away_by_an_event(self, where, query):
+        # y2 drops the x channel, as the last event or as a prefix
+        dyn = self.deep_model()
+
+        def fam(dyn, k):
+            y2 = proj(dyn, 2, {"y"})
+            events = ((2, y2),) if where == "last" else ((2, y2), (3, proj(dyn, 3, {"y"})))
+            return Family(k, (History(events),))
+
+        self.assert_scaled(lambda dyn, k: query(dyn, fam(dyn, k)), dyn, [1, 1])
+
+
 class TestBornProbabilities:
     def test_full_family_weights(self):
         alpha2 = 1 / 3
