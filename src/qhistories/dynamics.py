@@ -9,7 +9,7 @@ happens at inner-product time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -18,18 +18,19 @@ from .statespace import (
 )
 
 
-def _require_unitary(u: np.ndarray, joins: Iterable[tuple[TimeSlice, TimeSlice]]) -> None:
-    """Reject the step matrices stacked in `u`, shape (T, d, d), unless
-    each one's residual max |U^dagger U - I| is within `DEFAULT_TOL`; the
-    error names the first worst step by the (from, to) slices it joins,
-    listed in `joins`, and its residual.  One pass over the stack."""
+def _require_unitary(u: np.ndarray, slices: Sequence[TimeSlice]) -> None:
+    """Reject the step matrices stacked in `u`, shape (T, d, d), where
+    `u[j]` joins `slices[j]` to `slices[j + 1]`, unless each one's residual
+    max |U^dagger U - I| is within `DEFAULT_TOL`; the error names the first
+    worst step by its slices, and its residual.  One pass over the stack:
+    `StepUnitary` checks a stack of one, `mzi` its four literal steps."""
     gram = u.conj().transpose(0, 2, 1) @ u
     residuals = np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2))
     worst = int(np.argmax(residuals))
     if residuals[worst] > DEFAULT_TOL:
-        frm, to = list(joins)[worst]
         raise ValueError(
-            f"step from {frm} to {to} is not unitary (residual {residuals[worst]:.3g})"
+            f"step from {slices[worst]} to {slices[worst + 1]} is not unitary "
+            f"(residual {residuals[worst]:.3g})"
         )
 
 
@@ -53,7 +54,7 @@ class StepUnitary:
                 "of different dimension"
             )
         m = _frozen_array(self.matrix, shape, "step matrix")
-        _require_unitary(m[None], [(self.from_slice, self.to_slice)])
+        _require_unitary(m[None], (self.from_slice, self.to_slice))
         object.__setattr__(self, "matrix", m)
 
     __reduce__ = _reduce
@@ -119,7 +120,7 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:
     """The step loop of :func:`transport` on raw amplitudes; both indices
     must already be valid for `dyn`.  The steps are unitary, so it keeps
-    every norm."""
+    every norm to within `DEFAULT_TOL`."""
     if target_index >= start:
         for j in range(start, target_index):
             v = dyn.steps[j].matrix @ v

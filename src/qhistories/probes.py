@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import Dynamics, _carry, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
+    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce_computed, _require_slice, _trusted,
 )
 
 
@@ -158,8 +158,10 @@ class JointState:
     `amplitudes[i, m]` is the amplitude for the particle in channel i of the
     slice with probe pattern mask m (bit k of m = probe k excited).  A
     caller's array passes the one intake of every amplitude array, so each
-    entry is finite and bounded; `evolve_with_probes` builds the state from
-    an accepted ket by unitary steps and probe rotations.
+    entry is at most the amplitude bound.  `evolve_with_probes` builds the
+    state from an accepted ket by unitary steps and probe rotations, which
+    keep its norm but may take an entry past the bound by up to a factor
+    sqrt(d); pickle and copy rebuild the state as it was computed.
     """
 
     slice: TimeSlice
@@ -172,7 +174,7 @@ class JointState:
         arr = _frozen_array(self.amplitudes, shape, "joint state")
         object.__setattr__(self, "amplitudes", arr)
 
-    __reduce__ = _reduce
+    __reduce__ = _reduce_computed
 
     @functools.cached_property
     def _labels(self) -> tuple[str, ...]:

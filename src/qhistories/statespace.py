@@ -13,8 +13,11 @@ unitarity of a step).  Values the library builds from parts it already
 holds skip that second pass (`_trusted`): basis kets, label and identity
 projectors and `slice_pdi` are exact 0/1 arrays, and kets computed by the
 library (chain kets, transport results, probe branches) are products of
-accepted kets with unitary steps, projectors and probe rotations, none of
-which raises a norm.  So no product is scanned after the fact.
+accepted kets with unitary steps, projectors and probe rotations, which
+keep a norm (to within `DEFAULT_TOL`).  So no product is scanned after the
+fact.  A computed amplitude may lie past the bound by up to a factor
+sqrt(d), since a step mixes d amplitudes; pickle and copy rebuild a
+computed `Ket` or joint state as it was computed, not through the intake.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
@@ -46,12 +49,14 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 #: The largest modulus of an accepted amplitude.  A ket of d such
-#: amplitudes has |k|^2 <= d * 1e200, and unitary steps, Hermitian
-#: idempotent projectors and probe rotations raise no norm (by more than
-#: a factor 1 + DEFAULT_TOL each, from their residuals), so every
-#: chain ket, Born weight, D entry (at most |c_i| |c_j|), sum of n weights
-#: and outcome cell stays below n * d * 1e200: no product can overflow
-#: for any n * d below 1e108, far beyond what fits in memory.
+#: amplitudes has |k|^2 <= d * 1e200.  A step or projector whose residual
+#: is within DEFAULT_TOL in every entry raises a squared norm by at most a
+#: factor 1 + d * DEFAULT_TOL (d such entries per row), and a probe rotation
+#: keeps it, so after T of them every chain ket, Born weight, D entry (at
+#: most |c_i| |c_j|), sum of n weights and outcome cell stays below
+#: n * d * 1e200 * exp(T * d * DEFAULT_TOL): no product can overflow for
+#: any n * d below 1e100 and T * d below 1e10, far beyond what fits in
+#: memory.
 _AMPLITUDE_BOUND = 1e100
 
 
@@ -76,6 +81,18 @@ def _reduce(self):
     constructor, so a copy's array is read-only and its derived attributes
     are rebuilt."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _reduce_computed(self):
+    """`__reduce__` of `Ket` and `probes.JointState`, which the library
+    also computes: pickle and copy rebuild them as `_trusted` builds them,
+    array made read-only, since a copy is no new input and a computed
+    value may lie past the intake bound."""
+    return _rebuild, (type(self), {f.name: getattr(self, f.name) for f in fields(self)})
+
+
+def _rebuild(cls, values):
+    return _trusted(cls, **values)
 
 
 def _trusted(cls, **values):
@@ -157,7 +174,7 @@ class Ket:
         arr = _frozen_array(self.amplitudes, (self.slice.dim,), "ket")
         object.__setattr__(self, "amplitudes", arr)
 
-    __reduce__ = _reduce
+    __reduce__ = _reduce_computed
 
     def norm(self) -> float:
         """The 2-norm, as `np.linalg.norm` gives it."""

@@ -72,10 +72,6 @@ def test_model_steps_are_unitary(dyn):
     assert max(unitarity_residual(st) for st in dyn.steps) <= 1e-12
 
 
-def _joins(slices):
-    return list(zip(slices, slices[1:]))
-
-
 @pytest.mark.parametrize("alpha2", [float(a2) for a2 in GOLDEN_ALPHA2])
 @pytest.mark.parametrize("build", [build_nested_mzi, build_no_bs34])
 def test_each_model_step_passes_the_check_of_a_lone_step(build, alpha2):
@@ -88,7 +84,7 @@ def test_each_model_step_passes_the_check_of_a_lone_step(build, alpha2):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_stacked_check_accepts_haar_steps_checked_one_by_one(dim, seed):
     dyn, _ = haar_dynamics(seed, dim=dim)
-    _require_unitary(np.stack([st.matrix for st in dyn.steps]), _joins(dyn.slices))
+    _require_unitary(np.stack([st.matrix for st in dyn.steps]), dyn.slices)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2, 3])
@@ -99,7 +95,7 @@ def test_stacked_check_names_a_broken_step_at_its_own_position(dyn, position):
     u[position] *= 1.5
     message = f"step from {frm} to {to} is not unitary (residual 1.25)"
     with pytest.raises(ValueError, match=re.escape(message)):
-        _require_unitary(u, _joins(slices))
+        _require_unitary(u, slices)
     with pytest.raises(ValueError, match=re.escape(message)):
         StepUnitary(frm, to, u[position])
 

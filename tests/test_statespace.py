@@ -412,6 +412,33 @@ def test_a_ket_at_the_amplitude_bound_keeps_every_result_finite():
         assert finite(dist.total()) == pytest.approx(norm**2, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_values_computed_from_a_ket_at_the_bound_copy_as_computed(copier):
+    # a step mixes d amplitudes, so a computed amplitude can lie past the
+    # intake bound by up to sqrt(d); a copy is no new input and keeps it
+    d = 64
+    dyn, _ = haar_dynamics(17, dim=d)
+    k = Ket(dyn.slices[0], np.resize([1, -1, 1j, -1j], d) * _AMPLITUDE_BOUND)
+    probes = (ProbeSpec("a", frozenset({(1, "c0")})), ProbeSpec("b", frozenset({(3, "c5")})))
+    js = evolve_with_probes(dyn, probes, ProbeStrength(0.2), k)
+    values = [(transport(dyn, k, t), "amplitudes") for t in range(1, len(dyn.slices))]
+    values += [(js, "amplitudes"), (branch_components(js)[0].phi, "amplitudes")]
+    for value, field in values:
+        arr = getattr(value, field)
+        assert np.abs(arr).max() > _AMPLITUDE_BOUND
+        dup = copier(value)
+        assert type(dup) is type(value) and dup.slice == value.slice
+        assert getattr(dup, field).tobytes() == arr.tobytes()
+        assert getattr(dup, field).flags.writeable is False
+    assert copier(js).probes == js.probes
+    with pytest.raises(ValueError, match="at most 1e"):
+        Ket(dyn.slices[1], transport(dyn, k, 1).amplitudes)
+
+
 def test_projector_from_ket_keeps_its_bits_when_the_norm_is_finite():
     amps = np.array([0.3 + 0.1j, -0.7, 1e-9j])
     m = np.outer(amps, amps.conj()) / float(np.vdot(amps, amps).real)
