@@ -441,6 +441,13 @@ class TestMain:
         weak = run(["weak-values", "--alpha2", "1e-6"])
         assert (infer["exit"] == 4) == (weak["exit"] == 4)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        'ROADMAP item "Verdicts that know their resolution": branch_components cuts '
+        "dbe and dce (norm 4e-13) at the absolute 1e-10, so branch-set(a,d,b,c,e) "
+        "mismatches although every amp[...] row agrees with its closed form"))
+    def test_suite_at_small_epsilon_exits_0(self):
+        assert run(["paper-suite", "--epsilon", "1e-8"])["exit"] == 0
+
     def test_suite_runs_clean(self, capsys):
         code = main(["paper-suite"])
         out = capsys.readouterr().out

@@ -46,7 +46,13 @@ def cases() -> list[list[str]]:
         for t in (1, 2, 3)
         for ch in INFER_CHANNELS
     ]
-    heads += [["weak-values"], ["paper-suite"]]
+    heads += [
+        ["weak-values"],
+        ["paper-suite"],
+        ["paper-suite", "--epsilon", "0.2"],
+        ["paper-suite", "--epsilon", "1e-8"],
+        ["paper-suite", "--tolerance", "0"],
+    ]
     heads += [
         [cmd, *probes]
         for cmd in ("probes", "coincidences", "sample")
