@@ -23,7 +23,6 @@ from .histories import (
     _conditional,
     born_probabilities,
     chain_ket,
-    conditional_probability,
     consistency_check,
     infer,
 )
@@ -361,34 +360,73 @@ def cmd_sample(cfg: RunConfig) -> tuple[int, list[Row]]:
 # ---------------------------------------------------------------------------
 # the built-in closed-form reference suite
 
-def _suite_families(cfg: RunConfig, dyn: Dynamics):
-    """The eq10-eq23 entries, from one decoherence walk per family that
-    yields probabilities: conditionals on EQ8_FULL and on F_C at 1/3 reuse
-    the Born weights already computed, their events being built on the
-    model's own slices."""
+def _expected_branches(a: float, b: float, z: float, e: float):
+    """Closed-form branch amplitudes over the final basis (F, G, H) of the
+    probe sets a,d,e,w (eq30) and a,d,b,c,e (eq33), from the splitter
+    amplitudes (a, b) and the probe amplitudes (zeta, eta)."""
+    abar = {"F": a * a, "G": a * b}  # straight-arm image at the output
+    ebar = {"F": b, "G": -a}  # inner-loop E image at the output
+
+    def scale(vec, factor):
+        return {k: factor * v for k, v in vec.items()}
+
+    shared = {"o": scale(abar, z) | {"H": z * z * b}, "a": scale(abar, e), "d": {"H": z * e * b}}
+    half = 0.5 * z * e * b
+    eq30 = shared | {"w": {"H": z * e * b}, "dw": {"H": e * e * b}}
+    eq33 = shared | {
+        "b": scale(ebar, -half * z) | {"H": half},
+        "c": scale(ebar, half * z) | {"H": half},
+        "db": scale(ebar, -half * e) | {"H": half * e / z},
+        "dc": scale(ebar, half * e) | {"H": half * e / z},
+        "be": scale(ebar, -0.5 * z * e * e * b),
+        "ce": scale(ebar, 0.5 * z * e * e * b),
+        "dbe": scale(ebar, -0.5 * e * e * e * b),
+        "dce": scale(ebar, 0.5 * e * e * e * b),
+    }
+    return eq30, eq33
+
+
+def _branch_rows(js: JointState, cond: str, expected: dict, tag: str):
+    """One probe readout's branch-set row, then each closed-form amplitude
+    beside the amplitude read (0.0 for a branch not kept)."""
+    branches = {br.kappa: br.phi for br in branch_components(js)}
+    ids = ",".join(spec.probe_id for spec in js.probes)
+    yield f"branch-set({ids})", cond, float(set(branches) == set(expected)), 1.0, tag
+    for kappa, amps in expected.items():
+        got = branches.get(kappa)
+        for lab, ref in amps.items():
+            value = got.amplitude(lab) if got is not None else 0.0
+            yield f"amp[{kappa}].{lab}", cond, value, ref, tag
+
+
+def _suite(cfg: RunConfig, dyn: Dynamics):
+    """Every paper-suite row in report order, as (quantity, condition,
+    value, closed form, tag), each closed form beside the reading it checks.
+    Each family is walked once, and its conditionals reuse its Born weights.
+    Only the eq23 rows, at the fixed ratio 1/3, read a model of their own."""
     p = BeamSplitterParams(cfg.alpha2)
     a2, b2 = p.alpha2, p.beta2
+    strength = ProbeStrength(cfg.epsilon)
     cond = _cond(cfg)
+    s0 = source_ket(dyn)
+    f4 = _label_projector(4, "F")
+    f4_ket = basis_ket(dyn.slices[4], "F")
 
     fam = _model_family(dyn, NamedFamilyId.EQ8_FULL)
     weights = born_probabilities(dyn, fam)
     hists = fam.histories
     for h, ref in zip(hists, (a2 * a2, 0.0, b2 + a2 * b2)):
         yield f"Pr({h.label()}|S0)", cond, weights[h], ref, "eq10"
-
-    f4 = _label_projector(4, "F")
-    a2_proj = _label_projector(2, "A")
     yield "Pr(F4|S0)", cond, weights[hists[0]] + weights[hists[1]], a2 * a2, "eq11"
-    pr_a2 = _conditional(fam, weights, [(4, f4)], [(2, a2_proj)])
-    yield "Pr(A2|S0,F4)", cond, pr_a2, 1.0, "eq11"
+    pr = _conditional(fam, weights, [(4, f4)], [(2, _label_projector(2, "A"))])
+    yield "Pr(A2|S0,F4)", cond, pr, 1.0, "eq11"
 
     fam = _model_family(dyn, NamedFamilyId.F_A_PRIME)
     yield "histories(F_A_PRIME)", cond, float(len(fam.histories)), 18.0, "eq16"
     query = [(t, _label_projector(t, "A")) for t in (1, 2, 3)]
-    pr_path = conditional_probability(dyn, fam, [(4, f4)], query)
-    yield "Pr(A1,A2,A3|S0,F4)", cond, pr_path, 1.0, "eq16"
+    pr = _conditional(fam, born_probabilities(dyn, fam), [(4, f4)], query)
+    yield "Pr(A1,A2,A3|S0,F4)", cond, pr, 1.0, "eq16"
 
-    f4_ket = basis_ket(dyn.slices[4], "F")
     for fid, labels, refs, tag in (
         (NamedFamilyId.F_B, ("B2", "A2+C2"), (-b2 / 2, a2 + b2 / 2), "eq18"),
         (NamedFamilyId.F_C, ("C2", "A2+B2"), (b2 / 2, a2 - b2 / 2), "eq21"),
@@ -398,122 +436,54 @@ def _suite_families(cfg: RunConfig, dyn: Dynamics):
             coeff = inner(f4_ket, chain_ket(dyn, fam.initial, h))
             yield f"<F4|chain({label},F4)>", cond, coeff, ref, tag
 
-    cond3 = "alpha2=1/3"
-    dyn = build_nested_mzi(BeamSplitterParams(1.0 / 3.0))
-    fam = _model_family(dyn, NamedFamilyId.F_C)
-    weights = born_probabilities(dyn, fam)
-    yield "Pr(F4|S0)", cond3, sum(weights.values()), 1.0 / 9.0, "eq23"
-    yield "Pr(C2,F4|S0)", cond3, weights[fam.histories[0]], 1.0 / 9.0, "eq23"
-    c2 = _label_projector(2, "C")
-    pr_c2 = _conditional(fam, weights, [(4, f4)], [(2, c2)])
-    yield "Pr(C2|S0,F4)", cond3, pr_c2, 1.0, "eq23"
+    dyn3 = build_nested_mzi(BeamSplitterParams(1.0 / 3.0))
+    fam = _model_family(dyn3, NamedFamilyId.F_C)
+    weights = born_probabilities(dyn3, fam)
+    yield "Pr(F4|S0)", "alpha2=1/3", sum(weights.values()), 1.0 / 9.0, "eq23"
+    yield "Pr(C2,F4|S0)", "alpha2=1/3", weights[fam.histories[0]], 1.0 / 9.0, "eq23"
+    pr = _conditional(fam, weights, [(4, f4)], [(2, _label_projector(2, "C"))])
+    yield "Pr(C2|S0,F4)", "alpha2=1/3", pr, 1.0, "eq23"
 
+    eq30, eq33 = _expected_branches(p.alpha, p.beta, strength.zeta, strength.eta)
+    probe_cond = _probe_cond(cfg, cfg.epsilon, "adew")
+    js = evolve_with_probes(dyn, standard_probes("adew"), strength, s0)
+    yield from _branch_rows(js, probe_cond, eq30, "eq30")
+    dist = outcome_distribution(js, _DETECTORS)
+    yield "Pr(F4,a)", probe_cond, dist.p("F4", "a"), cfg.epsilon * a2 * a2, "eq32"
+    yield "Pr(F4,o)", probe_cond, dist.p("F4", "o"), (1 - cfg.epsilon) * a2 * a2, "eq32"
+    yield "Pr(F4)", probe_cond, dist.detector_marginal("F4"), a2 * a2, "eq32"
+    yield "Pr(a|F4)", probe_cond, dist.given_detector("F4")["a"], cfg.epsilon, "eq32"
 
-def _expected_branches(cfg: RunConfig, probe_ids: tuple[str, ...], epsilon: float):
-    """Closed-form branch amplitudes over the final basis (F, G, H)."""
-    p = BeamSplitterParams(cfg.alpha2)
-    a, b = p.alpha, p.beta
-    s = ProbeStrength(epsilon)
-    z, e = s.zeta, s.eta
-    abar = {"F": a * a, "G": a * b}  # straight-arm image at the output
-    ebar = {"F": b, "G": -a}  # inner-loop E image at the output
-
-    def scale(vec, factor):
-        return {k: factor * v for k, v in vec.items()}
-
-    if probe_ids == ("a", "d", "e", "w"):
-        return {
-            "o": scale(abar, z) | {"H": z * z * b},
-            "a": scale(abar, e),
-            "d": {"H": z * e * b},
-            "w": {"H": z * e * b},
-            "dw": {"H": e * e * b},
-        }
-    if probe_ids == ("a", "d", "b", "c", "e"):
-        half = 0.5 * z * e * b
-        return {
-            "o": scale(abar, z) | {"H": z * z * b},
-            "a": scale(abar, e),
-            "d": {"H": z * e * b},
-            "b": scale(ebar, -half * z) | {"H": half},
-            "c": scale(ebar, half * z) | {"H": half},
-            "db": scale(ebar, -half * e) | {"H": half * e / z},
-            "dc": scale(ebar, half * e) | {"H": half * e / z},
-            "be": scale(ebar, -0.5 * z * e * e * b),
-            "ce": scale(ebar, 0.5 * z * e * e * b),
-            "dbe": scale(ebar, -0.5 * e * e * e * b),
-            "dce": scale(ebar, 0.5 * e * e * e * b),
-        }
-    raise ValueError(f"no closed forms for probe set {probe_ids}")
-
-
-def _suite_probes(cfg: RunConfig, dyn: Dynamics):
-    a2 = cfg.alpha2
-    eps = cfg.epsilon
-    s0 = source_ket(dyn)
-
-    for ids, tag in ((("a", "d", "e", "w"), "eq30"), (("a", "d", "b", "c", "e"), "eq33")):
-        cond = _probe_cond(cfg, eps, ids)
-        js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps), s0)
-        expected = _expected_branches(cfg, ids, eps)
-        branches = {br.kappa: br.phi for br in branch_components(js)}
-        same = float(set(branches) == set(expected))
-        yield f"branch-set({','.join(ids)})", cond, same, 1.0, tag
-        for kappa, amps in expected.items():
-            got = branches.get(kappa)
-            for lab, ref in amps.items():
-                value = got.amplitude(lab) if got is not None else 0.0
-                yield f"amp[{kappa}].{lab}", cond, value, ref, tag
-        if tag == "eq30":
-            dist = outcome_distribution(js, _DETECTORS)
-            yield "Pr(F4,a)", cond, dist.p("F4", "a"), eps * a2 * a2, "eq32"
-            yield "Pr(F4,o)", cond, dist.p("F4", "o"), (1 - eps) * a2 * a2, "eq32"
-            yield "Pr(F4)", cond, dist.detector_marginal("F4"), a2 * a2, "eq32"
-            yield "Pr(a|F4)", cond, dist.given_detector("F4")["a"], eps, "eq32"
+    probe_cond = _probe_cond(cfg, cfg.epsilon, "adbce")
+    js = evolve_with_probes(dyn, standard_probes("adbce"), strength, s0)
+    yield from _branch_rows(js, probe_cond, eq33, "eq33")
 
     # The support lists need every multi-probe pattern to sit above the
     # support threshold, so they are pinned at a resolvable strength.
-    eps35 = 1e-2
-    ids = ("a", "d", "b", "c", "e")
-    cond = _probe_cond(cfg, eps35, ids)
-    js = evolve_with_probes(dyn, standard_probes(ids), ProbeStrength(eps35), s0)
+    probe_cond = _probe_cond(cfg, 1e-2, "adbce")
+    js = evolve_with_probes(dyn, standard_probes("adbce"), ProbeStrength(1e-2), s0)
     support = coincidence_support(outcome_distribution(js, _FG_H))
-    for det, kappas in (
-        ("H4", {"o", "d", "b", "c", "db", "dc"}),
-        ("F4+G4", {"o", "a", "b", "c", "db", "dc", "be", "ce", "dbe", "dce"}),
-    ):
-        yield f"support({det})", cond, float(support[det] == kappas), 1.0, "eq35"
+    h4 = {"o", "d", "b", "c", "db", "dc"}
+    fg4 = {"o", "a", "b", "c", "db", "dc", "be", "ce", "dbe", "dce"}
+    yield "support(H4)", probe_cond, float(support["H4"] == h4), 1.0, "eq35"
+    yield "support(F4+G4)", probe_cond, float(support["F4+G4"] == fg4), 1.0, "eq35"
 
-
-def _suite_weak(cfg: RunConfig, dyn: Dynamics):
-    p = BeamSplitterParams(cfg.alpha2)
-    a2, b2 = p.alpha2, p.beta2
-    s0 = source_ket(dyn)
-    f4 = basis_ket(dyn.slices[4], "F")
+    wv_c2 = b2 / (2 * a2)
     channels = [_label_projector(2, lab) for lab in "ABC"]
-    refs = (1.0, -b2 / (2 * a2), b2 / (2 * a2))
-    cond = _cond(cfg)
-    for entry, ref in zip(presence_table(dyn, s0, f4, channels), refs):
+    for entry, ref in zip(presence_table(dyn, s0, f4_ket, channels), (1.0, -wv_c2, wv_c2)):
         yield f"wv({entry.name})", cond, entry.weak_value, ref, "eq38"
 
 
 def cmd_paper_suite(cfg: RunConfig) -> tuple[int, list[Row]]:
-    """Recompute the built-in table of closed-form results and compare each
-    number to its reference formula; exit 3 on a deviation beyond
-    `cfg.tolerance`, whose only use this is.
-
-    Each block yields (quantity, condition, value, reference, tag) entries
-    from the one model built here; only the eq23 block, at a fixed ratio,
-    builds its own.
-    """
+    """Compare each `_suite` row, read from the one model built here, with
+    its closed form; exit 3 on a deviation beyond `cfg.tolerance`, whose
+    only use this is."""
     dyn = build_nested_mzi(BeamSplitterParams(cfg.alpha2))
-    rows: list[Row] = []
-    mismatches: list[str] = []
-    for block in (_suite_families, _suite_probes, _suite_weak):
-        for quantity, condition, value, ref, tag in block(cfg, dyn):
-            rows.append(Row(quantity, condition, value, tag))
-            if abs(complex(value) - complex(ref)) > cfg.tolerance:
-                mismatches.append(quantity)
+    rows, mismatches = [], []
+    for quantity, condition, value, ref, tag in _suite(cfg, dyn):
+        rows.append(Row(quantity, condition, value, tag))
+        if abs(complex(value) - complex(ref)) > cfg.tolerance:
+            mismatches.append(quantity)
     rows.append(Row("suite-mismatches", ";".join(mismatches), float(len(mismatches))))
     return (3 if mismatches else 0), rows
 

@@ -41,7 +41,8 @@ class ProbeSpec:
     fires, all at one time.  A multi-channel coupling set (like a probe
     watching two arms at the same time) rotates once per occupied channel.
     A probe coupled at two times would be rotated twice on a path through
-    both, so that is rejected.  Each time must be an integer (anything
+    both, so that is rejected.  The id must be a non-empty string, each
+    coupling a (time, label) tuple, each time an integer (anything
     `operator.index` accepts) and each channel label a string.
     """
 
@@ -49,12 +50,16 @@ class ProbeSpec:
     couplings: frozenset[tuple[int, str]]
 
     def __post_init__(self):
-        if not self.probe_id:
-            raise ValueError("probe id must be non-empty")
+        if not isinstance(self.probe_id, str) or not self.probe_id:
+            raise ValueError(f"probe id {self.probe_id!r} is not a non-empty string")
         object.__setattr__(self, "couplings", frozenset(self.couplings))
         if not self.couplings:
             raise ValueError(f"probe {self.probe_id!r} has no couplings")
-        for t, label in self.couplings:
+        for pair in self.couplings:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                msg = f"probe {self.probe_id!r} has coupling {pair!r}, not a (time, label) pair"
+                raise ValueError(msg)
+            t, label = pair
             try:
                 operator.index(t)
             except TypeError:

@@ -213,12 +213,20 @@ class TestEvolution:
     @pytest.mark.parametrize(
         "couplings, message",
         [({(1, None), (1, "A")}, "probe 'x' has channel None, not a string"),
-         ({("1", "A")}, "probe 'x' has time '1', not an integer")],
-        ids=["label-None", "time-str"],
+         ({("1", "A")}, "probe 'x' has time '1', not an integer"),
+         ({1}, "probe 'x' has coupling 1, not a (time, label) pair"),
+         ({(1, "A", "B")}, "probe 'x' has coupling (1, 'A', 'B'), not a (time, label) pair")],
+        ids=["label-None", "time-str", "coupling-int", "coupling-triple"],
     )
     def test_coupling_types_are_checked_at_intake(self, couplings, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             ProbeSpec("x", couplings)
+
+    @pytest.mark.parametrize("probe_id", [5, "", None], ids=["int", "empty", "None"])
+    def test_probe_id_is_checked_at_intake(self, probe_id):
+        message = f"probe id {probe_id!r} is not a non-empty string"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbeSpec(probe_id, {(1, "A")})
 
     def test_numpy_integer_times_are_accepted(self):
         dyn, s0 = model()
