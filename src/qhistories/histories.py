@@ -98,9 +98,10 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     Projectors sum to the identity iff they are pairwise orthogonal and
     their ranks sum to its dimension.  Two history operators are orthogonal
     iff their events at some shared time are; an absent event is I, which
-    is orthogonal to none.  A rank is exact: the rounded trace, which a
-    label projector's 0/1 diagonal gives as an exact integer.  `memo`
-    keeps each (P, Q) verdict for this call only.
+    is orthogonal to none.  A rank is exact: a label projector's is the
+    count of its support (`_on`), the integer its 0/1 trace gives, and any
+    other's is the rounded trace.  `memo` keeps each (P, Q) verdict for
+    this call only.
     """
     slices: dict[int, TimeSlice] = {}
     for h in histories:
@@ -119,8 +120,9 @@ def _coverage_fault(histories: Sequence[History]) -> str:
                     break
             else:
                 return f"histories {i} and {j} overlap"
-    # The trace summed in Python: a numpy reduction costs ~5x more per call.
-    ranks = {p: round(sum(p.matrix.diagonal().real.tolist())) for e in events for p in e.values()}
+    # A dense trace summed in Python: a numpy reduction costs ~5x more per call.
+    ranks = {p: round(sum(p.matrix.diagonal().real.tolist())) if p._on is None
+             else int(np.count_nonzero(p._on)) for e in events for p in e.values()}
     rank = sum(
         math.prod(ranks[e[t]] if t in e else slc.dim for t, slc in slices.items())
         for e in events

@@ -41,9 +41,10 @@ class ProbeSpec:
     fires, all at one time.  A multi-channel coupling set (like a probe
     watching two arms at the same time) rotates once per occupied channel.
     A probe coupled at two times would be rotated twice on a path through
-    both, so that is rejected.  The id must be a non-empty string, each
-    coupling a (time, label) tuple, each time an integer (anything
-    `operator.index` accepts) and each channel label a string.
+    both, so that is rejected.  The id must be a non-empty string, the
+    couplings an iterable of hashable items, each a (time, label) tuple,
+    each time an integer (anything `operator.index` accepts) and each
+    channel label a string.
     """
 
     probe_id: str
@@ -52,7 +53,12 @@ class ProbeSpec:
     def __post_init__(self):
         if not isinstance(self.probe_id, str) or not self.probe_id:
             raise ValueError(f"probe id {self.probe_id!r} is not a non-empty string")
-        object.__setattr__(self, "couplings", frozenset(self.couplings))
+        try:
+            couplings = frozenset(self.couplings)
+        except TypeError:
+            msg = f"probe {self.probe_id!r} has couplings {self.couplings!r}"
+            raise ValueError(f"{msg}, not a set of (time, label) pairs") from None
+        object.__setattr__(self, "couplings", couplings)
         if not self.couplings:
             raise ValueError(f"probe {self.probe_id!r} has no couplings")
         for pair in self.couplings:

@@ -10,20 +10,24 @@ array through one intake, `_frozen_array` (exact shape, every amplitude
 finite and at most `_AMPLITUDE_BOUND` in modulus), then check their own
 invariants (Hermiticity, idempotence, PDI sums, and in `dynamics` the
 unitarity of a step).  Values the library builds from parts it already
-holds skip that second pass (`_trusted`): basis kets, label and identity
-projectors and `slice_pdi` are exact 0/1 arrays, and kets computed by the
-library (chain kets, transport results, probe branches) are products of
-accepted kets with unitary steps, projectors and probe rotations, which
-keep a norm (to within `DEFAULT_TOL`).  So no product is scanned after the
-fact.  A computed amplitude may lie past the bound by up to a factor
-sqrt(d), since a step mixes d amplitudes; pickle and copy rebuild a
-computed `Ket` or joint state as it was computed, not through the intake.
+holds skip that second pass (`_trusted`): basis kets are exact 0/1
+arrays, label and identity projectors and `slice_pdi` exact 0/1 masks
+(below), and kets computed by the library (chain kets, transport results,
+probe branches) are products of accepted kets with unitary steps,
+projectors and probe rotations, which keep a norm (to within
+`DEFAULT_TOL`).  So no product is scanned after the fact.  A computed
+amplitude may lie past the bound by up to a factor sqrt(d), since a step
+mixes d amplitudes; pickle and copy rebuild a computed `Ket` or joint
+state as it was computed, not through the intake.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
 and complement projectors from their parts, a checked matrix by one exact
-test of its entries.  The consistent-histories bookkeeping (equal,
-orthogonal, split, rank) compares projectors on one slice and reads those
+test of its entries.  The label projectors the library builds hold only
+that mask; their `matrix` is built from it on each read, which the
+library makes only where a label projector meets a dense one.  The
+consistent-histories bookkeeping (equal, orthogonal, split, rank, the sum
+of a decomposition) compares projectors on one slice and reads those
 masks when every projector involved has one; the answers are the dense
 ones, since for 0/1 diagonal matrices every residual is exactly 0 or 1.
 Applying an event to amplitudes (`_apply`: chain kets, the decoherence
@@ -197,6 +201,24 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+class _LabelMatrix:
+    """`Projector.matrix`: the matrix set on the instance (a checked one or
+    a ray's), else the 0/1 diagonal matrix of its `_on`, built read-only on
+    each read.  No class-level value, so the dataclass field is required."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            raise AttributeError("matrix")
+        if "matrix" in obj.__dict__:
+            return obj.__dict__["matrix"]
+        m = _label_matrix(obj._on)
+        m.setflags(write=False)
+        return m
+
+    def __set__(self, obj, value):
+        obj.__dict__["matrix"] = value
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """A Hermitian idempotent square matrix over one slice's basis; the raw
@@ -211,11 +233,13 @@ class Projector:
     read-only boolean mask (`_label_mask`).  Any other projector has `_on`
     None.  `_on` is not a field: `repr`, pickling and copies see the same
     three fields, and copies rebuilt through the constructor record the
-    same mask.
+    same mask.  The label projectors the library builds hold `_on` alone,
+    and each read of their `matrix` builds it anew (`_LabelMatrix`); a
+    copy, rebuilt through the constructor, holds the matrix it was handed.
     """
 
     slice: TimeSlice
-    matrix: np.ndarray
+    matrix: np.ndarray = _LabelMatrix()
     name: str = ""
 
     _on = None
@@ -244,8 +268,7 @@ class Projector:
         name = _complement_name(self)
         if self._on is None:
             return Projector(self.slice, np.eye(self.slice.dim, dtype=complex) - self.matrix, name)
-        on = ~self._on
-        return _trusted(Projector, slice=self.slice, matrix=_label_matrix(on), name=name, _on=on)
+        return _trusted(Projector, slice=self.slice, name=name, _on=~self._on)
 
 
 def _label_mask(m: np.ndarray) -> np.ndarray | None:
@@ -257,8 +280,8 @@ def _label_mask(m: np.ndarray) -> np.ndarray | None:
 
 
 def _label_matrix(on: np.ndarray) -> np.ndarray:
-    """The 0/1 diagonal matrix with the boolean diagonal `on`: I - P for a
-    label projector P, bit for bit, and every zero +0."""
+    """The 0/1 diagonal matrix with the boolean diagonal `on`, every zero
+    +0: the complement of a label projector P has the bits of I - P."""
     m = np.zeros((len(on), len(on)), dtype=complex)
     m.flat[:: len(on) + 1] = on
     return m
@@ -300,9 +323,8 @@ def _complement_name(p: Projector) -> str:
 
 
 def identity_projector(slc: TimeSlice) -> Projector:
-    m = np.eye(slc.dim, dtype=complex)
     on = np.ones(slc.dim, dtype=bool)
-    return _trusted(Projector, slice=slc, matrix=m, name=f"I{slc.time_index}", _on=on)
+    return _trusted(Projector, slice=slc, name=f"I{slc.time_index}", _on=on)
 
 
 def projector_from_labels(
@@ -316,7 +338,7 @@ def projector_from_labels(
     on[axes] = True
     if name is None:
         name = "+".join(f"{slc.basis[ax]}{slc.time_index}" for ax in axes)
-    return _trusted(Projector, slice=slc, matrix=_label_matrix(on), name=name, _on=on)
+    return _trusted(Projector, slice=slc, name=name, _on=on)
 
 
 def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
@@ -360,13 +382,19 @@ def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
             if res > max_res:
                 max_res = res
                 worst = f"parts {i} and {j} are not orthogonal (residual {res:.3g})"
-    comp = np.abs(sum(p.matrix for p in parts) - np.eye(slc.dim))
+    if all(p._on is not None for p in parts):
+        # Label parts sum to the diagonal matrix that counts the parts
+        # holding each channel, 0 elsewhere: the dense residuals, exactly.
+        comp = np.abs(np.count_nonzero([p._on for p in parts], axis=0) - 1.0)
+        at = slc.basis[int(np.argmax(comp))]
+    else:
+        comp = np.abs(sum(p.matrix for p in parts) - np.eye(slc.dim))
+        ij = np.unravel_index(int(np.argmax(comp)), comp.shape)
+        at = slc.basis[ij[0]] if ij[0] == ij[1] else f"{ij}"
     res = float(np.max(comp))
     if res > max_res:
-        ij = np.unravel_index(int(np.argmax(comp)), comp.shape)
-        lab = slc.basis[ij[0]] if ij[0] == ij[1] else f"{ij}"
         max_res = res
-        worst = f"sum differs from identity at {lab} (residual {res:.3g})"
+        worst = f"sum differs from identity at {at} (residual {res:.3g})"
     ok = max_res <= DEFAULT_TOL
     return PDIReport(ok, max_res, "" if ok else worst)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import cases, run
 
+import qhistories.statespace as statespace
 from qhistories.dynamics import Dynamics, StepUnitary, transport
 from qhistories.histories import (
     ConsistencyReport,
@@ -32,7 +34,15 @@ from qhistories.mzi import (
     named_family,
     source_ket,
 )
+from qhistories.probes import (
+    ProbeSpec,
+    ProbeStrength,
+    coincidence_support,
+    evolve_with_probes,
+    outcome_distribution,
+)
 from qhistories.statespace import (
+    PDI,
     Ket,
     Projector,
     TimeSlice,
@@ -42,7 +52,7 @@ from qhistories.statespace import (
     projector_from_ket,
     projector_from_labels,
 )
-from qhistories.weak import weak_value
+from qhistories.weak import presence_table, weak_value
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
@@ -1425,3 +1435,32 @@ class TestFamilyValidation:
             )
             weights = born_probabilities(dyn, fam)
             assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_no_library_path_builds_a_label_matrix(monkeypatch):
+    # A label projector holds only its mask, and its `matrix` is built on
+    # each read; every path below reads the masks instead.
+    builds = []
+    build = statespace._label_matrix
+    monkeypatch.setattr(statespace, "_label_matrix", lambda on: builds.append(on) or build(on))
+    for argv in cases():
+        run(argv)
+    assert len(builds) == 0
+
+    dyn, s0 = haar_dynamics(11, dim=64)
+    s = dyn.slices
+    fam = Family(s0, (History(()),))
+    for t, groups in ((1, (range(20), range(20, 64))),
+                      (2, (range(0, 64, 2), range(1, 64, 2))),
+                      (3, (range(8), range(8, 40), range(40, 64)))):
+        fam = refine(fam, t, label_parts(s[t], *groups))
+    _decoherence(dyn, Family(fam.initial, fam.histories, complete=True))
+    detectors = PDI(s[4], label_parts(s[4], range(10), range(10, 64)))
+    channels = label_parts(s[2], range(32), range(32, 64))
+    infer(dyn, s0, detectors.parts[0], channels[0])
+    presence_table(dyn, s0, basis_ket(s[4], "c0"), channels)
+    probes = (ProbeSpec("p", frozenset({(1, "c3")})),
+              ProbeSpec("w", frozenset({(2, "c5"), (2, "c7")})))
+    js = evolve_with_probes(dyn, probes, ProbeStrength(0.1), s0)
+    coincidence_support(outcome_distribution(js, detectors))
+    assert len(builds) == 0

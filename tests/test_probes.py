@@ -222,6 +222,16 @@ class TestEvolution:
         with pytest.raises(ValueError, match=re.escape(message)):
             ProbeSpec("x", couplings)
 
+    @pytest.mark.parametrize(
+        "couplings, message",
+        [([[1, "A"]], "probe 'x' has couplings [[1, 'A']], not a set of (time, label) pairs"),
+         (5, "probe 'x' has couplings 5, not a set of (time, label) pairs")],
+        ids=["unhashable-pair", "int"],
+    )
+    def test_couplings_that_make_no_set_are_rejected_at_intake(self, couplings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ProbeSpec("x", couplings)
+
     @pytest.mark.parametrize("probe_id", [5, "", None], ids=["int", "empty", "None"])
     def test_probe_id_is_checked_at_intake(self, probe_id):
         message = f"probe id {probe_id!r} is not a non-empty string"

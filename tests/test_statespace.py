@@ -345,6 +345,7 @@ def test_projector_rejects_non_finite_entries(bad):
         (np.ones((3, 2)), "has shape"),
         (np.ones(3), "has shape"),
         (np.eye(2), "has shape"),
+        (None, re.escape("has shape (), expected (3, 3)")),
         (np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
         (np.diag([2.0, 0.0, 0.0]), "not idempotent"),
     ],
@@ -586,6 +587,91 @@ def test_recorded_support_is_not_a_field():
         "       [0.+0.j, 0.+0.j, 0.+0.j],\n"
         "       [0.+0.j, 0.+0.j, 1.+0.j]]), name='A2+C2')"
     )
+
+
+def _built_label_projectors(d):
+    """(projector, the dense matrix a label projector used to store) for
+    `projector_from_labels`, `identity_projector` and their complements on a
+    slice of `d` channels."""
+    slc = TimeSlice(1, tuple(f"c{i}" for i in range(d)))
+    on = np.arange(d) % 3 == 0
+    p = projector_from_labels(slc, {lab for lab, kept in zip(slc.basis, on) if kept})
+    ident = identity_projector(slc)
+    return [
+        (p, np.diag(on.astype(complex))),
+        (p.complement(), np.diag((~on).astype(complex))),
+        (ident, np.eye(d, dtype=complex)),
+        (ident.complement(), np.zeros((d, d), dtype=complex)),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 3, 64])
+def test_label_projectors_build_their_matrix_on_each_read(d):
+    for p, stored in _built_label_projectors(d):
+        assert "matrix" not in vars(p)
+        first, second = p.matrix, p.matrix
+        assert first is not second and not np.shares_memory(first, second)
+        for m in (first, second):
+            assert m.tobytes() == stored.tobytes()
+            assert m.dtype == np.complex128 and m.shape == (d, d)
+            assert m.flags.c_contiguous and m.flags.writeable is False
+
+
+def test_a_checked_or_ray_projector_keeps_the_matrix_it_holds():
+    for p in [Projector(T2, np.diag([1, 0, 1])), projector_from_ket(Ket(T2, [1, 1j, 0]))]:
+        assert vars(p)["matrix"] is p.matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        projector_from_labels(T2, {"A"}).matrix = np.eye(3)
+    with pytest.raises(TypeError, match="matrix"):
+        Projector(T2)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copies_of_a_label_projector_keep_its_mask_and_matrix(copier):
+    for d in (3, 64):
+        for p, _ in _built_label_projectors(d):
+            dup = copier(p)
+            assert (dup.slice, dup.name) == (p.slice, p.name)
+            assert dup._on.tobytes() == p._on.tobytes()
+            assert dup.matrix.tobytes() == p.matrix.tobytes()
+            assert dup.matrix.flags.writeable is False
+
+
+def _dense(p):
+    """`p` rebuilt by the checked constructor, with its recorded support
+    dropped so that every test takes the dense path."""
+    q = Projector(p.slice, p.matrix, p.name)
+    object.__setattr__(q, "_on", None)
+    return q
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        ("A", "BC"),
+        ("A", "C"),
+        ("B",),
+        ("AB", "BC"),
+        ("A", "A", "A", "BC"),
+        ("A", "AB", "C", "C"),
+    ],
+    ids=["decomposition", "missing", "two-missing", "doubled", "tripled", "doubled-twice"],
+)
+def test_pdi_validate_sums_label_parts_as_their_dense_matrices(groups):
+    parts = [projector_from_labels(T2, set(g)) for g in groups]
+    assert pdi_validate(parts) == pdi_validate([_dense(p) for p in parts])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.sets(st.integers(0, 63), min_size=1), min_size=1, max_size=6))
+def test_pdi_validate_of_label_parts_is_the_dense_report_at_d64(groups):
+    slc = TimeSlice(1, tuple(f"c{i}" for i in range(64)))
+    parts = [projector_from_labels(slc, {f"c{i}" for i in g}) for g in groups]
+    assert pdi_validate(parts) == pdi_validate([_dense(p) for p in parts])
 
 
 #: Real and imaginary parts: signed zeros, subnormals, normals, huge values.
