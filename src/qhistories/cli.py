@@ -49,7 +49,7 @@ from .probes import (
     sample,
     standard_probes,
 )
-from .statespace import DEFAULT_TOL, basis_ket, inner
+from .statespace import DEFAULT_TOL, _negligible, basis_ket, inner
 from .weak import presence_table
 
 
@@ -326,7 +326,7 @@ def cmd_probes(cfg: RunConfig) -> tuple[int, list[Row]]:
         rows.append(Row(f"norm2[{branch.kappa}]", cond, branch.phi.norm() ** 2))
         for lab in js.slice.basis:
             amp = branch.phi.amplitude(lab)
-            if abs(amp) > DEFAULT_TOL:
+            if not _negligible(abs(amp), "amplitude"):
                 rows.append(Row(f"amp[{branch.kappa}].{lab}", cond, amp))
     return 0, rows
 

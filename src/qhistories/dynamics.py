@@ -14,20 +14,20 @@ from typing import Sequence
 import numpy as np
 
 from .statespace import (
-    DEFAULT_TOL, Ket, TimeSlice, _frozen_array, _reduce, _require_slice, _trusted,
+    Ket, TimeSlice, _frozen_array, _negligible, _reduce_held, _require_slice, _trusted,
 )
 
 
 def _require_unitary(u: np.ndarray, slices: Sequence[TimeSlice]) -> None:
     """Reject the step matrices stacked in `u`, shape (T, d, d), where
     `u[j]` joins `slices[j]` to `slices[j + 1]`, unless each one's residual
-    max |U^dagger U - I| is within `DEFAULT_TOL`; the error names the first
+    max |U^dagger U - I| is a negligible residual; the error names the first
     worst step by its slices, and its residual.  One pass over the stack:
     `StepUnitary` checks a stack of one, `mzi` its four literal steps."""
     gram = u.conj().transpose(0, 2, 1) @ u
     residuals = np.abs(gram - np.eye(u.shape[-1])).max(axis=(1, 2))
     worst = int(np.argmax(residuals))
-    if residuals[worst] > DEFAULT_TOL:
+    if not _negligible(residuals[worst], "residual"):
         raise ValueError(
             f"step from {slices[worst]} to {slices[worst + 1]} is not unitary "
             f"(residual {residuals[worst]:.3g})"
@@ -38,7 +38,7 @@ def _require_unitary(u: np.ndarray, slices: Sequence[TimeSlice]) -> None:
 class StepUnitary:
     """One time step.  Rows are indexed by the target basis, columns by the
     source basis.  The matrix must be unitary: a residual
-    max |U^dagger U - I| above `DEFAULT_TOL` is rejected at construction,
+    max |U^dagger U - I| past the residual cut is rejected at construction,
     and the error names the step and its residual.
     """
 
@@ -57,7 +57,7 @@ class StepUnitary:
         _require_unitary(m[None], (self.from_slice, self.to_slice))
         object.__setattr__(self, "matrix", m)
 
-    __reduce__ = _reduce
+    __reduce__ = _reduce_held
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,7 @@ def transport(dyn: Dynamics, k: Ket, target_index: int) -> Ket:
 def _carry(dyn: Dynamics, v: np.ndarray, start: int, target_index: int) -> np.ndarray:
     """The step loop of :func:`transport` on raw amplitudes; both indices
     must already be valid for `dyn`.  The steps are unitary, so it keeps
-    every norm to within `DEFAULT_TOL`."""
+    every norm to within the residual cut."""
     if target_index >= start:
         for j in range(start, target_index):
             v = dyn.steps[j].matrix @ v

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, TimeSlice, _apply, _distance, _overlap, _require_slice,
+    Ket, Projector, TimeSlice, _apply, _distance, _negligible, _overlap, _require_slice,
     _trusted, identity_projector,
 )
 
@@ -115,7 +115,7 @@ def _coverage_fault(histories: Sequence[History]) -> str:
             for t in a.keys() & b.keys():
                 key = (a[t], b[t])
                 if key not in memo:
-                    memo[key] = _overlap(*key) <= DEFAULT_TOL
+                    memo[key] = _negligible(_overlap(*key), "residual")
                 if memo[key]:
                     break
             else:
@@ -228,7 +228,7 @@ class ConsistencyReport:
     `max_overlap` is the largest |<c_i|c_j>| / max(1, |c_i| |c_j|), an
     absolute measure for a normalized initial state (see consistency_check);
     `offending_pairs` holds the raw inner products of the pairs exceeding
-    `DEFAULT_TOL`, in row-major (i < j) order.
+    the probability cut, in row-major (i < j) order.
     """
 
     consistent: bool
@@ -296,9 +296,9 @@ def _decoherence(
     pairs = ~np.tri(len(hists), dtype=bool)  # i < j
     ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
     max_overlap = float(ratio[pairs].max(initial=0.0))
-    i, j = np.nonzero(pairs & (ratio > DEFAULT_TOL))  # row-major
+    i, j = np.nonzero(pairs & ~_negligible(ratio, "probability"))  # row-major
     offending = tuple(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
-    report = ConsistencyReport(max_overlap <= DEFAULT_TOL, max_overlap, offending)
+    report = ConsistencyReport(_negligible(max_overlap, "probability"), max_overlap, offending)
     return report, weights, d
 
 
@@ -308,7 +308,7 @@ def consistency_check(dyn: Dynamics, fam: Family) -> ConsistencyReport:
     Each overlap |<c_i|c_j>| is divided by max(1, |c_i| |c_j|), which is 1
     for a normalized initial state: the criterion is absolute, not relative
     to the weights of the two histories (ROADMAP item "Verdicts that know
-    their resolution").  An overlap exactly at `DEFAULT_TOL` counts as
+    their resolution").  An overlap exactly at the probability cut counts as
     consistent.
     """
     return _decoherence(dyn, fam)[0]
@@ -342,9 +342,9 @@ def _match(
         key = (t, e, p)
         if key not in memo:
             ev = identity_projector(p.slice) if e is None else e
-            if _distance(ev, p) <= DEFAULT_TOL:
+            if _negligible(_distance(ev, p), "residual"):
                 memo[key] = True
-            elif _overlap(ev, p) <= DEFAULT_TOL:
+            elif _negligible(_overlap(ev, p), "residual"):
                 memo[key] = False
             else:
                 raise InexpressibleEventError(
@@ -387,7 +387,7 @@ def _conditional(
     memo: dict = {}
     selected = [h for h in fam.histories if _match(h, condition, memo)]
     cond_mass = sum(weights[h] for h in selected)
-    if cond_mass <= DEFAULT_TOL:
+    if _negligible(cond_mass, "probability"):
         raise VanishingProbabilityError(
             f"condition has vanishing probability ({cond_mass:.3g})", cond_mass
         )
@@ -420,7 +420,7 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
         _require_slice(p, slc, "part")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
-            if _overlap(parts[i], parts[j]) > DEFAULT_TOL:
+            if not _negligible(_overlap(parts[i], parts[j]), "residual"):
                 raise ValueError(f"refinement parts {i} and {j} overlap")
     ons = [p._on for p in parts]
     union = None if any(on is None for on in ons) else np.logical_or.reduce(ons)
@@ -441,7 +441,7 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
                 if total is None:
                     total = sum(p.matrix for p in parts)
                 e_mat = np.eye(slc.dim) if e is None else e.matrix
-                splits[e] = float(np.max(np.abs(e_mat - total))) <= DEFAULT_TOL
+                splits[e] = _negligible(float(np.max(np.abs(e_mat - total))), "residual")
         if splits[e]:
             # a valid history split at a checked slice is valid
             before = tuple(ev for ev in h.events if ev[0] < t)
@@ -500,7 +500,7 @@ def infer(
     # The two chain kets sum to the final event applied to the evolved
     # initial state, so the sum of D is its forward probability.
     p_final = float(d.sum().real)
-    if p_final <= DEFAULT_TOL:
+    if _negligible(p_final, "probability"):
         raise VanishingProbabilityError(
             f"final event has vanishing forward probability ({p_final:.3g})", p_final
         )

@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import Dynamics, _carry, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, PDI, TimeSlice, _frozen_array, _reduce_computed, _require_slice, _trusted,
+    Ket, PDI, TimeSlice, _frozen_array, _negligible, _reduce_held, _require_slice, _trusted,
 )
 
 
@@ -185,7 +185,7 @@ class JointState:
         arr = _frozen_array(self.amplitudes, shape, "joint state")
         object.__setattr__(self, "amplitudes", arr)
 
-    __reduce__ = _reduce_computed
+    __reduce__ = _reduce_held
 
     @functools.cached_property
     def _labels(self) -> tuple[str, ...]:
@@ -264,9 +264,9 @@ def evolve_with_probes(
 
 
 def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
-    """Decompose by probe pattern, dropping branches of norm at most
-    `DEFAULT_TOL`.  Ordered by excitation count, then probe position."""
-    norms = np.linalg.norm(js.amplitudes, axis=0).tolist()
+    """Decompose by probe pattern, dropping branches of negligible norm
+    (an amplitude).  Ordered by excitation count, then probe position."""
+    kept = (~_negligible(np.linalg.norm(js.amplitudes, axis=0), "amplitude")).tolist()
     labels = js._labels
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
@@ -278,7 +278,7 @@ def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     new, slc = object.__new__, js.slice
     branches = []
     for mask in _kappa_order(len(js.probes)):
-        if norms[mask] > DEFAULT_TOL:
+        if kept[mask]:
             phi = new(Ket)
             phi.__dict__.update(slice=slc, amplitudes=rows[mask], name="")
             branch = new(BranchComponent)
@@ -338,7 +338,7 @@ class OutcomeDistribution:
 
     def given_detector(self, detector: str) -> dict[str, float]:
         mass = self.detector_marginal(detector)
-        if mass <= 0.0:
+        if _negligible(mass, "detector mass"):
             raise VanishingProbabilityError(
                 f"detector {detector!r} has zero probability", mass
             )
@@ -390,11 +390,11 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
 
 
 def coincidence_support(dist: OutcomeDistribution) -> dict[str, set[str]]:
-    """Per detector, the set of probe patterns with probability above
-    `DEFAULT_TOL`."""
+    """Per detector, the set of probe patterns of probability that is not
+    negligible."""
     support: dict[str, set[str]] = {d: set() for d in dist.detectors()}
     keys = dist._keys
-    for i in np.flatnonzero(dist._cells > DEFAULT_TOL).tolist():
+    for i in np.flatnonzero(~_negligible(dist._cells, "probability")).tolist():
         d, k = keys[i]
         support[d].add(k)
     return support
@@ -413,7 +413,7 @@ def sample(
         raise ValueError(f"sample count must be >= 1 and <= {_MAX_SAMPLES}, got {n}")
     p = dist._cells
     total = p.sum()
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
+    if not _negligible(abs(total - 1.0), "mass deviation"):
         raise ValueError(f"distribution mass {total} is not 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n, p / total)

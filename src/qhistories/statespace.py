@@ -17,8 +17,8 @@ probe branches) are products of accepted kets with unitary steps,
 projectors and probe rotations, which keep a norm (to within
 `DEFAULT_TOL`).  So no product is scanned after the fact.  A computed
 amplitude may lie past the bound by up to a factor sqrt(d), since a step
-mixes d amplitudes; pickle and copy rebuild a computed `Ket` or joint
-state as it was computed, not through the intake.
+mixes d amplitudes.  Pickle and copy rebuild a value from what it holds,
+not through the intake (`_reduce_held`): a copy is no new input.
 
 A channel-label projector (exactly a 0/1 diagonal matrix) records its
 support, the diagonal as a boolean mask, when it is built: label, identity
@@ -34,23 +34,35 @@ Applying an event to amplitudes (`_apply`: chain kets, the decoherence
 walk, weak values) multiplies by its mask, with the dense product's bits.
 Rays and rotated projectors take the dense path.
 
-The algebraic checks and nearly every verdict compare against one cut-off,
-`DEFAULT_TOL`, and no call takes a tolerance of its own.  Two verdicts do
-not: `OutcomeDistribution.given_detector` treats a detector as vanishing
-only at mass 0.0, and `sample` accepts a distribution whose mass is 1
-within an absolute 1e-6.
+Every thresholded verdict takes one rule, `_negligible`: a value at or
+below the cut of its kind in `_CUTS` is negligible, and no call takes a
+tolerance of its own.  A matrix residual, probability, amplitude (a
+modulus or norm) or weak value (its distance from 0 or 1) is cut at
+`DEFAULT_TOL`; three named quantities have cuts of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-#: The library's absolute cut-off: matrix max-norm for algebraic
-#: invariants, and the threshold of every verdict but the two named above.
+#: The library's absolute cut-off: the cut of every kind of quantity in
+#: `_CUTS` but the three named ones.
 DEFAULT_TOL = 1e-10
+
+#: The cut of each kind of quantity a verdict judges (`_negligible`).
+_CUTS = {
+    "residual": DEFAULT_TOL,  # max-norm of a departure from an algebraic identity
+    "probability": DEFAULT_TOL,  # a Born weight, a summed mass, an overlap ratio
+    "amplitude": DEFAULT_TOL,  # the modulus of an amplitude or inner product, a norm
+    "weak value": DEFAULT_TOL,  # the distance of a weak value from 0 or 1
+    "ray norm2": DEFAULT_TOL**2,  # `projector_from_ket`'s squared norm
+    "detector mass": 0.0,  # `OutcomeDistribution.given_detector`'s marginal
+    "mass deviation": 1e-6,  # `sample`'s |total - 1|
+}
 
 #: The largest modulus of an accepted amplitude.  A ket of d such
 #: amplitudes has |k|^2 <= d * 1e200.  A step or projector whose residual
@@ -79,20 +91,18 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _reduce(self):
-    """`__reduce__` of the value classes that hold a caller's array or a
-    derived attribute: pickle and copy rebuild them through the checked
-    constructor, so a copy's array is read-only and its derived attributes
-    are rebuilt."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+def _negligible(value, kind: str):
+    """Whether `value` is at most the cut of `kind` in `_CUTS`; elementwise
+    on an array.  The one comparison of every thresholded verdict."""
+    return value <= _CUTS[kind]
 
 
-def _reduce_computed(self):
-    """`__reduce__` of `Ket` and `probes.JointState`, which the library
-    also computes: pickle and copy rebuild them as `_trusted` builds them,
-    array made read-only, since a copy is no new input and a computed
-    value may lie past the intake bound."""
-    return _rebuild, (type(self), {f.name: getattr(self, f.name) for f in fields(self)})
+def _reduce_held(self):
+    """`__reduce__` of the value classes that hold an array or a derived
+    attribute: pickle and copy rebuild the instance's own attributes as
+    `_trusted` builds them, arrays made read-only, since a copy is no new
+    input and a computed value may lie past the intake bound."""
+    return _rebuild, (type(self), vars(self))
 
 
 def _rebuild(cls, values):
@@ -129,20 +139,25 @@ class TimeSlice:
     basis: tuple[str, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "time_index", operator.index(self.time_index))
+        except TypeError:
+            raise ValueError(f"time index {self.time_index!r} is not an integer") from None
         if self.time_index < 0:
             raise ValueError(f"time_index must be >= 0, got {self.time_index}")
         if not self.basis:
             raise ValueError("slice basis must be non-empty")
-        if any(not lab for lab in self.basis):
-            raise ValueError("channel labels must be non-empty strings")
+        for lab in self.basis:
+            if not isinstance(lab, str) or not lab:
+                raise ValueError(f"channel label {lab!r} is not a non-empty string")
         if len(set(self.basis)) != len(self.basis):
             raise ValueError(f"channel labels must be distinct, got {self.basis}")
         object.__setattr__(self, "basis", tuple(self.basis))
-        # label -> position; not a field, so repr, ==, hash and pickles
-        # see the two fields only
+        # label -> position; not a field, so repr, == and hash see the two
+        # fields only
         object.__setattr__(self, "_axes", {lab: j for j, lab in enumerate(self.basis)})
 
-    __reduce__ = _reduce
+    __reduce__ = _reduce_held
 
     @property
     def dim(self) -> int:
@@ -178,7 +193,7 @@ class Ket:
         arr = _frozen_array(self.amplitudes, (self.slice.dim,), "ket")
         object.__setattr__(self, "amplitudes", arr)
 
-    __reduce__ = _reduce_computed
+    __reduce__ = _reduce_held
 
     def norm(self) -> float:
         """The 2-norm, as `np.linalg.norm` gives it."""
@@ -231,11 +246,10 @@ class Projector:
     channel-label projector) records its support when it is built, after
     the same residual checks as any matrix: `_on`, its diagonal as a
     read-only boolean mask (`_label_mask`).  Any other projector has `_on`
-    None.  `_on` is not a field: `repr`, pickling and copies see the same
-    three fields, and copies rebuilt through the constructor record the
-    same mask.  The label projectors the library builds hold `_on` alone,
-    and each read of their `matrix` builds it anew (`_LabelMatrix`); a
-    copy, rebuilt through the constructor, holds the matrix it was handed.
+    None.  `_on` is not a field, so `repr` sees the three fields only.  The
+    label projectors the library builds hold `_on` alone, and each read of
+    their `matrix` builds it anew (`_LabelMatrix`).  Pickle and copy keep
+    what the instance holds: its mask, and its matrix only if it has one.
     """
 
     slice: TimeSlice
@@ -249,17 +263,17 @@ class Projector:
         m = _frozen_array(self.matrix, (d, d), "projector matrix")
         object.__setattr__(self, "matrix", m)
         herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > DEFAULT_TOL:
+        if not _negligible(herm, "residual"):
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3g})")
         idem = float(np.max(np.abs(m @ m - m)))
-        if idem > DEFAULT_TOL:
+        if not _negligible(idem, "residual"):
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
         on = _label_mask(m)
         if on is not None:
             on.setflags(write=False)
             object.__setattr__(self, "_on", on)
 
-    __reduce__ = _reduce
+    __reduce__ = _reduce_held
 
     def complement(self) -> Projector:
         """The projector I - P onto the orthogonal complement.  A label
@@ -345,7 +359,7 @@ def projector_from_ket(k: Ket, name: str | None = None) -> Projector:
     """Rank-one projector k k^dagger / |k|^2 onto the ray of a nonzero ket."""
     amps = k.amplitudes
     n2 = float(np.vdot(amps, amps).real)
-    if n2 <= DEFAULT_TOL**2:
+    if _negligible(n2, "ray norm2"):
         raise ValueError("cannot project onto a zero ket")
     m = np.outer(amps, amps.conj()) / n2
     if name is None:
@@ -395,7 +409,7 @@ def pdi_validate(parts: Sequence[Projector]) -> PDIReport:
     if res > max_res:
         max_res = res
         worst = f"sum differs from identity at {at} (residual {res:.3g})"
-    ok = max_res <= DEFAULT_TOL
+    ok = _negligible(max_res, "residual")
     return PDIReport(ok, max_res, "" if ok else worst)
 
 

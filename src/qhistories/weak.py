@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import Dynamics, transport
 from .histories import VanishingProbabilityError
 from .statespace import (
-    DEFAULT_TOL, Ket, Projector, _apply, _require_slice, _trusted, inner,
+    Ket, Projector, _apply, _negligible, _require_slice, _trusted, inner,
 )
 
 
@@ -44,7 +44,7 @@ class TwoStateVector:
         by `_apply`: a label projector by its support, bit for bit."""
         _require_slice(q, self.forward.slice, "projector")
         denom = self.overlap()
-        if abs(denom) <= DEFAULT_TOL:
+        if _negligible(abs(denom), "amplitude"):
             raise VanishingProbabilityError(
                 "post-selection is incompatible with pre-selection: "
                 f"|<backward|forward>| = {abs(denom):.3g}",
@@ -110,10 +110,11 @@ def presence_table(
         if t not in tsvs:
             tsvs[t] = two_state_vector(dyn, initial, final, t)
         wv = tsvs[t].weak_value(q)
-        tsvf = PresenceVerdict.PRESENT if abs(wv) > DEFAULT_TOL else PresenceVerdict.ABSENT
-        if abs(wv - 1.0) <= DEFAULT_TOL:
+        absent = _negligible(abs(wv), "weak value")
+        tsvf = PresenceVerdict.ABSENT if absent else PresenceVerdict.PRESENT
+        if _negligible(abs(wv - 1.0), "weak value"):
             ch = PresenceVerdict.PRESENT
-        elif abs(wv) <= DEFAULT_TOL:
+        elif absent:
             ch = PresenceVerdict.ABSENT
         else:
             ch = PresenceVerdict.MEANINGLESS

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qhistories.dynamics import Dynamics, StepUnitary, _require_unitary, transport
 from qhistories.histories import History, chain_ket
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, build_no_bs34, time_slices
-from qhistories.statespace import DEFAULT_TOL, Ket, TimeSlice, basis_ket, projector_from_labels
+from qhistories.statespace import (
+    _CUTS, DEFAULT_TOL, Ket, TimeSlice, basis_ket, projector_from_labels,
+)
 from test_golden import ALPHA2 as GOLDEN_ALPHA2
 from test_histories import haar_dynamics
 
@@ -102,13 +104,15 @@ def test_stacked_check_names_a_broken_step_at_its_own_position(dyn, position):
 
 @pytest.mark.parametrize(
     "e, accepted",
-    [(np.nextafter(DEFAULT_TOL, 0.0), True), (DEFAULT_TOL, True),
-     (np.nextafter(DEFAULT_TOL, 1.0), False)],
+    [(np.nextafter(_CUTS["residual"], 0.0), True), (_CUTS["residual"], True),
+     (np.nextafter(_CUTS["residual"], np.inf), False)],
     ids=["just-under", "at", "just-over"],
 )
 def test_unitarity_cut_is_default_tol(e, accepted):
     # U^dagger U - I of [[1, e], [0, 1]] holds e at (0, 1), exactly, and
-    # e**2 at (1, 1), which rounds away against 1: the residual is e
+    # e**2 at (1, 1), which rounds away against 1: the residual is e, a
+    # residual judged at the table's residual cut
+    assert _CUTS["residual"] == DEFAULT_TOL
     frm, to = TimeSlice(0, ("x", "y")), TimeSlice(1, ("x", "y"))
     u = np.array([[1.0, e], [0.0, 1.0]])
     if accepted:

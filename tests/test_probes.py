@@ -32,6 +32,7 @@ from qhistories.probes import (
     standard_probes,
 )
 from qhistories.statespace import (
+    _CUTS,
     DEFAULT_TOL,
     PDI,
     Ket,
@@ -466,14 +467,17 @@ def joint(amps, ids="pqrs"):
 
 class TestBranchComponents:
     def test_branch_at_tol_dropped_and_just_above_kept(self):
-        above = float(np.nextafter(DEFAULT_TOL, 1.0))
+        # a branch norm is an amplitude, judged at the table's amplitude cut
+        cut = _CUTS["amplitude"]
+        assert cut == DEFAULT_TOL
+        above = float(np.nextafter(cut, np.inf))
         amps = np.zeros((2, 4), dtype=complex)
         amps[0, 0] = 1.0
-        amps[1, 1] = DEFAULT_TOL
+        amps[1, 1] = cut
         amps[0, 3] = above
         js = joint(amps)
         # the column norms are exactly the cut and the next float above it
-        assert np.linalg.norm(amps, axis=0).tolist() == [1.0, DEFAULT_TOL, 0.0, above]
+        assert np.linalg.norm(amps, axis=0).tolist() == [1.0, cut, 0.0, above]
         kept = branch_components(js)
         assert [br.kappa for br in kept] == ["o", "pq"]
         assert kept[1].phi.norm() == above
@@ -600,6 +604,10 @@ class TestGivenDetector:
         assert isinstance(err.value, ValueError)
         assert err.value.probability == 0.0
         assert dist.given_detector("H4") == {"o": 1.0}
+        # 0.0 is the detector-mass cut; the least float above it is a mass
+        assert _CUTS["detector mass"] == 0.0
+        above = OutcomeDistribution({("F4", "o"): np.nextafter(0.0, np.inf), ("H4", "o"): 1.0})
+        assert above.given_detector("F4") == {"o": 1.0}
 
     def test_unknown_detector_is_an_input_error(self):
         dist = OutcomeDistribution({("F4", "o"): 0.0, ("H4", "o"): 1.0})
@@ -824,10 +832,13 @@ class TestReadoutReference:
 
     def test_caller_built_keys_follow_key_order(self):
         # not grouped by detector, with one cell exactly at the support cut
-        probs = {("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25, ("F4", "a"): DEFAULT_TOL}
+        # (a probability) and one a float above it
+        cut = _CUTS["probability"]
+        probs = {("H4", "o"): 0.5, ("F4", "o"): 0.25, ("H4", "a"): 0.25, ("F4", "a"): cut,
+                 ("H4", "b"): np.nextafter(cut, np.inf)}
         dist = OutcomeDistribution(probs)
         assert_readout_matches_reference(dist)
-        assert coincidence_support(dist) == {"H4": {"o", "a"}, "F4": {"o"}}
+        assert coincidence_support(dist) == {"H4": {"o", "a", "b"}, "F4": {"o"}}
         assert list(sample(dist, 1000, seed=3)) == list(probs)[:3]
 
 
@@ -933,6 +944,22 @@ class TestSampling:
         dist = outcome_distribution(js, detector_pdi(dyn))
         with pytest.raises(ValueError, match=">= 1"):
             sample(dist, 0, seed=1)
+
+    def test_mass_deviation_cut_is_1e_6(self):
+        # |total - 1| = 1e-6 exactly is not a float difference near 1, so
+        # the totals are the floats on each side of the cut: 1 + 1e-6
+        # rounds to a deviation below it, and the next float and 1 - 1e-6
+        # deviate by more
+        cut = _CUTS["mass deviation"]
+        assert cut == 1e-6
+        for total, accepted in ((1 + cut, True), (np.nextafter(1 + cut, 2.0), False),
+                                (1 - cut, False)):
+            dist = OutcomeDistribution({("F4", "o"): total})
+            if accepted:
+                assert sample(dist, 10, seed=1) == {("F4", "o"): 10}
+            else:
+                with pytest.raises(ValueError, match="is not 1"):
+                    sample(dist, 10, seed=1)
 
     def test_sample_count_must_fit_an_int64(self):
         dyn, s0 = model()

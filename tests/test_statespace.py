@@ -1,8 +1,10 @@
+import ast
 import copy
 import dataclasses
 import inspect
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from test_histories import haar_dynamics, haar_unitary
 
 import qhistories
-from qhistories.dynamics import transport
+from qhistories.dynamics import StepUnitary, transport
 from qhistories.histories import Family, History, born_probabilities, chain_ket, consistency_check
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
 from qhistories.probes import (
@@ -25,12 +27,15 @@ from qhistories.probes import (
 )
 from qhistories.statespace import (
     _AMPLITUDE_BOUND,
+    _CUTS,
+    DEFAULT_TOL,
     PDI,
     Ket,
     Projector,
     TimeSlice,
     _apply,
     _label_mask,
+    _negligible,
     basis_ket,
     identity_projector,
     inner,
@@ -49,9 +54,23 @@ def test_slice_rejects_duplicate_labels():
         TimeSlice(0, ("A", "A", "B"))
 
 
-def test_slice_rejects_empty_basis():
-    with pytest.raises(ValueError):
-        TimeSlice(0, ())
+@pytest.mark.parametrize(
+    "time_index, basis, message",
+    [
+        (0, (), "slice basis must be non-empty"),
+        (0, ("A", ""), "channel label '' is not a non-empty string"),
+        (0, (1, 2), "channel label 1 is not a non-empty string"),
+        ("1", ("A",), "time index '1' is not an integer"),
+        (1.5, ("A",), "time index 1.5 is not an integer"),
+        (-1, ("A",), "time_index must be >= 0, got -1"),
+    ],
+    ids=["empty-basis", "empty-label", "int-labels", "str-index", "float-index", "negative"],
+)
+def test_slice_rejects_malformed_input(time_index, basis, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TimeSlice(time_index, basis)
+    # an index `operator.index` accepts is held as the int it gives
+    assert type(TimeSlice(np.int64(2), ("A",)).time_index) is int
 
 
 def test_slice_axis_reads_every_position_and_rejects_foreign_labels():
@@ -129,8 +148,8 @@ def test_label_mask_is_exact():
 
 
 def test_no_public_callable_takes_a_tolerance():
-    # DEFAULT_TOL is the one cut-off: no function, constructor or method of
-    # the package takes a tolerance of its own
+    # the cuts live in one table, `_CUTS`: no function, constructor or
+    # method of the package takes a tolerance of its own
     checked = set()
     for name, obj in vars(qhistories).items():
         if name.startswith("_") or not callable(obj):
@@ -203,6 +222,57 @@ def test_rank_one_inside_rank_two_subspace():
 def test_projector_from_zero_ket_rejected():
     with pytest.raises(ValueError, match="zero ket"):
         projector_from_ket(Ket(T2, [0.0, 0.0, 0.0]))
+    # the squared norm exactly at the ray cut, DEFAULT_TOL**2, is a zero
+    # ket; the next float above it, reached by a second tiny amplitude, is not
+    cut = _CUTS["ray norm2"]
+    assert cut == DEFAULT_TOL**2
+    at = Ket(T2, [DEFAULT_TOL, 0.0, 0.0])
+    above = Ket(T2, [DEFAULT_TOL, np.sqrt(np.spacing(cut)), 0.0])
+    assert np.vdot(at.amplitudes, at.amplitudes).real == cut
+    assert np.vdot(above.amplitudes, above.amplitudes).real == np.nextafter(cut, np.inf)
+    with pytest.raises(ValueError, match="zero ket"):
+        projector_from_ket(at)
+    assert projector_from_ket(above).slice == T2
+
+
+@pytest.mark.parametrize("kind", sorted(_CUTS))
+def test_each_cut_is_negligible_and_the_next_float_is_not(kind):
+    cut = _CUTS[kind]
+    above = np.nextafter(cut, np.inf)
+    assert _negligible(cut, kind) and not _negligible(above, kind)
+    # elementwise on an array, with the verdicts of the scalars
+    values = np.array([np.nextafter(cut, -np.inf), cut, above])
+    assert _negligible(values, kind).tolist() == [True, True, False]
+
+
+def test_no_module_but_statespace_holds_a_cut():
+    # DEFAULT_TOL appears outside statespace only as the package export and
+    # the paper-suite tolerance of `cli.RunConfig`; no comparison outside
+    # statespace holds a float literal but the range bounds 0.0 and 1.0, nor
+    # judges a value by `<= 0.0` or `> 0.0`, nor calls `isclose`
+    src = Path(qhistories.__file__).parent
+    uses = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "statespace.py":
+            continue
+        text = path.read_text()
+        uses[path.name] = [line.strip() for line in text.splitlines() if "DEFAULT_TOL" in line]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                floats = [o.value for o in operands
+                          if isinstance(o, ast.Constant) and isinstance(o.value, float)]
+                assert set(floats) <= {0.0, 1.0}, (path.name, node.lineno)
+                for op, right in zip(node.ops, node.comparators):
+                    if isinstance(op, (ast.LtE, ast.Gt)) and isinstance(right, ast.Constant):
+                        assert right.value != 0.0, (path.name, node.lineno)
+            name = getattr(node, "attr", getattr(node, "id", None))
+            assert name != "isclose", (path.name, node.lineno)
+    assert {name: lines for name, lines in uses.items() if lines} == {
+        "__init__.py": ["DEFAULT_TOL,"],
+        "cli.py": ["from .statespace import DEFAULT_TOL, _negligible, basis_ket, inner",
+                   "tolerance: float = DEFAULT_TOL"],
+    }
 
 
 def test_projector_idempotent_on_own_ray():
@@ -635,10 +705,31 @@ def test_copies_of_a_label_projector_keep_its_mask_and_matrix(copier):
     for d in (3, 64):
         for p, _ in _built_label_projectors(d):
             dup = copier(p)
+            assert "matrix" not in vars(dup)
             assert (dup.slice, dup.name) == (p.slice, p.name)
             assert dup._on.tobytes() == p._on.tobytes()
             assert dup.matrix.tobytes() == p.matrix.tobytes()
             assert dup.matrix.flags.writeable is False
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copies_are_no_new_input(copier, monkeypatch):
+    # pickle and copy rebuild a value from what it holds, with no check rerun
+    values = [T2, StepUnitary(T2, TimeSlice(3, T2.basis), np.eye(3)),
+              Projector(T2, np.diag([1, 0, 1])), projector_from_labels(T2, {"A"})]
+
+    def rerun(self):
+        raise AssertionError(f"{type(self).__name__} checked again")
+
+    for cls in (TimeSlice, StepUnitary, Projector):
+        monkeypatch.setattr(cls, "__post_init__", rerun)
+    for value in values:
+        dup = copier(value)
+        assert type(dup) is type(value) and vars(dup).keys() == vars(value).keys()
 
 
 def _dense(p):

@@ -9,9 +9,10 @@ from qhistories.histories import (
     Defined, History, Incommensurate, VanishingProbabilityError, chain_ket, infer,
 )
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
+from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.statespace import (
-    Ket, Projector, basis_ket, identity_projector, inner, projector_from_ket,
-    projector_from_labels,
+    _CUTS, DEFAULT_TOL, Ket, Projector, TimeSlice, basis_ket, identity_projector, inner,
+    projector_from_ket, projector_from_labels,
 )
 from qhistories.weak import (
     PresenceVerdict,
@@ -183,6 +184,23 @@ class TestPresence:
         assert rows["B2"].ch is PresenceVerdict.MEANINGLESS
         assert rows["E3"].tsvf is PresenceVerdict.ABSENT
         assert rows["E3"].ch is PresenceVerdict.ABSENT
+
+    def test_weak_value_cut_decides_both_readings(self):
+        # An identity step, initial [1, -1, 1] and final [w, w, 1]: the
+        # overlap sums w - w + 1 = 1 exactly, and the weak value of the x
+        # channel is w / 1 = w, exactly at the weak-value cut and one float
+        # above it.
+        cut = _CUTS["weak value"]
+        assert cut == DEFAULT_TOL
+        s0, s1 = TimeSlice(0, ("x", "y", "z")), TimeSlice(1, ("x", "y", "z"))
+        dyn = Dynamics((s0, s1), (StepUnitary(s0, s1, np.eye(3)),))
+        x1 = projector_from_labels(s1, {"x"})
+        for w, reading in ((cut, PresenceVerdict.ABSENT),
+                           (np.nextafter(cut, np.inf), PresenceVerdict.PRESENT)):
+            (row,) = presence_table(dyn, Ket(s0, [1, -1, 1]), Ket(s1, [w, w, 1]), [x1])
+            assert row.weak_value == w
+            assert row.tsvf is reading
+            assert row.ch is (reading if w == cut else PresenceVerdict.MEANINGLESS)
 
     @pytest.mark.parametrize("alpha2", GRID)
     def test_history_verdict_agrees_with_inference(self, alpha2):
