@@ -10,7 +10,9 @@ probabilities raises, with the offending overlaps attached.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from .dynamics import Dynamics, _carry, _require_on, transport
 from .statespace import (
-    Ket, Projector, TimeSlice, _apply, _distance, _negligible, _overlap, _require_slice,
-    _trusted, identity_projector,
+    _STACK, Ket, Projector, TimeSlice, _apply_each, _distance, _negligible, _overlap, _rank,
+    _require_slice, _sum, _trusted, identity_projector,
 )
 
 
@@ -30,7 +32,16 @@ class History:
     events: tuple[tuple[int, Projector], ...]
 
     def __post_init__(self):
-        events = tuple((int(t), p) for t, p in self.events)
+        events = []
+        for ev in self.events if hasattr(self.events, "__iter__") else [self.events]:
+            t, p = ev if isinstance(ev, tuple) and len(ev) == 2 else (None, None)
+            if not isinstance(p, Projector):
+                raise ValueError(f"history event {ev!r} is not a (time, projector) pair")
+            try:
+                events.append((operator.index(t), p))
+            except TypeError:
+                raise ValueError(f"history event time {t!r} is not an integer") from None
+        events = tuple(events)
         times = [t for t, _ in events]
         if any(t < 0 for t in times):
             raise ValueError("event times must be >= 0")
@@ -98,10 +109,8 @@ def _coverage_fault(histories: Sequence[History]) -> str:
     Projectors sum to the identity iff they are pairwise orthogonal and
     their ranks sum to its dimension.  Two history operators are orthogonal
     iff their events at some shared time are; an absent event is I, which
-    is orthogonal to none.  A rank is exact: a label projector's is the
-    count of its support (`_on`), the integer its 0/1 trace gives, and any
-    other's is the rounded trace.  `memo` keeps each (P, Q) verdict for
-    this call only.
+    is orthogonal to none.  A rank is exact (`_rank`).  `memo` keeps each
+    (P, Q) verdict for this call only.
     """
     slices: dict[int, TimeSlice] = {}
     for h in histories:
@@ -120,21 +129,13 @@ def _coverage_fault(histories: Sequence[History]) -> str:
                     break
             else:
                 return f"histories {i} and {j} overlap"
-    # A dense trace summed in Python: a numpy reduction costs ~5x more per call.
-    ranks = {p: round(sum(p.matrix.diagonal().real.tolist())) if p._on is None
-             else int(np.count_nonzero(p._on)) for e in events for p in e.values()}
+    ranks = {p: _rank(p) for p in {p for e in events for p in e.values()}}
     rank = sum(
         math.prod(ranks[e[t]] if t in e else slc.dim for t, slc in slices.items())
         for e in events
     )
     dim = math.prod(slc.dim for slc in slices.values())
     return "" if rank == dim else f"ranks sum to {rank}, not {dim}"
-
-
-#: The fewest carries (or label events) at one depth that the walk stacks.
-#: Below it, lone products cost less: at d = 3 and d = 64, two stacked rows
-#: cost more than two lone ones once the stack is built and split again.
-_STACK = 3
 
 
 def _walk(
@@ -153,10 +154,8 @@ def _walk(
       `steps[j].matrix @ x`, which numpy runs as one gemv per row: the bits
       of a lone `U @ v`.  A carry runs backward through the adjoints only
       for a public `chain_ket` whose first event lies before its ket's time.
-    - It applies the depth's events: label events with one masked product,
-      `x[slot] * ons + 0.0`, the elementwise arithmetic of `_apply`, and
-      any depth with a dense event through `_apply`.
-    A depth with fewer than `_STACK` carries or events takes lone products.
+    - It applies the depth's events to their carried rows (`_apply_each`).
+    A depth with fewer than `_STACK` carries takes lone products.
     Every amplitude thus has the bits of an independent chain.
     """
     levels = [({}, {}, []) for _ in range(max(map(len, histories)))]
@@ -186,10 +185,7 @@ def _walk(
                 stack = np.array([x[parent] for _, parent in group])[..., None]
                 for (slot, _), row in zip(group, _carry(dyn, stack, s, t)[..., 0]):
                     y[slot] = row
-        if len(kids) < _STACK or any(p._on is None for _, p in kids):
-            x = [_apply(p, y[slot]) for slot, p in kids]
-        else:
-            x = np.array([y[slot] for slot, _ in kids]) * np.array([p._on for _, p in kids]) + 0.0
+        x = _apply_each(kids, y)
         nodes.append(x)
     return [nodes[depth][node] for depth, node in leaves]
 
@@ -403,52 +399,38 @@ def refine(fam: Family, time_index: int, parts: Sequence[Projector]) -> Family:
     histories pass through unchanged.  The result is returned *unvalidated*:
     consistency of a refinement is a separate question, and once lost it
     cannot be restored by refining further.  A history event at that time
-    must live on the parts' slice.  When the parts and an event are label
-    projectors, the overlap and split tests read their recorded supports:
-    the parts must be pairwise disjoint, and their sum is the label
-    projector of the union.
+    must live on the parts' slice.
     """
     parts = tuple(parts)
     if not parts:
         raise ValueError("refinement needs at least one part")
     slc = parts[0].slice
     if slc.time_index != time_index:
-        raise ValueError(
-            f"parts live at time {slc.time_index}, not {time_index}"
-        )
+        raise ValueError(f"parts live at time {slc.time_index}, not {time_index}")
     for p in parts[1:]:
         _require_slice(p, slc, "part")
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not _negligible(_overlap(parts[i], parts[j]), "residual"):
                 raise ValueError(f"refinement parts {i} and {j} overlap")
-    ons = [p._on for p in parts]
-    union = None if any(on is None for on in ons) else np.logical_or.reduce(ons)
-    total = None
-
-    t = int(slc.time_index)
+    total = _sum(parts)
+    t = slc.time_index
     new_histories: list[History] = []
     splits: dict[Projector | None, bool] = {}
     for h in fam.histories:
         e = h.event_at(t)
         if e not in splits:
-            if e is not None:
-                _require_slice(e, slc, "history event")
-            e_on = np.ones(slc.dim, dtype=bool) if e is None else e._on
-            if union is not None and e_on is not None:
-                splits[e] = not (e_on != union).any()
-            else:
-                if total is None:
-                    total = sum(p.matrix for p in parts)
-                e_mat = np.eye(slc.dim) if e is None else e.matrix
-                splits[e] = _negligible(float(np.max(np.abs(e_mat - total))), "residual")
+            ev = identity_projector(slc) if e is None else e
+            _require_slice(ev, slc, "history event")
+            splits[e] = _negligible(_distance(ev, total), "residual")
         if splits[e]:
-            # a valid history split at a checked slice is valid
-            before = tuple(ev for ev in h.events if ev[0] < t)
-            after = tuple(ev for ev in h.events if ev[0] > t)
-            new_histories.extend(
-                _trusted(History, events=(*before, (t, p), *after)) for p in parts
-            )
+            # a valid history split at a checked slice is valid; built as `_trusted` would
+            k = bisect.bisect_left(h.events, t, key=operator.itemgetter(0))
+            before, after = h.events[:k], h.events[k + (e is not None):]
+            for p in parts:
+                split = object.__new__(History)
+                split.__dict__["events"] = (*before, (t, p), *after)
+                new_histories.append(split)
         else:
             new_histories.append(h)
     if not any(splits.values()):

@@ -7,10 +7,9 @@ small (d channels x 2^n probe patterns), so everything is dense.  A
 coupling writes only its probe's excited half, empty until then.  Readout
 works on the whole amplitude array at once.  The outcome distribution is
 held as one read-only cell array that its accessors, support and sampling
-read.  Label-projector detectors (and `slice_pdi`) sum |amplitude|^2 by one
-0/1 mask product, or by masked sums once a part has three or more channels;
-any other detector takes one broadcast matrix product of all parts over all
-2^n patterns.  The branch decomposition is one column-norm call.
+read.  The cells of all detector parts over all 2^n patterns come from one
+call (`statespace._norms2`), and the branch decomposition from one
+column-norm call.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -31,7 +30,8 @@ import numpy as np
 from .dynamics import Dynamics, _carry, _require_on
 from .histories import VanishingProbabilityError
 from .statespace import (
-    Ket, PDI, TimeSlice, _frozen_array, _negligible, _reduce_held, _require_slice, _trusted,
+    Ket, PDI, TimeSlice, _frozen_array, _negligible, _norms2, _reduce_held, _require_slice,
+    _trusted,
 )
 
 
@@ -365,26 +365,8 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
             raise ValueError(f"detector name {det!r} is given to more than one part")
     order = _kappa_order(len(js.probes))
     by_mask = js._labels
-    # One row per pattern (2^n, d), in `order`.  Every cell is a sum over
-    # d of contiguous |.|^2 terms in a (k, 2^n, d) layout, so it has the
-    # value that part's and pattern's own matrix-vector product and sum
-    # give, bit for bit.  A label projector keeps some terms and zeroes the
-    # rest, as its 0/1 support times |.|^2 does (x*1 = x, x*0 = +0); with
-    # at most two kept terms, a mask product sums them with one rounding in
-    # any order.
-    ons = [part._on for part in detector_pdi.parts]
-    cols = js.amplitudes.T[list(order)]
-    if all(on is not None for on in ons):
-        on, sq = np.array(ons, dtype=float), np.abs(cols) ** 2
-        if max(on.sum(axis=1).tolist()) <= 2:
-            cells = (on @ sq.T).ravel()
-        else:
-            cells = np.sum(on[:, None, :] * sq, axis=2).ravel()
-    else:
-        # Parts (k, 1, d, d) over one column vector per pattern (1, 2^n, d, 1).
-        mats = np.stack([part.matrix for part in detector_pdi.parts])
-        prods = np.matmul(mats[:, None], cols[None, :, :, None])
-        cells = np.sum(np.abs(prods) ** 2, axis=(2, 3)).ravel()
+    # One row per pattern, in `order`.
+    cells = _norms2(detector_pdi.parts, js.amplitudes.T[list(order)]).ravel()
     keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 

@@ -20,19 +20,14 @@ amplitude may lie past the bound by up to a factor sqrt(d), since a step
 mixes d amplitudes.  Pickle and copy rebuild a value from what it holds,
 not through the intake (`_reduce_held`): a copy is no new input.
 
-A channel-label projector (exactly a 0/1 diagonal matrix) records its
-support, the diagonal as a boolean mask, when it is built: label, identity
-and complement projectors from their parts, a checked matrix by one exact
-test of its entries.  The label projectors the library builds hold only
-that mask; their `matrix` is built from it on each read, which the
-library makes only where a label projector meets a dense one.  The
-consistent-histories bookkeeping (equal, orthogonal, split, rank, the sum
-of a decomposition) compares projectors on one slice and reads those
-masks when every projector involved has one; the answers are the dense
-ones, since for 0/1 diagonal matrices every residual is exactly 0 or 1.
-Applying an event to amplitudes (`_apply`: chain kets, the decoherence
-walk, weak values) multiplies by its mask, with the dense product's bits.
-Rays and rotated projectors take the dense path.
+Only this module reads a projector's format.  A channel-label projector
+(exactly a 0/1 diagonal matrix) records its support `_on`, a boolean mask,
+when it is built; the ones the library builds hold nothing else, and their
+`matrix` is built from the mask on each read.  Any other projector holds
+its d x d `matrix`.  The private helpers below (`_apply`, `_apply_each`,
+`_norms2`, `_sum`, `_rank`, `_distance`, `_overlap`) answer from the masks
+when every projector involved has one, with the dense answers' bits: for
+0/1 diagonal matrices every residual is exactly 0 or 1.
 
 Every thresholded verdict takes one rule, `_negligible`: a value at or
 below the cut of its kind in `_CUTS` is negligible, and no call takes a
@@ -145,6 +140,9 @@ class TimeSlice:
             raise ValueError(f"time index {self.time_index!r} is not an integer") from None
         if self.time_index < 0:
             raise ValueError(f"time_index must be >= 0, got {self.time_index}")
+        if isinstance(self.basis, str) or not hasattr(self.basis, "__iter__"):
+            raise ValueError(f"slice basis {self.basis!r} is not a sequence of channel labels")
+        object.__setattr__(self, "basis", tuple(self.basis))
         if not self.basis:
             raise ValueError("slice basis must be non-empty")
         for lab in self.basis:
@@ -152,7 +150,6 @@ class TimeSlice:
                 raise ValueError(f"channel label {lab!r} is not a non-empty string")
         if len(set(self.basis)) != len(self.basis):
             raise ValueError(f"channel labels must be distinct, got {self.basis}")
-        object.__setattr__(self, "basis", tuple(self.basis))
         # label -> position; not a field, so repr, == and hash see the two
         # fields only
         object.__setattr__(self, "_axes", {lab: j for j, lab in enumerate(self.basis)})
@@ -312,6 +309,56 @@ def _apply(p: Projector, v: np.ndarray) -> np.ndarray:
     return v * p._on + 0.0
 
 
+#: The fewest rows one stacked product takes (the carries of `histories._walk`,
+#: `_apply_each`).  Below it, lone products cost less: at d = 3 and d = 64, two
+#: stacked rows cost more than two lone ones once built and split again.
+_STACK = 3
+
+
+def _apply_each(pairs: Sequence[tuple[int, Projector]], rows) -> list | np.ndarray:
+    """`_apply(p, rows[i])` for each (i, p) in `pairs`, bit for bit.  At
+    least `_STACK` label projectors take one masked product of the stacked
+    rows, the elementwise arithmetic of `_apply`."""
+    if len(pairs) < _STACK or any(p._on is None for _, p in pairs):
+        return [_apply(p, rows[i]) for i, p in pairs]
+    return np.array([rows[i] for i, _ in pairs]) * np.array([p._on for _, p in pairs]) + 0.0
+
+
+def _norms2(parts: Sequence[Projector], cols: np.ndarray) -> np.ndarray:
+    """|p v|^2 of each p in `parts` (a row) and row v of `cols` (a column),
+    bit for bit as p's own product and sum give it: each is a sum of d
+    contiguous |.|^2 terms, zeroed off a label projector's support (x*0 =
+    +0), and a mask product sums at most two nonzero terms in any order."""
+    ons = [p._on for p in parts]
+    if all(on is not None for on in ons):
+        on, sq = np.array(ons, dtype=float), np.abs(cols) ** 2
+        if max(on.sum(axis=1).tolist()) <= 2:
+            return on @ sq.T
+        return np.sum(on[:, None, :] * sq, axis=2)
+    # Parts (k, 1, d, d) over one column vector per row (1, n, d, 1).
+    prods = np.matmul(np.stack([p.matrix for p in parts])[:, None], cols[None, :, :, None])
+    return np.sum(np.abs(prods) ** 2, axis=(2, 3))
+
+
+def _sum(parts: Sequence[Projector]) -> Projector:
+    """The sum of `parts`, pairwise orthogonal projectors on one slice: the
+    label projector of the union of their supports when every part has one
+    (disjoint 0/1 masks sum to it exactly), else the dense sum."""
+    ons = [p._on for p in parts]
+    if all(on is not None for on in ons):
+        return _trusted(Projector, slice=parts[0].slice, name="", _on=np.logical_or.reduce(ons))
+    return _trusted(Projector, slice=parts[0].slice, matrix=sum(p.matrix for p in parts), name="")
+
+
+def _rank(p: Projector) -> int:
+    """The rank of `p`, exact: a label projector's is the count of its
+    support, the integer its 0/1 trace gives; any other's is the rounded
+    trace, summed in Python (a numpy reduction costs ~5x more per call)."""
+    if p._on is None:
+        return round(sum(p.matrix.diagonal().real.tolist()))
+    return int(np.count_nonzero(p._on))
+
+
 def _distance(a: Projector, b: Projector) -> float:
     """Max-norm of a - b, for two projectors on one slice.  For two label
     projectors it is exactly 0 or 1, read from their recorded supports."""
@@ -337,7 +384,7 @@ def _complement_name(p: Projector) -> str:
 
 
 def identity_projector(slc: TimeSlice) -> Projector:
-    on = np.ones(slc.dim, dtype=bool)
+    on = np.full(slc.dim, True)
     return _trusted(Projector, slice=slc, name=f"I{slc.time_index}", _on=on)
 
 

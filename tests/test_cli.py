@@ -2,8 +2,11 @@ import contextlib
 import csv
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -524,3 +527,44 @@ def test_every_cli_input_ends_with_a_documented_exit_code(argv):
         code = main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     assert err.getvalue().startswith("error: ") if code == 2 else not err.getvalue()
+
+
+def _console_script_lines():
+    """The commands of CI's "Console script" step, each as (argv, the exit
+    code the step requires): 0 for a plain `qhistories ...` line, N for a
+    `code=0; qhistories ... || code=$?; test "$code" -eq N` line."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "- name: Console script")
+    run_at = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run_at]) - len(lines[run_at].lstrip())
+    expected = re.compile(r'code=0; (qhistories .*) \|\| code=\$\?; test "\$code" -eq (\d+)')
+    commands = []
+    for line in lines[run_at + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        if not line.strip():
+            continue
+        m = expected.fullmatch(line.strip())
+        command, code = (m.group(1), int(m.group(2))) if m else (line.strip(), 0)
+        argv = shlex.split(command)
+        assert argv[0] == "qhistories", line
+        commands.append((argv[1:], code))
+    return commands
+
+
+CONSOLE_SCRIPT = _console_script_lines()
+
+
+@pytest.mark.parametrize("argv, code", CONSOLE_SCRIPT, ids=[" ".join(a) for a, _ in CONSOLE_SCRIPT])
+def test_ci_console_script_line_exits_with_its_code(argv, code):
+    # as the step runs it, with PYTHONWARNINGS=error, but in-process
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code, err.getvalue()

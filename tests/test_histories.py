@@ -66,6 +66,29 @@ def proj(dyn, t, labels):
     return projector_from_labels(dyn.slices[t], labels)
 
 
+_P1 = projector_from_labels(TimeSlice(1, ("A", "B")), {"A"})
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        (((1.5, _P1),), "history event time 1.5 is not an integer"),
+        (((np.float64(1.9), _P1),), f"history event time {np.float64(1.9)!r} is not an integer"),
+        ((("1", _P1),), "history event time '1' is not an integer"),
+        (((1, "x"),), "history event (1, 'x') is not a (time, projector) pair"),
+        (((1,),), "history event (1,) is not a (time, projector) pair"),
+        (5, "history event 5 is not a (time, projector) pair"),
+    ],
+    ids=["float-time", "float64-time", "str-time", "str-projector", "no-projector", "int-events"],
+)
+def test_history_rejects_malformed_events(events, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        History(events)
+    # a time `operator.index` accepts is held as the int it gives
+    (t, p), = History(((np.int64(1), _P1),)).events
+    assert type(t) is int and (t, p) == (1, _P1)
+
+
 class TestChainKets:
     def test_straight_arm_history(self):
         dyn, s0 = model(1 / 3)

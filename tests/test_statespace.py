@@ -58,13 +58,16 @@ def test_slice_rejects_duplicate_labels():
     "time_index, basis, message",
     [
         (0, (), "slice basis must be non-empty"),
+        (0, "AB", "slice basis 'AB' is not a sequence of channel labels"),
+        (0, 5, "slice basis 5 is not a sequence of channel labels"),
         (0, ("A", ""), "channel label '' is not a non-empty string"),
         (0, (1, 2), "channel label 1 is not a non-empty string"),
         ("1", ("A",), "time index '1' is not an integer"),
         (1.5, ("A",), "time index 1.5 is not an integer"),
         (-1, ("A",), "time_index must be >= 0, got -1"),
     ],
-    ids=["empty-basis", "empty-label", "int-labels", "str-index", "float-index", "negative"],
+    ids=["empty-basis", "str-basis", "int-basis", "empty-label", "int-labels", "str-index",
+         "float-index", "negative"],
 )
 def test_slice_rejects_malformed_input(time_index, basis, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -272,6 +275,24 @@ def test_no_module_but_statespace_holds_a_cut():
         "__init__.py": ["DEFAULT_TOL,"],
         "cli.py": ["from .statespace import DEFAULT_TOL, _negligible, basis_ket, inner",
                    "tolerance: float = DEFAULT_TOL"],
+    }
+
+
+def test_only_statespace_reads_a_projectors_format():
+    # a label projector's `_on` and any projector's `matrix` are read in
+    # statespace alone; the one other `.matrix` is a step's, in dynamics
+    src = Path(qhistories.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "statespace.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("_on", "matrix"):
+                reads.append((path.name, node.attr, ast.unparse(node.value)))
+            assert not (isinstance(node, ast.Constant) and node.value == "_on"), path.name
+    assert set(reads) == {
+        ("dynamics.py", "matrix", "self"),
+        ("dynamics.py", "matrix", "dyn.steps[j]"),
     }
 
 

@@ -2,14 +2,16 @@
 read it: `_match` (through `conditional_probability`), `refine`,
 `complement`, `pdi_validate` and `outcome_distribution`.
 
-Each check is run twice on random channel subsets: once on label
-projectors, which take the support path, and once on the same projectors
-rebuilt as a caller's `Projector` with a symmetric 1e-200 off-diagonal
-pair.  Those record no support and take the dense path, and every verdict,
-error, tree and cell must come out the same.
+Each check is run on random channel subsets: once on label projectors,
+which take the support path, and once on the same projectors rebuilt as a
+caller's `Projector` with a symmetric 1e-200 off-diagonal pair.  Those
+record no support and take the dense path, and every verdict, error, tree
+and cell must come out the same.  `refine` also takes each mixed pairing
+of events and parts.
 """
 
 import functools
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -94,6 +96,13 @@ def _family(draw):
     return d, dyn, groups, fam
 
 
+def _dense_family(fam: Family) -> Family:
+    """`fam` with every event rebuilt by `_dense`."""
+    return Family(fam.initial, tuple(
+        History(tuple((t, _dense(p)) for t, p in h.events)) for h in fam.histories
+    ))
+
+
 def _tree(fam: Family) -> list[list[tuple[int, str]]]:
     return [[(t, p.name) for t, p in h.events] for h in fam.histories]
 
@@ -140,9 +149,13 @@ def test_refine_trees_and_overlaps_agree_with_the_dense_path(data):
     if data.draw(st.booleans()):
         chosen.append(sorted(data.draw(_subsets(d))))
     parts = [_label(dyn.slices[t], sorted(g), f"R{i}") for i, g in enumerate(chosen)]
-    support = _outcome(lambda: _tree(refine(fam, t, parts)))
-    dense = _outcome(lambda: _tree(refine(fam, t, [_dense(p) for p in parts])))
-    assert support == dense
+    # label or dense family events (the identity where a history has none)
+    # against label or dense parts: every pairing gives the dense tree
+    fams = (fam, _dense_family(fam))
+    part_sets = (parts, [_dense(p) for p in parts])
+    dense = _outcome(lambda: _tree(refine(fams[1], t, part_sets[1])))
+    for f, ps in itertools.product(fams, part_sets):
+        assert _outcome(lambda: _tree(refine(f, t, ps))) == dense
 
 
 @settings(deadline=None, max_examples=60)
