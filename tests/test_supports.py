@@ -1,6 +1,7 @@
 """Label projectors record their support, and the projector-algebra checks
 read it: `_match` (through `conditional_probability`), `refine`,
-`complement`, `pdi_validate` and `outcome_distribution`.
+`complement`, `pdi_validate` and `outcome_distribution`, and `_distance`
+and `_overlap` against a dense projector.
 
 Each check is run on random channel subsets: once on label projectors,
 which take the support path, and once on the same projectors rebuilt as a
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.histories import Family, History, conditional_probability, refine
 from qhistories.probes import ProbeSpec, ProbeStrength, evolve_with_probes, outcome_distribution
+import qhistories.statespace as statespace
 from qhistories.statespace import (
-    PDI, Ket, Projector, TimeSlice, identity_projector, pdi_validate, projector_from_labels,
+    PDI, Ket, Projector, TimeSlice, _distance, _overlap, identity_projector, pdi_validate,
+    projector_from_ket, projector_from_labels,
 )
 
 DIMS = (3, 8, 64)
@@ -217,3 +220,31 @@ def test_outcome_cells_agree_with_the_dense_path(data):
     assert support._keys == dense._keys
     assert support._cells.tobytes() == dense._cells.tobytes()
 
+
+
+def test_mixed_label_and_dense_comparisons_read_the_mask(monkeypatch):
+    # A label projector against a ray or a rotated label projector, either
+    # way round: max |a b| and max |a - b| have the bits of the dense
+    # products, and no label matrix is built.  Empty and full masks included.
+    builds = []
+    build = statespace._label_matrix
+    for d in DIMS:
+        rng = np.random.default_rng([d, 36])
+        slc = _dynamics(d).slices[1]
+        for k in range(8):
+            chans = [] if k == 0 else range(d) if k == 1 else np.flatnonzero(rng.random(d) < 0.5)
+            label = _label(slc, sorted(chans), "L")
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            u = np.linalg.qr(z)[0]
+            rotated = Projector(slc, u @ np.diag(rng.permutation(d) < d // 2).astype(complex) @ u.conj().T)
+            for q in (projector_from_ket(Ket(slc, v)), rotated):
+                assert label._on is not None and q._on is None
+                for a, b in ((label, q), (q, label)):
+                    want = [float(np.max(np.abs(a.matrix @ b.matrix))).hex(),
+                            float(np.max(np.abs(a.matrix - b.matrix))).hex()]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(statespace, "_label_matrix", lambda on: builds.append(on) or build(on))
+                        got = [_overlap(a, b).hex(), _distance(a, b).hex()]
+                    assert got == want
+    assert builds == []
