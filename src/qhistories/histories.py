@@ -149,18 +149,18 @@ def _walk(
     depth: a node's children by (time, projector), and the distinct carries
     (parent, parent's time, time) its children need.  Each new child's
     event is checked against its slice, so every check precedes every
-    product.  The walk then goes down the tree one depth at a time, a
-    depth's nodes one (k, d) array, or a list of fewer than `_STACK` rows:
-    - It carries each parent to each time once (`_carry`).  Carries over
-      the same steps gather their parents with one index into `x` of shape
-      (k, d, 1), carried with `steps[j].matrix @ x`, which numpy runs as
-      one gemv per row: the bits of a lone `U @ v`.  A carry runs backward
-      through the adjoints only for a public `chain_ket` whose first event
-      lies before its ket's time.
+    product.  The walk then goes down the tree one depth at a time, each
+    depth's nodes one C-contiguous (k, d) array, the root's `v0[None]`:
+    - It carries each parent to each time once (`_carry`): fewer than
+      `_STACK` carries by lone `U @ v` products, more by gathering the
+      parents of the carries over the same steps with one index into `x` of
+      shape (k, d, 1), carried with `steps[j].matrix @ x`, which numpy runs
+      as one gemv per row, with the bits of a lone `U @ v`.  A carry runs
+      backward only for a `chain_ket` whose first event precedes its ket.
     - It applies the depth's events to their carried rows (`_apply_each`).
     If every sequence ends at the deepest level in first-visit order, the
-    result is that level's array, else one gather over all levels.  Every
-    amplitude thus has the bits of an independent chain.
+    result is that level's array itself, else one gather over all levels.
+    Every amplitude thus has the bits of an independent chain.
     """
     depth = max(map(len, histories))
     levels = [({}, {}, []) for _ in range(depth)]
@@ -178,11 +178,11 @@ def _walk(
             node, s = child, t
         leaves.append((len(events), node))
         ordered = ordered and len(events) == depth and node == i
-    x = [v0]
+    x = v0[None]
     nodes = [x]
     for _, carries, kids in levels:
         if len(carries) < _STACK:
-            y = [_carry(dyn, x[parent], s, t) for parent, s, t in carries]
+            y = np.array([_carry(dyn, x[parent], s, t) for parent, s, t in carries])
         else:
             spans = {}
             for slot, (parent, s, t) in enumerate(carries):
@@ -191,11 +191,11 @@ def _walk(
                 parents.append(parent)
             y = np.empty((len(carries), len(v0)), dtype=complex)
             for (s, t), (slots, parents) in spans.items():
-                y[slots] = _carry(dyn, np.asarray(x)[parents][..., None], s, t)[..., 0]
+                y[slots] = _carry(dyn, x[parents][..., None], s, t)[..., 0]
         x = _apply_each(kids, y)
         nodes.append(x)
     if ordered:
-        return x[0][None] if len(x) == 1 else np.asarray(x)
+        return x
     offsets = np.cumsum([0] + [len(level) for level in nodes[:-1]]).tolist()
     return np.concatenate(nodes)[[offsets[d] + node for d, node in leaves]]
 
@@ -209,7 +209,7 @@ def chain_ket(
     The result lives on the slice of the last event and is in general
     sub-normalized; its squared norm is the history's extended Born weight.
     An event-free history returns `initial` itself; any other runs `_walk`
-    on one history, whose lone rows stay 1-d arrays down to the last level.
+    on one history and reads row 0 of its one-row array.
 
     `_tree` maps the histories of a family to their rows in the family's
     walked C; `_decoherence` is the only caller that passes it, and the call

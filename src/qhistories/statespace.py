@@ -310,25 +310,24 @@ def _apply(p: Projector, v: np.ndarray) -> np.ndarray:
     return v * p._on + 0.0
 
 
-#: The fewest rows `histories._walk` holds as one array, for its carries and
-#: `_apply_each`.  Below it, a list of lone rows costs less: at d = 3 and d = 64,
-#: two stacked rows cost more than two lone ones, and one row would pay for
-#: its wrapping in every lone `chain_ket`.
+#: The fewest carries (`histories._walk`) or label events (`_apply_each`)
+#: taken as one stacked product; fewer take lone products, held as one array.
+#: Both keep every bit.  Stacking all (`_STACK = 1`) lowered `paper_cli`
+#: ops/s by 1-12 % in 8 of 8 alternated pairs on a 2-vCPU Xeon VM.
 _STACK = 3
 
 
-def _apply_each(pairs: Sequence[tuple[int, Projector]], carried):
-    """`_apply(p, carried[i])` for each (i, p) in `pairs`, bit for bit, from
-    an (m, d) array or a list of rows: a list of rows below `_STACK`, else
-    one (k, d) array.  At least `_STACK` label projectors gather their rows
-    once and take one masked product in place, the arithmetic of `_apply`."""
+def _apply_each(pairs: Sequence[tuple[int, Projector]], carried: np.ndarray) -> np.ndarray:
+    """`_apply(p, carried[i])` for each (i, p) in `pairs`, bit for bit, as one
+    (k, d) array from the (m, d) array `carried`: one masked product in place
+    for at least `_STACK` label projectors (`_apply`'s arithmetic), else lone
+    `_apply` products."""
     if len(pairs) >= _STACK and all(p._on is not None for _, p in pairs):
-        x = np.asarray(carried)[[i for i, _ in pairs]]
+        x = carried[[i for i, _ in pairs]]
         x *= np.array([p._on for _, p in pairs])
         x += 0.0
         return x
-    rows = [_apply(p, carried[i]) for i, p in pairs]
-    return rows if len(rows) < _STACK else np.array(rows)
+    return np.array([_apply(p, carried[i]) for i, p in pairs])
 
 
 def _norms2(parts: Sequence[Projector], cols: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_golden import ALPHA2 as GOLDEN_ALPHA2
 from test_golden import cases, run
 
-from qhistories.cli import ConfigError, RunConfig, _suite, main, parse_config, run_report
+from qhistories.cli import ConfigError, Row, RunConfig, _suite, main, parse_config, render, run_report
 from qhistories.histories import conditional_probability
 from qhistories.mzi import BeamSplitterParams, NamedFamilyId, build_nested_mzi, named_family
 from qhistories.probes import BUILTIN_ORDER
@@ -216,6 +216,16 @@ class TestCsvFormat:
         # full-precision values round-trip through repr
         for r in rows:
             float(r[2]), float(r[3])
+
+    def test_complex_values_render_as_text_and_csv(self):
+        # the built-in model is real, so no CLI input reaches a complex value
+        row = Row("wv(X)", "alpha2=0.5", 0.5 - 0.25j)
+        assert render([row], "text") == "wv(X) [alpha2=0.5] = 0.5-0.25j\n"
+        assert render([row], "csv").splitlines()[1] == "wv(X),alpha2=0.5,0.5,-0.25,"
+        # an imaginary part of -0.0 is zero: the text shows a real
+        row = Row("wv(X)", "alpha2=0.5", complex(0.5, -0.0))
+        assert render([row], "text") == "wv(X) [alpha2=0.5] = 0.5\n"
+        assert render([row], "csv").splitlines()[1] == "wv(X),alpha2=0.5,0.5,-0.0,"
 
 
 class TestSuite:

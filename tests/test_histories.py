@@ -53,7 +53,7 @@ from qhistories.statespace import (
     projector_from_ket,
     projector_from_labels,
 )
-from qhistories.weak import presence_table, weak_value
+from qhistories.weak import presence_table, two_state_vector, weak_value
 
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
@@ -88,6 +88,48 @@ def test_history_rejects_malformed_events(events, message):
     # a time `operator.index` accepts is held as the int it gives
     (t, p), = History(((np.int64(1), _P1),)).events
     assert type(t) is int and (t, p) == (1, _P1)
+
+
+_SL = [TimeSlice(t, ("A", "B")) for t in range(4)]
+_A = [projector_from_labels(slc, {"A"}) for slc in _SL]
+_K0 = basis_ket(_SL[0], "A")
+_PROBE = ProbeSpec("x", frozenset({(1, "A")}))
+
+
+def _steps(slices):
+    return tuple(StepUnitary(a, b, np.eye(2)) for a, b in zip(slices, slices[1:]))
+
+
+_DYN = Dynamics(tuple(_SL), _steps(_SL))
+
+
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda: projector_from_labels(_SL[0], []), "label set must be non-empty"),
+        (lambda: statespace.pdi_validate([]), "a decomposition needs at least one part"),
+        (lambda: Dynamics((_SL[0],), ()), "dynamics needs at least one step"),
+        (lambda: Dynamics(_SL[:3], _steps(_SL[:2])), "3 slices cannot be joined by 1 steps"),
+        (lambda: Dynamics(_SL[1:3], _steps(_SL[1:3])), "slice at position 0 carries time index 1"),
+        (lambda: History(((-1, _A[1]),)), "event times must be >= 0"),
+        (lambda: History(((2, _A[2]), (1, _A[1]))),
+         "event times must strictly increase, got [2, 1]"),
+        (lambda: Family(_K0, ()), "a family needs at least one history"),
+        (lambda: refine(Family(_K0, (History(()),)), 2, []), "refinement needs at least one part"),
+        (lambda: refine(Family(_K0, (History(()),)), 2, [_A[3]]), "parts live at time 3, not 2"),
+        (lambda: ProbeSpec("x", frozenset()), "probe 'x' has no couplings"),
+        (lambda: evolve_with_probes(_DYN, [_PROBE, _PROBE], ProbeStrength(0.1), _K0),
+         "probe ids must be distinct"),
+        (lambda: evolve_with_probes(_DYN, [_PROBE], ProbeStrength(0.1), basis_ket(_SL[1], "A")),
+         "probe evolution starts at time 0"),
+    ],
+    ids=["no-labels", "no-parts", "no-steps", "slice-count", "slice-times", "negative-time",
+         "decreasing-times", "no-histories", "no-refinement-parts", "refinement-time",
+         "no-couplings", "repeated-probe", "probes-after-t0"],
+)
+def test_each_input_rejection_names_its_fault(reject, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reject()
 
 
 class TestChainKets:
@@ -132,8 +174,10 @@ class TestChainKets:
 
     def test_rejects_projector_on_wrong_slice(self):
         dyn, s0 = model(0.4)
-        with pytest.raises(ValueError, match="strictly increase|slice"):
-            History(((2, proj(dyn, 3, {"A"})),))
+        p3 = proj(dyn, 3, {"A"})
+        message = f"event at time 2 carries a projector on slice {p3.slice}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            History(((2, p3),))
 
     def test_event_free_history_returns_the_initial_ket(self):
         dyn, s0 = model(0.4)
@@ -537,12 +581,11 @@ class TestDepthWalk:
         for events in (parts, [*parts[:2], ray, *parts[3:]]):
             pairs = list(zip(slots, events))
             for k in (2, 6):  # below and at least _STACK events
-                for carried in (x, list(x)):
-                    got = statespace._apply_each(pairs[:k], carried)
-                    assert isinstance(got, np.ndarray) is (k >= statespace._STACK)
-                    for row, (slot, p) in zip(got, pairs[:k]):
-                        assert row.tobytes() == statespace._apply(p, x[slot]).tobytes()
-                        assert row.tobytes() == (p.matrix @ x[slot]).tobytes()
+                got = statespace._apply_each(pairs[:k], x)
+                assert got.shape == (k, d) and got.dtype == complex and got.flags.c_contiguous
+                for row, (slot, p) in zip(got, pairs[:k]):
+                    assert row.tobytes() == statespace._apply(p, x[slot]).tobytes()
+                    assert row.tobytes() == (p.matrix @ x[slot]).tobytes()
 
     def test_first_events_before_the_kets_time_stack_like_lone_chain_kets(self):
         # three first events at t1, t2 and t3 from a ket at t4: three
@@ -558,9 +601,12 @@ class TestDepthWalk:
 
     def test_walk_returns_one_array_in_family_order(self):
         # From a ket at t2: a backward first carry (t1), event-free and
-        # one-event histories beside two-event ones, a second depth of two
-        # spans (t1 -> t3 and t3 -> t4) whose events mix label and dense
-        # projectors, and orders that are and are not the first-visit order
+        # one-event histories beside two-event ones, depths of one, two and
+        # three carries, a second depth of two spans (t1 -> t3 and t3 -> t4)
+        # whose events mix label and dense projectors, and orders that are
+        # and are not the first-visit order.  Every depth is one C-contiguous
+        # (k, d) complex array, from its carried rows to its events' rows;
+        # `_STACK` picks lone or stacked products for both.
         dyn, s0 = haar_dynamics(13)
         k2 = transport(dyn, s0, 2)
         rng = np.random.default_rng(13)
@@ -573,29 +619,56 @@ class TestDepthWalk:
         a3a4, a3b4, back, c3ray = (History(((3, a3), (4, a4))), History(((3, a3), (4, b4))),
                                    History(((1, a1), (3, ray3))), History(((3, c3), (4, ray4))))
         short, free = History(((3, b3),)), History(())
+        lone_carry, lone_apply = histories_module._carry, statespace._apply
+        apply_each = statespace._apply_each
+        seen = []
         for histories, last_level in (
             ([a3a4, a3b4, back, c3ray], True),  # every leaf at depth 2, in order
-            ([a3a4, back], False),  # two leaves: a list of lone rows
+            ([a3a4, back], True),  # two carries at each depth
+            ([a3a4, a3b4], True),  # one carry at each depth
             ([a3a4, free, back, short, a3b4, c3ray], False),
             ([c3ray, back, a3b4, a3a4, short], False),
             ([a3a4, a3b4, back, c3ray, a3a4], False),
             ([free, free], False),
         ):
-            levels = []
+            levels, carries, applies = [], [], []
+
+            def carry(dyn, v, s, t):
+                carries.append(v.ndim)
+                return lone_carry(dyn, v, s, t)
+
+            def apply(p, v):
+                applies.append(v.ndim)
+                return lone_apply(p, v)
 
             def record(pairs, carried):
-                levels.append(apply_each(pairs, carried))
-                return levels[-1]
+                out = apply_each(pairs, carried)
+                levels.append((pairs, carried, out, carries[:], applies[:]))
+                carries.clear()
+                applies.clear()
+                return out
 
-            apply_each = statespace._apply_each
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(histories_module, "_carry", carry)
+                mp.setattr(statespace, "_apply", apply)
                 mp.setattr(histories_module, "_apply_each", record)
                 rows = _walk(dyn, k2.amplitudes, 2, [h.events for h in histories])
-            assert isinstance(rows, np.ndarray) and rows.flags.c_contiguous
-            assert rows.shape == (len(histories), 8)
-            assert any(rows is x for x in levels) is last_level
+            for pairs, carried, out, carry_dims, apply_dims in levels:
+                k, label = len(carried), all(p not in (ray3, ray4) for _, p in pairs)
+                for x, n in ((carried, k), (out, len(pairs))):
+                    assert type(x) is np.ndarray and x.dtype == complex
+                    assert x.flags.c_contiguous and x.shape == (n, 8)
+                lone = k < statespace._STACK
+                assert carry_dims and carry_dims == ([1] * k if lone else [3] * len(carry_dims))
+                stacked = len(pairs) >= statespace._STACK and label
+                assert apply_dims == ([] if stacked else [1] * len(pairs))
+                seen.append((k, len(pairs) >= statespace._STACK and not label))
+            assert type(rows) is np.ndarray and rows.dtype == complex
+            assert rows.flags.c_contiguous and rows.shape == (len(histories), 8)
+            assert any(rows is out for _, _, out, _, _ in levels) is last_level
             for h, row in zip(histories, rows):
                 assert row.tobytes() == chain_ket(dyn, k2, h).amplitudes.tobytes()
+        assert {1, 2, 3} <= {k for k, _ in seen} and any(mixed for _, mixed in seen)
 
     @settings(deadline=None, max_examples=150)
     @given(data=st.data())
@@ -650,6 +723,72 @@ def _random_family(draw):
 def _pair_bits(report):
     """The offending pairs with each inner product as the bits of its parts."""
     return [(i, j, ip.real.hex(), ip.imag.hex()) for i, j, ip in report.offending_pairs]
+
+
+class TestRankOnePostSelection:
+    """When every history ends on one rank-one event |phi><phi|, each chain
+    ket is a_k phi^ with phi^ = phi / |phi|, so the decoherence functional
+    is the outer product of one amplitude vector: D_kl = conj(a_k) a_l, with
+    a_k = <phi^|c_k> (ROADMAP item "Rank-one post-selection").  Families
+    with any other last event (EQ8_FULL's GH4 history, the complete
+    families) are not covered."""
+
+    #: d = 8 channels, T = 4 steps.  A computed chain ket is T unitary
+    #: products and one ray product of a vector of norm <= 1, each moving it
+    #: by at most d^(3/2) eps in norm (d-term sums of |M| v, |M| of 2-norm at
+    #: most sqrt(d)), as does the rounding of the ray's matrix; a_k and D_kl
+    #: each take one more d-term sum.  So |D - a* a^T| <= 2 (T + 3) d^(3/2)
+    #: eps, within 20 d T eps.
+    BOUND = 20 * 8 * 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("alpha2", [1 / 3, 0.5, 0.9, 1 - 1e-11])
+    @pytest.mark.parametrize("fid", [NamedFamilyId.F_A, NamedFamilyId.F_A_PRIME, NamedFamilyId.F_B,
+                                     NamedFamilyId.F_ABC, NamedFamilyId.F_C,
+                                     NamedFamilyId.EQ25_BACKWARD])
+    def test_families_ending_in_f4_are_one_amplitude_vector_exactly(self, fid, alpha2):
+        dyn, fam = named_family(fid, BeamSplitterParams(alpha2))
+        f4 = proj(dyn, 4, {"F"})
+        assert all(h.events[-1][1].matrix.tobytes() == f4.matrix.tobytes() for h in fam.histories)
+        phi = basis_ket(dyn.slices[4], "F")
+        a = np.array([inner(phi, chain_ket(dyn, fam.initial, h)) for h in fam.histories])
+        d = _decoherence(dyn, fam)[2]
+        assert np.abs(a).max() > 0.1
+        assert (d == np.outer(a.conj(), a)).all()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_haar_families_ending_on_a_ray_are_one_amplitude_vector(self, seed):
+        dyn, s0 = haar_dynamics(seed, dim=8)
+        rng = np.random.default_rng([seed, 2])
+        s = dyn.slices
+        phi = Ket(s[4], rng.normal(size=8) + 1j * rng.normal(size=8))
+        ray = projector_from_ket(phi)
+        p1 = label_parts(s[1], range(3), range(3, 8))
+        p2 = label_parts(s[2], range(0, 8, 2), range(1, 8, 2))
+        fam = Family(s0, tuple(History(((1, a), (2, b), (4, ray))) for a in p1 for b in p2))
+        phi_hat = Ket(s[4], phi.amplitudes / phi.norm())
+        a = np.array([inner(phi_hat, chain_ket(dyn, s0, h)) for h in fam.histories])
+        d = _decoherence(dyn, fam)[2]
+        assert np.abs(a).max() > 0.1
+        assert np.abs(d - np.outer(a.conj(), a)).max() <= self.BOUND
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_time_amplitudes_are_weak_values(self, seed):
+        # one three-part label PDI at t2, then a ray at t4: with Phi the
+        # backward state of phi at t2, a_k = <Phi|Q_k|Psi> / |phi|
+        # = <Phi|Psi> (Q_k)_w / |phi|, read without the walk
+        dyn, s0 = haar_dynamics(seed, dim=8)
+        rng = np.random.default_rng([seed, 3])
+        phi = Ket(dyn.slices[4], rng.normal(size=8) + 1j * rng.normal(size=8))
+        parts = label_parts(dyn.slices[2], range(3), range(3, 5), range(5, 8))
+        fam = Family(s0, tuple(History(((2, q), (4, projector_from_ket(phi)))) for q in parts))
+        tsv = two_state_vector(dyn, s0, phi, 2)
+        a = np.array([tsv.overlap() * tsv.weak_value(q) / phi.norm() for q in parts])
+        phi_hat = Ket(phi.slice, phi.amplitudes / phi.norm())
+        walked = np.array([inner(phi_hat, chain_ket(dyn, s0, h)) for h in fam.histories])
+        d = _decoherence(dyn, fam)[2]
+        assert np.abs(a).max() > 0.1
+        assert np.abs(walked - a).max() <= self.BOUND
+        assert np.abs(d - np.outer(a.conj(), a)).max() <= self.BOUND
 
 
 class TestPairBookkeeping:
