@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import types
 from dataclasses import dataclass
 from enum import Enum
@@ -58,7 +59,8 @@ class BeamSplitterParams:
     alpha2: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha2 < 1.0:
+        # float first: the `numbers.Real` check alone takes ~0.4 us for a float
+        if not (isinstance(self.alpha2, (float, numbers.Real)) and 0.0 < self.alpha2 < 1.0):
             raise ValueError(
                 f"alpha2 must satisfy 0 < alpha2 < 1, got {self.alpha2!r} "
                 "(both splitter amplitudes must be strictly positive)"

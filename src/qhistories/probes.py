@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 import types
 from dataclasses import dataclass, field
@@ -113,7 +114,8 @@ class ProbeStrength:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
+        # float first: the `numbers.Real` check alone takes ~0.4 us for a float
+        if not (isinstance(self.epsilon, (float, numbers.Real)) and 0.0 <= self.epsilon < 1.0):
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
 
     @property
@@ -331,7 +333,11 @@ class OutcomeDistribution:
         return cells
 
     def p(self, detector: str, kappa: str) -> float:
-        return dict(self._cells_of(detector))[kappa]
+        cells = dict(self._cells_of(detector))
+        if kappa not in cells:
+            msg = f"unknown pattern {kappa!r} for detector {detector!r}; patterns are {list(cells)}"
+            raise ValueError(msg)
+        return cells[kappa]
 
     def detector_marginal(self, detector: str) -> float:
         return sum(v for _, v in self._cells_of(detector))
@@ -391,6 +397,10 @@ def sample(
 ) -> dict[tuple[str, str], int]:
     """Aggregate counts of n independent draws; deterministic given seed.
     Zero-count cells are omitted; the rest follow key order."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"sample count {n!r} is not an integer") from None
     if not 1 <= n <= _MAX_SAMPLES:
         raise ValueError(f"sample count must be >= 1 and <= {_MAX_SAMPLES}, got {n}")
     p = dist._cells

@@ -20,15 +20,17 @@ amplitude may lie past the bound by up to a factor sqrt(d), since a step
 mixes d amplitudes.  Pickle and copy rebuild a value from what it holds,
 not through the intake (`_reduce_held`): a copy is no new input.
 
-Only this module reads a projector's format.  A channel-label projector
-(exactly a 0/1 diagonal matrix) records its support `_on`, a boolean mask,
-when it is built; the ones the library builds hold nothing else, and their
-`matrix` is built from the mask on each read.  Any other projector holds
-its d x d `matrix`.  The private helpers below (`_apply`, `_apply_each`,
-`_norms2`, `_sum`, `_rank`, `_distance`, `_overlap`) answer from the masks
-when every projector involved has one, with the dense answers' bits: for
-0/1 diagonal matrices every residual is exactly 0 or 1 (`_distance` and
-`_overlap` also read a mask against a dense matrix: 1 b plus 0 b terms).
+Only this module reads a projector's format, and its constructor decides
+it.  The label constructors (`projector_from_labels`, `identity_projector`,
+`slice_pdi`, a label projector's `complement` and `_sum` of label parts)
+hold only the support `_on`, a boolean mask, and build `matrix` from it on
+each read.  Any other projector, every checked one included, holds its
+d x d `matrix` and has `_on` None.  The private helpers below (`_apply`,
+`_apply_each`, `_norms2`, `_sum`, `_rank`, `_distance`, `_overlap`) answer
+from the masks when every projector involved has one, with the dense
+answers' bits: for 0/1 diagonal matrices every residual is exactly 0 or 1
+(`_distance` and `_overlap` also read a mask against a dense matrix: 1 b
+plus 0 b terms).
 
 Every thresholded verdict takes one rule, `_negligible`: a value at or
 below the cut of its kind in `_CUTS` is negligible, and no call takes a
@@ -215,9 +217,9 @@ def inner(a: Ket, b: Ket) -> complex:
 
 
 class _LabelMatrix:
-    """`Projector.matrix`: the matrix set on the instance (a checked one or
-    a ray's), else the 0/1 diagonal matrix of its `_on`, built read-only on
-    each read.  No class-level value, so the dataclass field is required."""
+    """`Projector.matrix`: the matrix set on the instance, else the 0/1
+    diagonal matrix of its `_on`, built read-only on each read.  No
+    class-level value, so the dataclass field is required."""
 
     def __get__(self, obj, cls=None):
         if obj is None:
@@ -240,14 +242,12 @@ class Projector:
 
     `name` is display metadata only and never enters any computation.
 
-    A projector whose matrix is exactly a 0/1 diagonal matrix (a
-    channel-label projector) records its support when it is built, after
-    the same residual checks as any matrix: `_on`, its diagonal as a
-    read-only boolean mask (`_label_mask`).  Any other projector has `_on`
-    None.  `_on` is not a field, so `repr` sees the three fields only.  The
-    label projectors the library builds hold `_on` alone, and each read of
-    their `matrix` builds it anew (`_LabelMatrix`).  Pickle and copy keep
-    what the instance holds: its mask, and its matrix only if it has one.
+    This checked constructor keeps the matrix, whatever its entries, and
+    `_on` is None.  The label constructors build a channel-label projector
+    instead, which holds only its support `_on`, a read-only boolean mask;
+    each read of its `matrix` builds it anew (`_LabelMatrix`).  `_on` is
+    not a field, so `repr` sees the three fields only.  Pickle and copy
+    keep what the instance holds: its mask or its matrix.
     """
 
     slice: TimeSlice
@@ -266,29 +266,21 @@ class Projector:
         idem = float(np.max(np.abs(m @ m - m)))
         if not _negligible(idem, "residual"):
             raise ValueError(f"matrix is not idempotent (residual {idem:.3g})")
-        on = _label_mask(m)
-        if on is not None:
-            on.setflags(write=False)
-            object.__setattr__(self, "_on", on)
 
     __reduce__ = _reduce_held
 
     def complement(self) -> Projector:
         """The projector I - P onto the orthogonal complement.  A label
-        projector's complement is the label projector of the other channels;
-        any other is checked at `DEFAULT_TOL` like a caller's projector."""
-        name = _complement_name(self)
+        projector's complement is the label projector of the other channels,
+        named after them; any other is checked at `DEFAULT_TOL` like a
+        caller's projector, and named "~" plus P's name, or "" if P has none."""
         if self._on is None:
+            name = f"~{self.name}" if self.name else ""
             return Projector(self.slice, np.eye(self.slice.dim, dtype=complex) - self.matrix, name)
+        t = str(self.slice.time_index)
+        rest = [lab + t for lab, kept in zip(self.slice.basis, self._on.tolist()) if not kept]
+        name = "+".join(rest) if rest else f"0@t{t}"
         return _trusted(Projector, slice=self.slice, name=name, _on=~self._on)
-
-
-def _label_mask(m: np.ndarray) -> np.ndarray | None:
-    """The diagonal of the square matrix `m` as a boolean mask if `m` is
-    exactly a 0/1 diagonal matrix (a channel-label projector); None
-    otherwise.  Exact: no entry is compared to a cut-off."""
-    on = m.diagonal() == 1
-    return on if np.count_nonzero(m) == np.count_nonzero(on) else None
 
 
 def _label_matrix(on: np.ndarray) -> np.ndarray:
@@ -389,14 +381,6 @@ def _overlap(a: Projector, b: Projector) -> float:
     if b._on is None:
         return float(np.abs(b.matrix[a._on]).max(initial=0.0))
     return float((a._on & b._on).any())
-
-
-def _complement_name(p: Projector) -> str:
-    if p._on is None:
-        return f"~{p.name}" if p.name else ""
-    t = str(p.slice.time_index)
-    rest = [lab + t for lab, kept in zip(p.slice.basis, p._on.tolist()) if not kept]
-    return "+".join(rest) if rest else f"0@t{t}"
 
 
 def identity_projector(slc: TimeSlice) -> Projector:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import ALPHA2 as GOLDEN_ALPHA2
+from test_golden import _load as _golden
 from test_golden import cases, run
 
 from qhistories.cli import ConfigError, Row, RunConfig, _suite, main, parse_config, render, run_report
@@ -481,6 +482,32 @@ class TestMain:
         )
         assert main(argv) == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+_PROCESS_ARGVS = (
+    "paper-suite --alpha2 0.25 --format csv",
+    "paper-suite --alpha2 0.99999999999 --format text",
+    "probs F_B --alpha2 0.25 --format text",
+    "infer t1 B --given F --alpha2 0.25 --format text",
+)
+
+
+@pytest.mark.parametrize("argv", _PROCESS_ARGVS)
+def test_a_cli_process_exits_with_its_golden_code_and_report(argv):
+    # `python -m qhistories.cli` in a process of its own, warnings as errors:
+    # exits 0, 3, 4 and 2 with the golden report's bytes and no traceback
+    want = _golden()[argv]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qhistories.cli", *argv.split()],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error"},
+        check=False,
+    )
+    assert (proc.returncode, proc.stdout) == (want["exit"], want["stdout"].encode())
+    assert b"Traceback" not in proc.stderr
+    if want["exit"] == 2:
+        assert proc.stderr.startswith(b"error:")
 
 
 _ALPHA2 = (

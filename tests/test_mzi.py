@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -22,9 +23,12 @@ from qhistories.statespace import basis_ket, inner, projector_from_labels
 GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
 
-@pytest.mark.parametrize("alpha2", [0.0, 1.0, -0.2, 1.7])
+@pytest.mark.parametrize("alpha2", [0.0, 1.0, -0.2, 1.7, float("nan"), "0.5", None, [0.5], 0.5j])
 def test_degenerate_ratios_rejected(alpha2):
-    with pytest.raises(ValueError, match="0 < alpha2 < 1"):
+    # a non-number is out of range too, not a TypeError from the comparison
+    message = (f"alpha2 must satisfy 0 < alpha2 < 1, got {alpha2!r} "
+               "(both splitter amplitudes must be strictly positive)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BeamSplitterParams(alpha2)
 
 

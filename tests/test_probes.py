@@ -2,6 +2,7 @@ import math
 import pickle
 import re
 from copy import deepcopy
+from fractions import Fraction
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -445,9 +446,12 @@ class TestDenseReference:
         # pin the key order as well as every cell's value
         dyn, s0 = model(0.42)
         js = evolve_with_probes(dyn, standard_probes("adbe"), ProbeStrength(0.2), s0)
-        counts = sample(outcome_distribution(js, fourier_pdi(dyn)[0]), 1000, seed=11)
-        assert counts == PINNED_COUNTS
-        assert list(counts) == list(PINNED_COUNTS)
+        dist = outcome_distribution(js, fourier_pdi(dyn)[0])
+        # a numpy integer count draws as the int does
+        for n in (1000, np.int64(1000), np.uint16(1000)):
+            counts = sample(dist, n, seed=11)
+            assert counts == PINNED_COUNTS
+            assert list(counts) == list(PINNED_COUNTS)
 
 
 PINNED_COUNTS = {
@@ -615,6 +619,18 @@ class TestGivenDetector:
             with pytest.raises(ValueError, match=r"unknown detector 'Z'.*\['F4', 'H4'\]") as err:
                 query("Z")
             assert not isinstance(err.value, VanishingProbabilityError)
+
+    def test_unknown_pattern_is_an_input_error(self):
+        dist = OutcomeDistribution({("F4", "o"): 1.0, ("H4", "o"): 0.0, ("H4", "a"): 0.0})
+        message = "unknown pattern 'zz' for detector 'F4'; patterns are ['o']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            dist.p("F4", "zz")
+        assert not isinstance(err.value, KeyError)
+        # a pattern of another detector is unknown to this one
+        message = "unknown pattern 'a' for detector 'F4'; patterns are ['o']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dist.p("F4", "a")
+        assert (dist.p("F4", "o"), dist.p("H4", "a")) == (1.0, 0.0)
 
 
 class TestOneSourceOfTruth:
@@ -938,6 +954,15 @@ class TestSampling:
         sigma = math.sqrt(eps * (1 - eps) / n_f)
         assert abs(n_fa / n_f - eps) <= 3 * sigma
 
+    @pytest.mark.parametrize(
+        "n", [1.5, 2.0, np.float64(3.0), "3", None], ids=["1.5", "2.0", "float64", "str", "None"]
+    )
+    def test_sample_count_must_be_an_integer(self, n):
+        # a fractional count was truncated (1.5 drew one sample)
+        dist = OutcomeDistribution({("F4", "o"): 1.0})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'sample count {n!r} is not an integer')}$"):
+            sample(dist, n, 3)
+
     def test_sample_count_must_be_positive(self):
         dyn, s0 = model()
         js = evolve_with_probes(dyn, standard_probes("adew"), ProbeStrength(0.01), s0)
@@ -976,6 +1001,19 @@ class TestSpecsAndStrength:
         assert tuple(p.probe_id for p in standard_probes("wba")) == ("a", "b", "w")
         with pytest.raises(ValueError, match="unknown probe ids"):
             standard_probes("az")
+
+    @pytest.mark.parametrize("eps", [1.0, -0.1, float("nan"), "0.1", None, 0.1j, [0.1]])
+    def test_strength_is_checked_at_intake(self, eps):
+        # a non-number is out of range too, not a TypeError from the comparison
+        message = f"epsilon must lie in [0, 1), got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProbeStrength(eps)
+
+    def test_any_real_strength_and_ratio_are_accepted(self):
+        for eps in (0.25, np.float64(0.25), np.float32(0.25), Fraction(1, 4)):
+            assert (ProbeStrength(eps).eta, ProbeStrength(eps).zeta) == (0.5, math.sqrt(0.75))
+        for alpha2 in (0.5, np.float64(0.5), Fraction(1, 2)):
+            assert BeamSplitterParams(alpha2).alpha == math.sqrt(0.5)
 
     def test_strength_range(self):
         with pytest.raises(ValueError):

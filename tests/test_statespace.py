@@ -34,7 +34,7 @@ from qhistories.statespace import (
     Projector,
     TimeSlice,
     _apply,
-    _label_mask,
+    _norms2,
     _negligible,
     basis_ket,
     identity_projector,
@@ -138,16 +138,6 @@ def test_complement_names_follow_exact_label_projectors_only():
     p = Projector(T2, np.diag([1.0, 1e-300, 0.0]), "P")
     assert p.complement().name == "~P"
     assert Projector(T2, p.matrix).complement().name == ""
-
-
-def test_label_mask_is_exact():
-    np.testing.assert_array_equal(
-        _label_mask(projector_from_labels(T2, {"A", "C"}).matrix), [True, False, True]
-    )
-    assert _label_mask(np.zeros((3, 3))).tolist() == [False] * 3
-    ray = projector_from_ket(Ket(T2, [1, 1, 0]))
-    for m in [np.diag([1.0, 1e-300, 0.0]), np.diag([1.0, 1 - 2**-53, 0.0]), ray.matrix]:
-        assert _label_mask(m) is None
 
 
 def test_no_public_callable_takes_a_tolerance():
@@ -361,17 +351,19 @@ def test_label_projector_plus_complement_is_identity_exactly(labels):
 @given(st.lists(st.booleans(), min_size=1, max_size=8), st.booleans())
 def test_label_complement_is_the_dense_complement_bit_for_bit(on, signed_zeros):
     # I - P, built from the other channels' mask, has the bits of
-    # np.eye - P.matrix, also for a caller's 0/1 diagonal matrix whose zeros
-    # carry a minus sign
+    # np.eye - P.matrix, and of the checked complement of a caller's matrix
+    # with P's entries, also when that matrix's zeros carry a minus sign
     slc = TimeSlice(1, tuple(f"c{i}" for i in range(len(on))))
-    m = np.diag(np.array(on, dtype=complex))
-    if signed_zeros:
-        m = np.where(m == 0, complex(-0.0, -0.0), complex(1.0, -0.0) * m)
-    p = Projector(slc, m, "P")
-    assert p._on is not None
+    p = _label_event(slc, on)
     for q in (p, p.complement()):
         dense = np.eye(len(on), dtype=complex) - q.matrix
         assert q.complement().matrix.tobytes() == dense.tobytes()
+    m = np.diag(np.array(on, dtype=complex))
+    if signed_zeros:
+        m = np.where(m == 0, complex(-0.0, -0.0), complex(1.0, -0.0) * m)
+    caller = Projector(slc, m, "P").complement()
+    assert caller._on is None
+    assert p.complement().matrix.tobytes() == caller.matrix.tobytes()
 
 
 @given(
@@ -633,16 +625,13 @@ def test_label_projectors_record_their_support():
     assert _recorded(identity_projector(T2)) == [True] * 3
     assert _recorded(identity_projector(T2).complement()) == [False] * 3
     assert [_recorded(p) for p in slice_pdi(T2)] == np.eye(3, dtype=bool).tolist()
-    # a caller's exact 0/1 diagonal records the same support as the label one
-    assert _recorded(Projector(T2, np.diag([1, 0, 1]))) == [True, False, True]
-    assert _recorded(Projector(T2, np.diag([0j, -0.0, 1]))) == [False, False, True]
-    assert _recorded(Projector(T2, np.zeros((3, 3)))) == [False] * 3
-    assert _recorded(projector_from_ket(basis_ket(T2, "B"))) == [False, True, False]
     with pytest.raises(ValueError):
         ac._on[0] = False
 
 
 def test_other_projectors_record_no_support():
+    # the checked constructor never reads a format off a caller's entries,
+    # not even off an exact 0/1 diagonal
     pair = np.diag([1.0, 1.0, 0.0])
     pair[0, 1] = pair[1, 0] = 1e-200
     for p in [
@@ -651,8 +640,39 @@ def test_other_projectors_record_no_support():
         Projector(T2, pair),
         Projector(T2, np.diag([1.0, 1e-300, 0.0])),
         Projector(T2, np.diag([1.0, 1 - 2**-53, 0.0])),
+        Projector(T2, np.diag([1, 0, 1])),
+        Projector(T2, np.diag([0j, -0.0, 1])),
+        Projector(T2, np.zeros((3, 3))),
+        projector_from_ket(basis_ket(T2, "B")),
     ]:
         assert _recorded(p) is None
+        assert "matrix" in vars(p)
+
+
+@pytest.mark.parametrize(
+    "p, name",
+    [
+        (Projector(T2, np.diag([1, 0, 1]), "X"), "~X"),
+        (Projector(T2, np.diag([1, 0, 1])), ""),
+        (Projector(T2, np.diag([complex(-0.0, -0.0), complex(1.0, -0.0), -0.0]), "Z"), "~Z"),
+        (Projector(T2, np.zeros((3, 3)), "0"), "~0"),
+        (projector_from_ket(basis_ket(T2, "B")), "~[B2]"),
+    ],
+    ids=["diag-101", "unnamed", "signed-zeros", "zero", "basis-ray"],
+)
+def test_a_checked_projector_is_dense_whatever_its_entries(p, name):
+    # a checked projector holds its matrix, and the helpers take its dense
+    # product, even where the entries are those of a label projector
+    assert p._on is None
+    v = np.array([0.3 - 0.1j, -0.0 + 2.0j, 1e-300 - 0.0j])
+    assert _apply(p, v).tobytes() == (p.matrix @ v).tobytes()
+    rows = np.array([v, v.conj(), np.ones(3)])
+    prods = np.array([p.matrix @ row for row in rows])
+    want = np.sum(np.abs(prods) ** 2, axis=1)
+    assert _norms2([p], rows).ravel().tobytes() == want.tobytes()
+    # its complement is dense too, named after it rather than after a support
+    c = p.complement()
+    assert (c._on, c.name) == (None, name)
 
 
 @pytest.mark.parametrize(
@@ -754,11 +774,9 @@ def test_copies_are_no_new_input(copier, monkeypatch):
 
 
 def _dense(p):
-    """`p` rebuilt by the checked constructor, with its recorded support
-    dropped so that every test takes the dense path."""
-    q = Projector(p.slice, p.matrix, p.name)
-    object.__setattr__(q, "_on", None)
-    return q
+    """`p` rebuilt by the checked constructor, which holds the matrix, so
+    that every test takes the dense path."""
+    return Projector(p.slice, p.matrix, p.name)
 
 
 @pytest.mark.parametrize(

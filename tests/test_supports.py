@@ -5,10 +5,10 @@ and `_overlap` against a dense projector.
 
 Each check is run on random channel subsets: once on label projectors,
 which take the support path, and once on the same projectors rebuilt as a
-caller's `Projector` with a symmetric 1e-200 off-diagonal pair.  Those
-record no support and take the dense path, and every verdict, error, tree
-and cell must come out the same.  `refine` also takes each mixed pairing
-of events and parts.
+caller's `Projector` from their matrices.  Those hold the matrix, record
+no support and take the dense path, and every verdict, report, error, tree
+and cell must come out the same.  `refine` also takes each mixed pairing of
+events and parts.
 """
 
 import functools
@@ -23,13 +23,11 @@ from qhistories.histories import Family, History, conditional_probability, refin
 from qhistories.probes import ProbeSpec, ProbeStrength, evolve_with_probes, outcome_distribution
 import qhistories.statespace as statespace
 from qhistories.statespace import (
-    PDI, Ket, Projector, TimeSlice, _distance, _overlap, identity_projector, pdi_validate,
+    PDI, Ket, Projector, TimeSlice, _distance, _overlap, pdi_validate,
     projector_from_ket, projector_from_labels,
 )
 
 DIMS = (3, 8, 64)
-#: The off-diagonal entries that keep a rebuilt projector off the support path.
-PAIR = 1e-200
 
 
 @functools.cache
@@ -48,16 +46,13 @@ def _dynamics(d: int) -> Dynamics:
 def _label(slc: TimeSlice, channels, name: str) -> Projector:
     """The label projector onto `channels` (the zero projector if none)."""
     if not channels:
-        zero = identity_projector(slc).complement()
-        return Projector(slc, zero.matrix, name)
+        return statespace._trusted(Projector, slice=slc, name=name, _on=np.zeros(slc.dim, bool))
     return projector_from_labels(slc, [slc.basis[i] for i in channels], name)
 
 
 def _dense(p: Projector) -> Projector:
-    """`p` rebuilt with a 1e-200 pair at (0, 1): it records no support."""
-    m = np.array(p.matrix)
-    m[0, 1] = m[1, 0] = PAIR
-    q = Projector(p.slice, m, p.name)
+    """`p` rebuilt by the checked constructor: it records no support."""
+    q = Projector(p.slice, p.matrix, p.name)
     assert p._on is not None and q._on is None
     return q
 
@@ -173,12 +168,10 @@ def test_complement_bytes_and_name_agree_with_the_dense_path(data):
     rest = [lab for i, lab in enumerate(slc.basis) if i not in channels]
     assert c.name == ("+".join(f"{lab}1" for lab in rest) if rest else "0@t1")
     assert c._on.tolist() == [i not in channels for i in range(d)]
-    # the dense path computes the same matrix, less the pair; its name is not
-    # a label name because its source is not a label projector
+    # the dense path computes the same matrix; its name is not a label name
+    # because its source is not a label projector
     cd = _dense(p).complement()
-    m = np.array(cd.matrix)
-    m[0, 1] = m[1, 0] = 0.0
-    assert (m.tobytes(), cd.name) == (c.matrix.tobytes(), "~P")
+    assert (cd.matrix.tobytes(), cd.name) == (c.matrix.tobytes(), "~P")
 
 
 @settings(deadline=None, max_examples=60)
@@ -193,12 +186,7 @@ def test_pdi_reports_agree_with_the_dense_path(data):
     parts = [_label(slc, g, f"P{i}") for i, g in enumerate(chosen)]
     support = pdi_validate(parts)
     dense = pdi_validate([_dense(p) for p in parts])
-    assert (support.ok, support.worst) == (dense.ok, dense.worst)
-    if support.ok:
-        # the pairs are the dense path's only residual
-        assert support.max_residual == 0.0 and 0.0 < dense.max_residual <= 10 * PAIR
-    else:
-        assert support.max_residual == dense.max_residual
+    assert support == dense
 
 
 @settings(deadline=None, max_examples=30)
