@@ -8,8 +8,10 @@ coupling writes only its probe's excited half, empty until then.  Readout
 works on the whole amplitude array at once.  The outcome distribution is
 held as one read-only cell array that its accessors, support and sampling
 read.  The cells of all detector parts over all 2^n patterns come from one
-call (`statespace._norms2`), and the branch decomposition from one
-column-norm call.
+call (`statespace._norms2`) on the pattern rows, gathered by the read-only
+index cached per probe count (`_kappa_index`).  The branch decomposition
+takes one column-norm call and one read-only transposed copy; each kept
+branch is a row view into it, built by direct stores into `__dict__`.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -145,6 +147,15 @@ def _kappa_order(n_probes: int) -> tuple[int, ...]:
     return tuple(sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m)))
 
 
+@functools.cache
+def _kappa_index(n_probes: int) -> np.ndarray:
+    """`_kappa_order` as a read-only integer array, to gather pattern rows
+    by one numpy index; built once per probe count."""
+    index = np.array(_kappa_order(n_probes), dtype=np.intp)
+    index.setflags(write=False)
+    return index
+
+
 _BUILTIN_POSITION = {pid: i for i, pid in enumerate(BUILTIN_ORDER)}
 
 
@@ -273,8 +284,8 @@ def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     # One contiguous row per pattern, laid out as a copy of each column.
     # The branch kets are views into it, so the whole buffer is read-only;
     # they are rows of accepted amplitudes, so they need no check.  Each ket
-    # and component is built as `_trusted` builds it, without its per-field
-    # flag loop.
+    # and component is built as `_trusted` builds it, by direct stores into
+    # its `__dict__`, without the keyword dict and per-field flag loop.
     rows = js.amplitudes.T.copy()
     rows.setflags(write=False)
     new, slc = object.__new__, js.slice
@@ -282,9 +293,11 @@ def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     for mask in _kappa_order(len(js.probes)):
         if kept[mask]:
             phi = new(Ket)
-            phi.__dict__.update(slice=slc, amplitudes=rows[mask], name="")
+            d = phi.__dict__
+            d["slice"], d["amplitudes"], d["name"] = slc, rows[mask], ""
             branch = new(BranchComponent)
-            branch.__dict__.update(kappa=labels[mask], phi=phi)
+            d = branch.__dict__
+            d["kappa"], d["phi"] = labels[mask], phi
             branches.append(branch)
     return tuple(branches)
 
@@ -333,6 +346,11 @@ class OutcomeDistribution:
         return cells
 
     def p(self, detector: str, kappa: str) -> float:
+        try:
+            return self.probs[(detector, kappa)]
+        except (KeyError, TypeError):
+            pass
+        # not a cell: name the unknown detector or pattern
         cells = dict(self._cells_of(detector))
         if kappa not in cells:
             msg = f"unknown pattern {kappa!r} for detector {detector!r}; patterns are {list(cells)}"
@@ -369,11 +387,11 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     for i, det in enumerate(dets):
         if det in dets[:i]:
             raise ValueError(f"detector name {det!r} is given to more than one part")
-    order = _kappa_order(len(js.probes))
+    n = len(js.probes)
     by_mask = js._labels
-    # One row per pattern, in `order`.
-    cells = _norms2(detector_pdi.parts, js.amplitudes.T[list(order)]).ravel()
-    keys = tuple(itertools.product(dets, [by_mask[mask] for mask in order]))
+    # One row per pattern, in `_kappa_order`.
+    cells = _norms2(detector_pdi.parts, js.amplitudes.T[_kappa_index(n)]).ravel()
+    keys = tuple(itertools.product(dets, [by_mask[mask] for mask in _kappa_order(n)]))
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 
 

@@ -23,6 +23,7 @@ from qhistories.probes import (
     OutcomeDistribution,
     ProbeSpec,
     ProbeStrength,
+    _kappa_index,
     _kappa_labels,
     _kappa_order,
     branch_components,
@@ -39,6 +40,8 @@ from qhistories.statespace import (
     Ket,
     Projector,
     TimeSlice,
+    _negligible,
+    _norms2,
     projector_from_ket,
     projector_from_labels,
     slice_pdi,
@@ -558,6 +561,80 @@ class TestBranchComponents:
         with pytest.raises(TypeError):
             order[0] = 7
         assert _kappa_order(3) == (0, 1, 2, 4, 3, 5, 6, 7)
+        # the gather index: read-only, one object per probe count, the same order
+        for n in range(9):
+            index = _kappa_index(n)
+            assert index.flags.writeable is False and index.dtype == np.intp
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+            assert _kappa_index(n) is index
+            assert index.tolist() == list(_kappa_order(n))
+
+
+def shared_time_probes(n):
+    """n single-channel probes over times 1 to 4; the first two watch two
+    channels at time 1, so every pattern exciting both is exactly zero."""
+    times = (1, 1, 2, 3, 4, 2, 3, 4)
+    return tuple(ProbeSpec(f"p{i}", frozenset({(times[i], f"c{(3 * i) % 8}")})) for i in range(n))
+
+
+def reference_branches_and_cells(js, pdi):
+    """The reference readout: each ket and component filled by
+    `__dict__.update`, and the pattern rows gathered by `list(order)`."""
+    order = _kappa_order(len(js.probes))
+    kept = (~_negligible(np.linalg.norm(js.amplitudes, axis=0), "amplitude")).tolist()
+    labels = _kappa_labels(js.probes)
+    rows = js.amplitudes.T.copy()
+    rows.setflags(write=False)
+    branches = []
+    for mask in order:
+        if kept[mask]:
+            phi = object.__new__(Ket)
+            phi.__dict__.update(slice=js.slice, amplitudes=rows[mask], name="")
+            branch = object.__new__(BranchComponent)
+            branch.__dict__.update(kappa=labels[mask], phi=phi)
+            branches.append(branch)
+    return tuple(branches), _norms2(pdi.parts, js.amplitudes.T[list(order)]).ravel()
+
+
+class TestReadoutBuild:
+    """Branches built by direct stores and cells gathered by the cached
+    index, against the keyword-dict build and the list gather."""
+
+    @pytest.mark.parametrize("n_probes", range(1, 9))
+    @pytest.mark.parametrize("sizes", [(1,) * 8, (1, 2, 5)], ids=["1x8", "1-2-5"])
+    def test_same_branches_and_cells_bit_for_bit(self, n_probes, sizes):
+        dyn, s0 = haar_dynamics(39, dim=8)
+        js = evolve_with_probes(dyn, shared_time_probes(n_probes), ProbeStrength(0.2), s0)
+        # the patterns that excite both time-1 probes are exactly zero
+        both = [m for m in range(1 << n_probes) if m & 3 == 3]
+        assert len(both) == (1 << n_probes) // 4 and not js.amplitudes[:, both].any()
+        pdi = grouped_pdi(dyn.slices[-1], sizes)
+        ref_branches, ref_cells = reference_branches_and_cells(js, pdi)
+        branches = branch_components(js)
+        dist = outcome_distribution(js, pdi)
+
+        assert [br.kappa for br in branches] == [br.kappa for br in ref_branches]
+        assert [br.phi.amplitudes.tobytes() for br in branches] == [
+            br.phi.amplitudes.tobytes() for br in ref_branches
+        ]
+        assert dist._cells.tobytes() == ref_cells.tobytes()
+        rows = branches[0].phi.amplitudes.base
+        assert rows.flags.writeable is False
+        assert not np.shares_memory(rows, js.amplitudes)
+        for br in branches:
+            assert list(vars(br)) == ["kappa", "phi"]
+            assert list(vars(br.phi)) == ["slice", "amplitudes", "name"]
+            assert br.phi.slice is js.slice and br.phi.name == ""
+            assert br.phi.amplitudes.base is rows
+            assert br.phi.amplitudes.flags.writeable is False
+        for copy in (pickle.loads(pickle.dumps(branches)), deepcopy(branches)):
+            assert [type(br.phi) for br in copy] == [Ket] * len(branches)
+            assert repr(copy) == repr(branches)
+            assert [br.phi.amplitudes.tobytes() for br in copy] == [
+                br.phi.amplitudes.tobytes() for br in branches
+            ]
+            assert all(br.phi.amplitudes.flags.writeable is False for br in copy)
 
 
 class TestDetectors:
@@ -631,6 +708,10 @@ class TestGivenDetector:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dist.p("F4", "a")
         assert (dist.p("F4", "o"), dist.p("H4", "a")) == (1.0, 0.0)
+        # an unhashable detector is no cell's detector
+        message = "unknown detector ['F4']; detectors are ['F4', 'H4']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dist.p(["F4"], "o")
 
 
 class TestOneSourceOfTruth:
