@@ -8,6 +8,7 @@ happens at inner-product time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,11 +96,15 @@ class Dynamics:
         return len(self.slices) - 1
 
     def slice_at(self, t: int) -> TimeSlice:
-        if not 0 <= t < len(self.slices):
-            raise ValueError(
-                f"time index {t} outside range 0..{self.final_index}"
-            )
-        return self.slices[t]
+        """The slice at time index `t`; rejects a non-integer or a time
+        outside the chain."""
+        try:
+            if 0 <= t < len(self.slices):
+                return self.slices[t]
+            operator.index(t)
+        except TypeError:
+            raise ValueError(f"time index {t!r} is not an integer") from None
+        raise ValueError(f"time index {t} outside range 0..{self.final_index}")
 
 
 def _require_on(dyn: Dynamics, k: Ket) -> None:

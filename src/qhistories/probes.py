@@ -7,11 +7,12 @@ small (d channels x 2^n probe patterns), so everything is dense.  A
 coupling writes only its probe's excited half, empty until then.  Readout
 works on the whole amplitude array at once.  The outcome distribution is
 held as one read-only cell array that its accessors, support and sampling
-read.  The cells of all detector parts over all 2^n patterns come from one
-call (`statespace._norms2`) on the pattern rows, gathered by the read-only
-index cached per probe count (`_kappa_index`).  The branch decomposition
-takes one column-norm call and one read-only transposed copy; each kept
-branch is a row view into it, built by direct stores into `__dict__`.
+read.  A joint state's pattern table, built when first read, holds each
+pattern's label, amplitude row and column norm in `_kappa_order`, the one
+read-only index cached per probe count.  The cells of all detector parts
+over all 2^n patterns come from one call (`statespace._norms2`) on its
+rows; each kept branch is a row view into them, built by direct stores
+into `__dict__`.
 
 Probe patterns ("kappa") are written as the excited probe ids concatenated
 in configuration order, with "o" for none, e.g. "o", "a", "db", "dce".
@@ -141,17 +142,11 @@ def _kappa_labels(probes: Sequence[ProbeSpec]) -> list[str]:
 
 
 @functools.cache
-def _kappa_order(n_probes: int) -> tuple[int, ...]:
-    """Masks sorted by excitation count, then by probe position; built once
-    per probe count."""
-    return tuple(sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m)))
-
-
-@functools.cache
-def _kappa_index(n_probes: int) -> np.ndarray:
-    """`_kappa_order` as a read-only integer array, to gather pattern rows
-    by one numpy index; built once per probe count."""
-    index = np.array(_kappa_order(n_probes), dtype=np.intp)
+def _kappa_order(n_probes: int) -> np.ndarray:
+    """Masks sorted by excitation count, then by probe position, as a
+    read-only integer index; built once per probe count."""
+    order = sorted(range(1 << n_probes), key=lambda m: (bin(m).count("1"), m))
+    index = np.array(order, dtype=np.intp)
     index.setflags(write=False)
     return index
 
@@ -200,10 +195,21 @@ class JointState:
 
     __reduce__ = _reduce_held
 
-    @functools.cached_property
-    def _labels(self) -> tuple[str, ...]:
-        """`_kappa_labels` of the probes, built when first read."""
-        return tuple(_kappa_labels(self.probes))
+    def _patterns(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The pattern table, built when first read: the label, amplitude
+        row and column norm of each probe pattern, in `_kappa_order`.  The
+        joint array is gathered here, once.  The three are held as
+        attributes of their own, so pickle and copy re-freeze the arrays."""
+        held = self.__dict__
+        if "_rows" not in held:
+            order = _kappa_order(len(self.probes))
+            labels = _kappa_labels(self.probes)
+            held["_kappas"] = tuple([labels[m] for m in order.tolist()])
+            held["_rows"] = self.amplitudes.T.take(order, axis=0)
+            held["_norms"] = np.linalg.norm(self.amplitudes, axis=0)[order]
+            held["_rows"].setflags(write=False)
+            held["_norms"].setflags(write=False)
+        return held["_kappas"], held["_rows"], held["_norms"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,26 +285,20 @@ def evolve_with_probes(
 def branch_components(js: JointState) -> tuple[BranchComponent, ...]:
     """Decompose by probe pattern, dropping branches of negligible norm
     (an amplitude).  Ordered by excitation count, then probe position."""
-    kept = (~_negligible(np.linalg.norm(js.amplitudes, axis=0), "amplitude")).tolist()
-    labels = js._labels
-    # One contiguous row per pattern, laid out as a copy of each column.
-    # The branch kets are views into it, so the whole buffer is read-only;
-    # they are rows of accepted amplitudes, so they need no check.  Each ket
-    # and component is built as `_trusted` builds it, by direct stores into
-    # its `__dict__`, without the keyword dict and per-field flag loop.
-    rows = js.amplitudes.T.copy()
-    rows.setflags(write=False)
-    new, slc = object.__new__, js.slice
-    branches = []
-    for mask in _kappa_order(len(js.probes)):
-        if kept[mask]:
-            phi = new(Ket)
-            d = phi.__dict__
-            d["slice"], d["amplitudes"], d["name"] = slc, rows[mask], ""
-            branch = new(BranchComponent)
-            d = branch.__dict__
-            d["kappa"], d["phi"] = labels[mask], phi
-            branches.append(branch)
+    # Each branch ket is a row of the pattern table, read-only and made of
+    # accepted amplitudes, so it needs no check.  Each ket and component is
+    # built as `_trusted` builds it, by direct stores into its `__dict__`,
+    # without the keyword dict and per-field flag loop.
+    kappas, rows, norms = js._patterns()
+    new, slc, branches = object.__new__, js.slice, []
+    for i in np.flatnonzero(~_negligible(norms, "amplitude")).tolist():
+        phi = new(Ket)
+        d = phi.__dict__
+        d["slice"], d["amplitudes"], d["name"] = slc, rows[i], ""
+        branch = new(BranchComponent)
+        d = branch.__dict__
+        d["kappa"], d["phi"] = kappas[i], phi
+        branches.append(branch)
     return tuple(branches)
 
 
@@ -309,8 +309,9 @@ class OutcomeDistribution:
 
     The cells are held once, as a read-only float64 array in the order of a
     tuple of keys; `probs` is a read-only mapping view built when first
-    read.  A caller's mapping is checked here, once, for finite values
-    >= 0; `outcome_distribution` hands over squared norms of a joint state
+    read.  A caller's mapping is checked here, once: each key a (detector,
+    pattern) pair of strings, each value real, finite and >= 0;
+    `outcome_distribution` hands over squared norms of a joint state
     instead.  The detector names, in order of first appearance, are held
     from construction on.
     """
@@ -320,6 +321,12 @@ class OutcomeDistribution:
     _detectors: tuple[str, ...] = field(repr=False)
 
     def __new__(cls, probs: Mapping[tuple[str, str], float]):
+        for key, value in probs.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and isinstance(key[0], str) and isinstance(key[1], str)):
+                raise ValueError(f"outcome {key!r} is not a (detector, pattern) pair of strings")
+            if not isinstance(value, (float, numbers.Real)):  # float first, as in ProbeStrength
+                raise ValueError(f"outcome {key!r} has probability {value!r}, not a real number")
         cells = np.array(list(probs.values()), dtype=float)
         if not ((cells >= 0.0) & (cells < np.inf)).all():
             raise ValueError("outcome probabilities must be finite and >= 0")
@@ -351,11 +358,9 @@ class OutcomeDistribution:
         except (KeyError, TypeError):
             pass
         # not a cell: name the unknown detector or pattern
-        cells = dict(self._cells_of(detector))
-        if kappa not in cells:
-            msg = f"unknown pattern {kappa!r} for detector {detector!r}; patterns are {list(cells)}"
-            raise ValueError(msg)
-        return cells[kappa]
+        patterns = [k for k, _ in self._cells_of(detector)]
+        msg = f"unknown pattern {kappa!r} for detector {detector!r}; patterns are {patterns}"
+        raise ValueError(msg)
 
     def detector_marginal(self, detector: str) -> float:
         return sum(v for _, v in self._cells_of(detector))
@@ -387,11 +392,9 @@ def outcome_distribution(js: JointState, detector_pdi: PDI) -> OutcomeDistributi
     for i, det in enumerate(dets):
         if det in dets[:i]:
             raise ValueError(f"detector name {det!r} is given to more than one part")
-    n = len(js.probes)
-    by_mask = js._labels
-    # One row per pattern, in `_kappa_order`.
-    cells = _norms2(detector_pdi.parts, js.amplitudes.T[_kappa_index(n)]).ravel()
-    keys = tuple(itertools.product(dets, [by_mask[mask] for mask in _kappa_order(n)]))
+    kappas, rows, _ = js._patterns()
+    cells = _norms2(detector_pdi.parts, rows).ravel()
+    keys = tuple(itertools.product(dets, kappas))
     return _trusted(OutcomeDistribution, _keys=keys, _cells=cells, _detectors=tuple(dets))
 
 
@@ -421,6 +424,12 @@ def sample(
         raise ValueError(f"sample count {n!r} is not an integer") from None
     if not 1 <= n <= _MAX_SAMPLES:
         raise ValueError(f"sample count must be >= 1 and <= {_MAX_SAMPLES}, got {n}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"sample seed {seed!r} is not an integer") from None
+    if seed < 0:
+        raise ValueError(f"sample seed must be >= 0, got {seed}")
     p = dist._cells
     total = p.sum()
     if not _negligible(abs(total - 1.0), "mass deviation"):

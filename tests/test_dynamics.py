@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from qhistories.dynamics import Dynamics, StepUnitary, _require_unitary, transport
 from qhistories.histories import History, chain_ket
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, build_no_bs34, time_slices
+from qhistories.probes import ProbeStrength, evolve_with_probes, standard_probes
 from qhistories.statespace import (
     _CUTS, DEFAULT_TOL, Ket, TimeSlice, basis_ket, projector_from_labels,
 )
+from qhistories.weak import backward_state
 from test_golden import ALPHA2 as GOLDEN_ALPHA2
 from test_histories import haar_dynamics
 
@@ -133,6 +135,26 @@ def test_model_steps_are_read_only_and_equal_checked_ones(dyn):
 def test_transport_rejects_out_of_range_index(dyn):
     with pytest.raises(ValueError, match="outside range"):
         transport(dyn, basis_ket(dyn.slices[0], "S"), 5)
+
+
+@pytest.mark.parametrize(
+    "t", [2.0, 1.5, np.float64(2.0), "2", [2], 7.5],
+    ids=["2.0", "1.5", "float64", "str", "list", "7.5"],
+)
+def test_non_integer_time_is_an_input_error(dyn, t):
+    # a float time reached tuple indexing (bare TypeError), a string `<=`
+    message = f"^{re.escape(f'time index {t!r} is not an integer')}$"
+    s0, f4 = basis_ket(dyn.slices[0], "S"), basis_ket(dyn.slices[4], "F")
+    calls = [
+        lambda: dyn.slice_at(t),
+        lambda: transport(dyn, s0, t),
+        lambda: backward_state(dyn, f4, t),
+        lambda: evolve_with_probes(dyn, standard_probes("ad"), ProbeStrength(0.01), s0, upto=t),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert dyn.slice_at(np.int64(2)) is dyn.slices[2]
 
 
 def test_transport_rejects_foreign_ket(dyn):

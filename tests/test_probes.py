@@ -1,9 +1,11 @@
+import ast
 import math
 import pickle
 import re
-from copy import deepcopy
+from copy import copy as shallow_copy, deepcopy
 from fractions import Fraction
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from _closedforms import (
 )
 from test_histories import haar_dynamics, haar_unitary
 
+import qhistories.probes as probes_module
 from qhistories.dynamics import Dynamics, StepUnitary
 from qhistories.histories import VanishingProbabilityError
 from qhistories.mzi import BeamSplitterParams, build_nested_mzi, source_ket
@@ -23,7 +26,6 @@ from qhistories.probes import (
     OutcomeDistribution,
     ProbeSpec,
     ProbeStrength,
-    _kappa_index,
     _kappa_labels,
     _kappa_order,
     branch_components,
@@ -556,19 +558,17 @@ class TestBranchComponents:
         assert _kappa_labels(probes) == [mask_label(m, probes) for m in range(64)]
 
     def test_kappa_order_cannot_be_mutated(self):
-        order = _kappa_order(3)
-        assert order == (0, 1, 2, 4, 3, 5, 6, 7)
-        with pytest.raises(TypeError):
-            order[0] = 7
-        assert _kappa_order(3) == (0, 1, 2, 4, 3, 5, 6, 7)
-        # the gather index: read-only, one object per probe count, the same order
+        # the one pattern order: a read-only index, one object per probe count
+        assert _kappa_order(3).tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
         for n in range(9):
-            index = _kappa_index(n)
-            assert index.flags.writeable is False and index.dtype == np.intp
+            order = _kappa_order(n)
+            assert order.flags.writeable is False and order.dtype == np.intp
             with pytest.raises(ValueError, match="read-only"):
-                index[0] = 1
-            assert _kappa_index(n) is index
-            assert index.tolist() == list(_kappa_order(n))
+                order[0] = 1
+            assert _kappa_order(n) is order
+            masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+            assert order.tolist() == masks
+        assert _kappa_order(3).tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
 
 
 def shared_time_probes(n):
@@ -635,6 +635,63 @@ class TestReadoutBuild:
                 br.phi.amplitudes.tobytes() for br in branches
             ]
             assert all(br.phi.amplitudes.flags.writeable is False for br in copy)
+
+    def test_copies_of_a_read_table_keep_it_read_only(self):
+        dyn, s0 = haar_dynamics(40, dim=8)
+        js = evolve_with_probes(dyn, shared_time_probes(6), ProbeStrength(0.2), s0)
+        pdi = grouped_pdi(dyn.slices[-1], (1, 2, 5))
+        # both readers have read the table, so it is copied with the state
+        branches, cells = branch_components(js), outcome_distribution(js, pdi)._cells
+        for twin in (pickle.loads(pickle.dumps(js)), shallow_copy(js), deepcopy(js)):
+            twin_branches = branch_components(twin)
+            assert [br.kappa for br in twin_branches] == [br.kappa for br in branches]
+            for br, ref in zip(twin_branches, branches):
+                assert br.phi.amplitudes.flags.writeable is False
+                assert br.phi.amplitudes.base.flags.writeable is False
+                assert br.phi.amplitudes.tobytes() == ref.phi.amplitudes.tobytes()
+            assert outcome_distribution(twin, pdi)._cells.tobytes() == cells.tobytes()
+            assert all(arr.flags.writeable is False for arr in twin._patterns()[1:])
+
+    @pytest.mark.parametrize("first", ["branches", "distribution"])
+    def test_joint_array_is_gathered_once(self, first, monkeypatch):
+        norms2, received = probes_module._norms2, []
+
+        def recorded(parts, cols):
+            received.append(cols)
+            return norms2(parts, cols)
+
+        monkeypatch.setattr(probes_module, "_norms2", recorded)
+        dyn, s0 = haar_dynamics(41, dim=8)
+        js = evolve_with_probes(dyn, shared_time_probes(5), ProbeStrength(0.2), s0)
+        pdi = grouped_pdi(dyn.slices[-1], (1,) * 8)
+        if first == "branches":
+            branches = branch_components(js)
+            outcome_distribution(js, pdi)
+        else:
+            outcome_distribution(js, pdi)
+            branches = branch_components(js)
+        outcome_distribution(js, pdi)
+        assert len(received) == 2 and received[0] is received[1]
+        assert all(br.phi.amplitudes.base is received[0] for br in branches)
+        assert all(br.phi.amplitudes.base is received[0] for br in branch_components(js))
+
+
+def test_only_the_pattern_table_reads_the_pattern_order():
+    # `_kappa_order` and a joint state's `amplitudes.T` are read in
+    # `JointState._patterns` alone, so the pattern order is decided once
+    tree = ast.parse(Path(probes_module.__file__).read_text())
+
+    def reads(root):
+        return [
+            ast.unparse(node) for node in ast.walk(root)
+            if (isinstance(node, ast.Name) and node.id == "_kappa_order")
+            or (isinstance(node, ast.Attribute) and node.attr == "T"
+                and ast.unparse(node.value).endswith("amplitudes"))
+        ]
+
+    (table,) = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_patterns"]
+    assert sorted(reads(tree)) == sorted(reads(table)) == ["_kappa_order", "self.amplitudes.T"]
 
 
 class TestDetectors:
@@ -708,10 +765,14 @@ class TestGivenDetector:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dist.p("F4", "a")
         assert (dist.p("F4", "o"), dist.p("H4", "a")) == (1.0, 0.0)
-        # an unhashable detector is no cell's detector
+        # an unhashable detector is no cell's detector, an unhashable
+        # pattern no cell's pattern
         message = "unknown detector ['F4']; detectors are ['F4', 'H4']"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dist.p(["F4"], "o")
+        message = "unknown pattern ['o'] for detector 'F4'; patterns are ['o']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dist.p("F4", ["o"])
 
 
 class TestOneSourceOfTruth:
@@ -728,6 +789,29 @@ class TestOneSourceOfTruth:
     def test_caller_cells_must_be_finite_and_non_negative(self, probs):
         with pytest.raises(ValueError, match="finite and >= 0"):
             OutcomeDistribution(probs)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["F4", 5, ("F4",), ("F4", "o", "a"), ("F4", 5), (4, "o")],
+        ids=["string", "int", "single", "triple", "int-pattern", "int-detector"],
+    )
+    def test_caller_keys_must_be_pairs_of_strings(self, key):
+        # "F4" was read as detector "F", pattern "4"; 5 ended in a bare TypeError
+        message = f"outcome {key!r} is not a (detector, pattern) pair of strings"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OutcomeDistribution({("F4", "o"): 0.5, key: 0.5})
+
+    @pytest.mark.parametrize(
+        "cell", [0.5j, complex(0.5, 0.0), np.complex128(0.5), "0.5", None],
+        ids=["imaginary", "complex", "complex128", "str", "None"],
+    )
+    def test_caller_cells_must_be_real(self, cell):
+        # a complex cell ended in a bare TypeError, a string was parsed
+        message = f"outcome ('H4', 'o') has probability {cell!r}, not a real number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            OutcomeDistribution({("F4", "o"): 0.5, ("H4", "o"): cell})
+        dist = OutcomeDistribution({("F4", "o"): np.float32(0.5), ("H4", "o"): Fraction(1, 2)})
+        assert dist.probs == {("F4", "o"): 0.5, ("H4", "o"): 0.5}
 
     def test_probs_is_a_read_only_view(self):
         dyn, s0 = model()
@@ -1043,6 +1127,20 @@ class TestSampling:
         dist = OutcomeDistribution({("F4", "o"): 1.0})
         with pytest.raises(ValueError, match=f"^{re.escape(f'sample count {n!r} is not an integer')}$"):
             sample(dist, n, 3)
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, 2.0, "x", None, -1], ids=["1.5", "2.0", "str", "None", "negative"]
+    )
+    def test_sample_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy's SeedSequence raised a bare TypeError, or its own message for -1
+        dist = OutcomeDistribution({("F4", "o"): 1.0})
+        if seed == -1:
+            message = "sample seed must be >= 0, got -1"
+        else:
+            message = f"sample seed {seed!r} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(dist, 3, seed)
+        assert sample(dist, 3, np.int64(7)) == sample(dist, 3, 7) == {("F4", "o"): 3}
 
     def test_sample_count_must_be_positive(self):
         dyn, s0 = model()
